@@ -234,47 +234,28 @@ def _observe_result(result, lfi: Controller) -> None:
     result.coverage = export_coverage(lfi.coverage_map())
 
 
-def _golden_digest(factory, platform: Platform,
-                   profiles: Mapping[str, LibraryProfile]) -> Optional[str]:
-    """Run the workload once with no faults and digest its output.
-
-    The digest anchors silent-corruption detection: a fired case whose
-    run "succeeds" but leaves different files behind diverged silently.
-    A workload that doesn't complete normally even fault-free has no
-    trustworthy golden output — classification then degrades gracefully
-    (no silent-corruption verdicts) rather than guessing.
-    """
-    from ..scenario.model import Plan
-    from ..results.matrix import output_digest
-
-    try:
-        lfi = Controller(platform, dict(profiles), Plan(name="golden"))
-        outcome = lfi.run_test(factory(lfi), test_id="golden")
-        if outcome.status != "normal":
-            return None
-        return output_digest(lfi)
-    except Exception:
-        return None
-
-
 def _golden_run(factory, platform: Platform,
                 profiles: Mapping[str, LibraryProfile],
                 functions: Iterable[str]):
-    """Golden run plus the per-function call counts guided search needs.
+    """Run the workload once with no faults: the campaign's anchor.
 
-    Same no-fault anchor as :func:`_golden_digest`, but the plan carries
-    one sentinel trigger per campaign function at the unreachable
-    ordinal: the dormant fast path proves each trigger dead on its first
-    call, so the only bookkeeping the run pays for is call counting —
-    and the output digest is identical to a plain golden run's.  The
+    The output digest anchors silent-corruption detection: a fired case
+    whose run "succeeds" but leaves different files behind diverged
+    silently.  The plan carries one sentinel trigger per campaign
+    function at the unreachable ordinal: the dormant fast path proves
+    each trigger dead on its first call, so the only bookkeeping the
+    run pays for is call counting — which bounds the guided frontier's
+    ordinal axis — and the digest is identical to a plain run's.  The
     controller also arms block coverage: the golden blocks seed the
     guided frontier's seen-set, so its novelty accounting starts from
     the fault-free path instead of rediscovering it case by case.
 
-    Returns ``(digest, call_counts, blocks)``; a workload that doesn't
-    complete normally yields ``(None, counts, blocks)`` (both are still
-    true of the un-injected execution, so they remain sound), and a
-    workload that raises yields ``(None, {}, set())``.
+    Returns ``(digest, call_counts, blocks)``.  A workload that doesn't
+    complete normally even fault-free has no trustworthy golden output
+    and yields ``(None, counts, blocks)`` (both are still true of the
+    un-injected execution, so they remain sound) — classification then
+    degrades gracefully (no silent-corruption verdicts) rather than
+    guessing; a workload that raises yields ``(None, {}, set())``.
     """
     from ..controller.triggers import NEVER_ORDINAL
     from ..results.matrix import output_digest
@@ -373,103 +354,89 @@ def execute_campaign(app: str,
     case order, so the final report, event stream and metrics match an
     uninterrupted run.
 
-    ``guided=True`` hands scheduling to the coverage-guided
-    :class:`~repro.core.search.GuidedFrontier` (see
-    :func:`_execute_guided`): ``cases`` becomes the search space rather
-    than the execution list, and ``budget_cases`` caps how many cases
-    actually run.
+    One loop drives every campaign through a scheduler (see
+    :mod:`repro.core.search`): by default an
+    :class:`~repro.core.search.ExhaustiveSchedule` runs every case in
+    one batch.  ``guided=True`` hands scheduling to the coverage-guided
+    :class:`~repro.core.search.GuidedFrontier`: ``cases`` becomes the
+    search space rather than the execution list, ``budget_cases`` caps
+    how many cases actually run, and the frontier is fed every finished
+    case's coverage between batches.  Because batch width is fixed and
+    observations apply in batch order, the schedule is a pure function
+    of the case list and the per-case coverage — identical across
+    backends.  Resume replays the *scheduler*, not the journal: each
+    scheduled batch is checked against the journal and already-finished
+    cases are restored (and observed) instead of re-run, so an
+    interrupted campaign resumes into exactly the schedule the
+    uninterrupted run would have produced.
     """
+    from ..campaign import CampaignReport
+    from ..results import case_digest, restore_result
+    from ..results.matrix import classify_result
+    from ..search import ExhaustiveSchedule, GuidedFrontier
+
     tele = as_telemetry(telemetry)
-    original_metrics = None
     if pool is None:
         pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout,
                           metrics=tele.metrics)
-    elif tele.enabled and not pool.metrics.enabled:
-        # borrow the campaign's registry for queue/pool metrics, but
-        # hand the pool back unchanged: a caller-supplied pool outlives
-        # this run and must not keep emitting into a stale campaign's
-        # registry
-        original_metrics = pool.metrics
-        pool.metrics = tele.metrics
-    try:
-        if guided:
-            return _execute_guided(app, factory, platform, profiles,
-                                   cases, pool=pool, snapshot=snapshot,
-                                   tele=tele, results=results,
-                                   results_key=results_key,
-                                   resume=resume,
-                                   budget_cases=budget_cases)
-        return _execute_exhaustive(app, factory, platform, profiles,
-                                   cases, pool=pool, snapshot=snapshot,
-                                   tele=tele, results=results,
-                                   results_key=results_key,
-                                   resume=resume)
-    finally:
-        if original_metrics is not None:
-            pool.metrics = original_metrics
-
-
-def _execute_exhaustive(app: str,
-                        factory,
-                        platform: Platform,
-                        profiles: Mapping[str, LibraryProfile],
-                        cases: Iterable[Any],
-                        *, pool: WorkerPool,
-                        snapshot: bool,
-                        tele: Telemetry,
-                        results,
-                        results_key: Optional[Mapping[str, Any]],
-                        resume: bool):
-    """The fixed-schedule path: run every enumerated case."""
-    from ..campaign import CampaignReport, CaseResult
-
     case_list = list(cases)
     profiles = dict(profiles)
     capture = tele.enabled
+    if not guided:
+        budget_cases = None
 
     journal = None
-    case_keys: List[str] = []
-    restored: Dict[int, CaseResult] = {}
-    restored_tasks: Dict[int, TaskResult] = {}
+    finished: Dict[str, Mapping[str, Any]] = {}
+    meta: Mapping[str, Any] = {}
     if results is not None:
-        from ..results import case_digest, restore_result
         identity = dict(results_key or {})
         identity.setdefault("app", app)
         identity.setdefault("platform", platform)
         identity.setdefault("profiles", profiles)
         journal = results.open_campaign(
             results.campaign_key(**identity), app=app)
-        case_keys = [case_digest(case) for case in case_list]
+        meta = journal.meta()
         if resume:
             finished = journal.finished()
-            for index, key in enumerate(case_keys):
-                record = finished.get(key)
-                if record is None:
-                    continue
-                restored[index] = restore_result(case_list[index], record)
-                restored_tasks[index] = TaskResult(
-                    index=index, status=record.get("task_status", TASK_OK),
-                    seconds=record.get("seconds", 0.0), waited=0.0)
 
-    pending = [(index, case) for index, case in enumerate(case_list)
-               if index not in restored]
-    pending_cases = [case for _, case in pending]
+    # Classification runs at the parent whenever results are durable or
+    # the frontier needs them: workers ship raw signals (status, output
+    # digest, coverage) and the parent assigns the failure-mode class,
+    # so every backend — and the snapshot path — classifies
+    # identically.
+    observe = journal is not None or guided
 
-    # Classification runs at the parent whenever results are durable:
-    # workers ship raw signals (status, output digest, coverage) and the
-    # parent assigns the failure-mode class, so every backend — and the
-    # snapshot path — journals identical classes.  The golden (no-fault)
-    # output digest is computed once per campaign and persisted in the
-    # journal's meta, so resumed runs classify against the same anchor.
-    observe = journal is not None
+    # One golden run, in the parent, before any case: its digest anchors
+    # classification (a digest already journaled wins, so resumed runs
+    # classify against the same anchor), its call counts and coverage
+    # seed the guided frontier, and it leaves the shared code cache warm
+    # for forked workers to inherit.  The guest is deterministic, so
+    # re-running it on resume reproduces the identical search space.
+    cache_before = CODE_CACHE.stats()
     golden: Optional[str] = None
+    call_counts: Dict[str, int] = {}
+    golden_blocks: set = set()
+    if case_list:
+        golden, call_counts, golden_blocks = _golden_run(
+            factory, platform, profiles,
+            sorted({case.function for case in case_list}))
+    if "golden" in meta:
+        golden = meta["golden"]
     if journal is not None:
-        from ..results.matrix import classify_result
-        meta = journal.meta()
-        golden = meta.get("golden")
-        if golden is None and pending_cases and "golden" not in meta:
-            golden = _golden_digest(factory, platform, profiles)
-        journal.set_meta(golden=golden, cases_expected=len(case_list))
+        journal.set_meta(golden=golden,
+                         cases_expected=(min(budget_cases, len(case_list))
+                                         if budget_cases is not None
+                                         else len(case_list)),
+                         **({"call_counts": call_counts, "guided": True}
+                            if guided else {}))
+
+    if guided:
+        schedule = GuidedFrontier(case_list, budget_cases=budget_cases,
+                                  call_counts=call_counts,
+                                  baseline_blocks=golden_blocks,
+                                  telemetry=tele)
+    else:
+        schedule = ExhaustiveSchedule(case_list)
 
     runner = None
     if snapshot:
@@ -486,276 +453,84 @@ def _execute_exhaustive(app: str,
         return _case_runner(factory, platform, profiles, case, capture,
                             observe)
 
-    if pool.backend == PROCESS and pending_cases and pool.warmup is None:
-        if runner is not None:
-            # build every checkpoint in the parent: forked children
-            # inherit guests parked at the snapshot point (and the warm
-            # code cache) with an empty dirty-page set
-            def _warm_snapshots():
-                runner.warm(pending_cases)
-            pool.warmup = _warm_snapshots
-        else:
-            # prime the shared code cache in the parent: the first case
-            # decodes and block-compiles every image, and each forked
-            # child then inherits the warm cache instead of re-translating
-            def _warm_first(case=pending_cases[0]):
-                _case_runner(factory, platform, profiles, case, False)
-            pool.warmup = _warm_first
-
     if tele.enabled:
         tele.events.emit("campaign.start", app=app, cases=len(case_list),
                          jobs=pool.jobs, backend=pool.backend,
                          timeout=pool.timeout,
-                         snapshot=runner is not None)
-        if journal is not None:
-            tele.events.emit("campaign.resume", app=app,
-                             campaign=journal.key,
-                             resume=resume, skipped=len(restored),
-                             replayed=len(pending))
-            hits = tele.metrics.counter(
-                "repro_result_store_hits_total",
-                "Campaign cases satisfied from the durable result journal")
-            misses = tele.metrics.counter(
-                "repro_result_store_misses_total",
-                "Campaign cases executed and journaled durably")
-            if restored:
-                hits.inc(len(restored))
-            if pending:
-                misses.inc(len(pending))
+                         snapshot=runner is not None,
+                         **({"guided": True} if guided else {}))
+    if runner is not None and pool.backend == PROCESS:
+        # build every checkpoint in the parent: forked children inherit
+        # guests parked at the snapshot point with an empty dirty-page
+        # set.  Guided expansion only deepens ordinals of enumerated
+        # (function, action) pairs, so the seed list covers every
+        # checkpoint the frontier can need.
+        runner.warm([case for case in case_list
+                     if case_digest(case) not in finished]
+                    if finished else case_list)
 
-    def journal_progress(task: TaskResult) -> None:
-        # runs in the parent as each case (in input order) drains; the
-        # flush-per-record journal is what --resume picks up after a
-        # crash, so this must not wait for the pool to finish.  The
-        # failure-mode class is assigned here — in the parent — from
-        # the worker's raw signals, so it is backend-independent.
-        index, case = pending[task.index]
-        result = _finish_case(case, task, pool)
-        result.outcome_class = classify_result(result, golden)
-        journal.record(case_keys[index], case, result, task.status)
-
-    cache_before = CODE_CACHE.stats()
-    started = time.perf_counter()
-    try:
-        tasks = pool.map(run_one, pending_cases,
-                         progress=journal_progress
-                         if journal is not None else None)
-    finally:
-        if journal is not None:
-            journal.close()
-    duration = time.perf_counter() - started
-
-    task_by_index = {index: task
-                     for (index, _), task in zip(pending, tasks)}
-    all_tasks = [restored_tasks.get(i, task_by_index.get(i))
-                 for i in range(len(case_list))]
-
-    results_list: List[CaseResult] = []
-    for index, case in enumerate(case_list):
-        if index in restored:
-            result = restored[index]
-        else:
-            result = _finish_case(case, task_by_index[index], pool)
-        if journal is not None and result.outcome_class is None:
-            # legacy restored records and per-loop synthesized hung/
-            # crashed results; same inputs, same deterministic class
-            result.outcome_class = classify_result(result, golden)
-        if tele.enabled:
-            _replay_case_telemetry(tele, case, result)
-        results_list.append(result)
-
-    report = CampaignReport(app=app, results=results_list,
-                            duration=duration)
-    if journal is not None:
-        report.resumed = {"skipped": len(restored),
-                          "replayed": len(pending)}
-    run_registry = MetricsRegistry()
-    report.summary = summarize_tasks("campaign", app, report.outcome(),
-                                     duration, all_tasks, pool,
-                                     registry=run_registry)
-    if tele.enabled:
-        _record_execution_metrics(tele, results_list, cache_before)
-        tele.metrics.merge(run_registry.snapshot())
-        end_fields = dict(app=app, outcome=report.outcome(),
-                          duration=round(duration, 6),
-                          cases=len(results_list))
-        if runner is not None:
-            stats = runner.cache.stats()
-            end_fields.update(
-                snapshots_built=stats["built"],
-                snapshot_replays=sum(1 for r in results_list
-                                     if getattr(r, "snapshot", None)),
-                snapshot_fallbacks=runner.fallbacks)
-        tele.events.emit("campaign.end", **end_fields)
-    return report
-
-
-def _execute_guided(app: str,
-                    factory,
-                    platform: Platform,
-                    profiles: Mapping[str, LibraryProfile],
-                    cases: Iterable[Any],
-                    *, pool: WorkerPool,
-                    snapshot: bool,
-                    tele: Telemetry,
-                    results,
-                    results_key: Optional[Mapping[str, Any]],
-                    resume: bool,
-                    budget_cases: Optional[int]):
-    """The coverage-guided path: the frontier decides what runs.
-
-    ``cases`` seeds a :class:`~repro.core.search.GuidedFrontier`; the
-    engine then alternates frontier batches with pool runs, feeding
-    every finished case's coverage back between batches.  Because batch
-    width is fixed and observations apply in batch input order, the
-    schedule is a pure function of the case list and the per-case
-    coverage — identical across the serial, thread and process backends.
-
-    Resume replays the *scheduler*, not the journal: each scheduled
-    batch is checked against the journal and already-finished cases are
-    restored (and observed) instead of re-run, so an interrupted guided
-    campaign resumes into exactly the schedule the uninterrupted run
-    would have produced, converging on the same final matrix.
-    Classification signals (coverage, output digest) are always
-    collected — the frontier runs on them — so guided mode classifies
-    outcomes even without a result store attached.
-    """
-    from ..campaign import CampaignReport
-    from ..results.matrix import classify_result
-    from ..search import GuidedFrontier
-
-    case_list = list(cases)
-    profiles = dict(profiles)
-    capture = tele.enabled
-
-    journal = None
-    finished: Dict[str, Mapping[str, Any]] = {}
-    if results is not None:
-        from ..results import case_digest, restore_result
-        identity = dict(results_key or {})
-        identity.setdefault("app", app)
-        identity.setdefault("platform", platform)
-        identity.setdefault("profiles", profiles)
-        journal = results.open_campaign(
-            results.campaign_key(**identity), app=app)
-        if resume:
-            finished = journal.finished()
-
-    # One golden run serves triple duty: the no-fault output digest
-    # anchors silent-corruption classification, the per-function call
-    # counts bound the frontier's ordinal axis, and the golden coverage
-    # seeds its seen-block set.  The guest is deterministic, so running
-    # it afresh on resume reproduces the identical search space; the
-    # digest honors a previously journaled anchor for classification
-    # continuity.
-    meta = journal.meta() if journal is not None else {}
-    golden, call_counts, golden_blocks = _golden_run(
-        factory, platform, profiles,
-        sorted({case.function for case in case_list}))
-    if "golden" in meta:
-        golden = meta.get("golden")
-    if journal is not None:
-        journal.set_meta(golden=golden, call_counts=call_counts,
-                         guided=True,
-                         cases_expected=(min(budget_cases, len(case_list))
-                                         if budget_cases is not None
-                                         else len(case_list)))
-
-    frontier = GuidedFrontier(case_list, budget_cases=budget_cases,
-                              call_counts=call_counts,
-                              baseline_blocks=golden_blocks,
-                              telemetry=tele)
-
-    runner = None
-    if snapshot:
-        from .snapshot import SnapshotRunner
-        runner = SnapshotRunner(app, factory, platform, profiles,
-                                capture=capture, telemetry=tele,
-                                observe=True)
-        if not runner.supported:
-            runner = None
-
-    def run_one(case):
-        if runner is not None:
-            return runner.run_case(case)
-        return _case_runner(factory, platform, profiles, case, capture,
-                            True)
-
-    if pool.backend == PROCESS and case_list and pool.warmup is None:
-        # the pool re-runs its warmup hook on every map() call, and
-        # guided mode maps once per batch — make warming idempotent
-        warmed: List[bool] = []
-
-        def _warm_once():
-            if warmed:
-                return
-            warmed.append(True)
-            if runner is not None:
-                # expansion only deepens ordinals of already-enumerated
-                # (function, action) pairs, so checkpoints built for
-                # the seed list cover every case the frontier can emit
-                runner.warm(case_list)
-            else:
-                _case_runner(factory, platform, profiles, case_list[0],
-                             False)
-        pool.warmup = _warm_once
-
-    if tele.enabled:
-        tele.events.emit("campaign.start", app=app, cases=len(case_list),
-                         jobs=pool.jobs, backend=pool.backend,
-                         timeout=pool.timeout,
-                         snapshot=runner is not None, guided=True)
+    original_metrics = None
+    if tele.enabled and not pool.metrics.enabled:
+        # borrow the campaign's registry for queue/pool metrics, but
+        # hand the pool back unchanged: a caller-supplied pool outlives
+        # this run and must not keep emitting into a stale campaign's
+        # registry
+        original_metrics = pool.metrics
+        pool.metrics = tele.metrics
 
     results_list: List[Any] = []
     all_tasks: List[TaskResult] = []
     restored_n = 0
-    cache_before = CODE_CACHE.stats()
     started = time.perf_counter()
     try:
         while True:
-            batch = frontier.next_batch()
+            batch = schedule.next_batch()
             if not batch:
                 break
-            entries = []        # (case, case_key, journaled record)
-            for case in batch:
-                key = case_digest(case) if journal is not None else ""
-                entries.append((case, key, finished.get(key)))
-            to_run = [(pos, case)
-                      for pos, (case, _key, record) in enumerate(entries)
+            keys = ([case_digest(case) for case in batch]
+                    if journal is not None else [""] * len(batch))
+            records = [finished.get(key) for key in keys]
+            to_run = [pos for pos, record in enumerate(records)
                       if record is None]
+            ran: Dict[int, Any] = {}
 
-            def journal_progress(task: TaskResult, entries=entries,
-                                 to_run=to_run) -> None:
-                # parent-side, in batch input order, flushed per record
-                # — what --resume picks up after a crash (see the
-                # exhaustive path's journal_progress)
-                pos, case = to_run[task.index]
-                result = _finish_case(case, task, pool)
-                result.outcome_class = classify_result(result, golden)
-                journal.record(entries[pos][1], case, result, task.status)
+            def journal_progress(task: TaskResult) -> None:
+                # runs in the parent as each case (in batch order)
+                # drains; the flush-per-record journal is what --resume
+                # picks up after a crash, so this must not wait for the
+                # pool to finish.  The failure-mode class is assigned
+                # here — in the parent — from the worker's raw signals,
+                # so it is backend-independent.
+                pos = to_run[task.index]
+                result = ran[pos] = _finish_case(batch[pos], task, pool)
+                if observe:
+                    result.outcome_class = classify_result(result, golden)
+                if journal is not None:
+                    journal.record(keys[pos], batch[pos], result,
+                                   task.status)
 
-            tasks = pool.map(run_one, [case for _, case in to_run],
-                             progress=journal_progress
-                             if journal is not None else None)
-            task_at = {to_run[j][0]: tasks[j] for j in range(len(tasks))}
+            tasks = pool.map(run_one, [batch[pos] for pos in to_run],
+                             progress=journal_progress)
+            task_at = dict(zip(to_run, tasks))
 
-            for pos, (case, _key, record) in enumerate(entries):
-                if record is not None:
+            for pos, case in enumerate(batch):
+                record = records[pos]
+                if record is None:
+                    result, task = ran[pos], task_at[pos]
+                else:
                     result = restore_result(case, record)
                     task = TaskResult(
                         index=len(all_tasks),
                         status=record.get("task_status", TASK_OK),
                         seconds=record.get("seconds", 0.0), waited=0.0)
                     restored_n += 1
-                else:
-                    task = task_at[pos]
-                    result = _finish_case(case, task, pool)
-                if result.outcome_class is None:
-                    result.outcome_class = classify_result(result, golden)
-                # feed back in batch input order — scheduling, events
-                # and the journal all share this one deterministic order
-                frontier.observe(case, result,
-                                 restored=record is not None)
+                    if result.outcome_class is None:
+                        # a legacy record: same inputs, same class
+                        result.outcome_class = classify_result(result,
+                                                               golden)
+                # feed back in batch order — scheduling, events and the
+                # journal all share this one deterministic order
+                schedule.observe(case, result, restored=record is not None)
                 if tele.enabled:
                     _replay_case_telemetry(tele, case, result)
                 results_list.append(result)
@@ -763,13 +538,15 @@ def _execute_guided(app: str,
     finally:
         if journal is not None:
             journal.close()
+        if original_metrics is not None:
+            pool.metrics = original_metrics
     duration = time.perf_counter() - started
 
+    replayed = len(results_list) - restored_n
     report = CampaignReport(app=app, results=results_list,
                             duration=duration)
     if journal is not None:
-        report.resumed = {"skipped": restored_n,
-                          "replayed": len(results_list) - restored_n}
+        report.resumed = {"skipped": restored_n, "replayed": replayed}
     run_registry = MetricsRegistry()
     report.summary = summarize_tasks("campaign", app, report.outcome(),
                                      duration, all_tasks, pool,
@@ -780,20 +557,21 @@ def _execute_guided(app: str,
         if journal is not None:
             tele.events.emit("campaign.resume", app=app,
                              campaign=journal.key, resume=resume,
-                             skipped=restored_n,
-                             replayed=len(results_list) - restored_n)
+                             skipped=restored_n, replayed=replayed)
             if restored_n:
                 tele.metrics.counter(
                     "repro_result_store_hits_total",
                     "Campaign cases satisfied from the durable result "
                     "journal").inc(restored_n)
-            if len(results_list) - restored_n:
+            if replayed:
                 tele.metrics.counter(
                     "repro_result_store_misses_total",
                     "Campaign cases executed and journaled durably"
-                ).inc(len(results_list) - restored_n)
-        tele.events.emit("campaign.guided", app=app,
-                         enumerated=len(case_list), **frontier.summary())
+                ).inc(replayed)
+        summary = schedule.summary()
+        if summary is not None:
+            tele.events.emit("campaign.guided", app=app,
+                             enumerated=len(case_list), **summary)
         end_fields = dict(app=app, outcome=report.outcome(),
                           duration=round(duration, 6),
                           cases=len(results_list))
@@ -813,9 +591,10 @@ def _record_execution_metrics(tele: Telemetry, results,
     """Guest-execution counters for the run: instruction totals, a
     per-case MIPS gauge, and this process's shared-code-cache activity.
 
-    The cache deltas cover the parent process only — under the process
-    backend the forked children's compilations die with them (which is
-    exactly what the pre-fork warmup minimizes).
+    The cache deltas cover the parent process only, golden run
+    included — under the process backend the forked children's
+    compilations die with them (which is exactly what priming the parent
+    before the first fork minimizes).
     """
     instructions = tele.metrics.counter(
         "repro_instructions_total",

@@ -40,6 +40,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 #: Task result statuses.
@@ -170,11 +171,6 @@ class WorkerPool:
             from ...obs.metrics import NULL_REGISTRY
             metrics = NULL_REGISTRY
         self.metrics = metrics
-        #: optional pre-fork hook (process backend only): called once at
-        #: the start of ``map`` so forked children inherit warm caches —
-        #: e.g. the shared code cache's decoded images and compiled
-        #: blocks (see core.exec.engine)
-        self.warmup: Optional[Callable[[], None]] = None
 
     # -- public API --------------------------------------------------------
 
@@ -192,18 +188,13 @@ class WorkerPool:
         items = list(items)
         if not items:
             return []
-        if self.backend == PROCESS and self.warmup is not None:
-            try:
-                self.warmup()
-            except Exception:
-                pass        # warmup is best-effort cache priming
         started = time.monotonic()
         if self.backend == SERIAL:
             results = self._map_serial(fn, items, progress)
         elif self.backend == PROCESS:
             results = self._map_threaded(
                 lambda item: self._invoke_subprocess(fn, item), items,
-                reap_timeout=None,     # the subprocess join enforces it
+                reap_timeout=None,     # the subprocess wait enforces it
                 progress=progress)
         else:
             results = self._map_threaded(
@@ -327,7 +318,15 @@ class WorkerPool:
     # -- process backend ----------------------------------------------------
 
     def _invoke_subprocess(self, fn, item) -> Tuple[str, Any]:
-        """Run one task in a forked child; enforce the timeout hard."""
+        """Run one task in a forked child; enforce the timeout hard.
+
+        The outcome is read off the pipe, never off the child's exit
+        status: ``Process.start()`` in a sibling supervisor thread polls
+        (and so may reap) every live child, after which this child's
+        ``join()``/``is_alive()`` can no longer tell that it finished.
+        A payload decides the outcome; the child exiting without one is
+        a crash; neither before the deadline is a hang.
+        """
         try:
             ctx = multiprocessing.get_context(self.mp_context)
         except ValueError:
@@ -337,27 +336,29 @@ class WorkerPool:
                            daemon=True)
         proc.start()
         send.close()
-        proc.join(self.timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
+        try:
+            if not wait([recv, proc.sentinel], self.timeout):
+                proc.terminate()
                 proc.join(1.0)
+                if proc.exitcode is None:
+                    proc.kill()
+                    proc.join(1.0)
+                return (TASK_HUNG, None)
+            payload = None
+            if recv.poll():
+                try:
+                    payload = recv.recv()
+                except (EOFError, OSError):
+                    pass
+            proc.join(self.timeout)
+        finally:
             recv.close()
-            return (TASK_HUNG, None)
-        outcome: Tuple[str, Any] = (
-            TASK_CRASHED,
-            RemoteTaskError(f"worker died with exit code {proc.exitcode}"))
-        if recv.poll():
-            try:
-                kind, value = recv.recv()
-                outcome = ((TASK_OK, value) if kind == "ok"
-                           else (TASK_ERROR, RemoteTaskError(value)))
-            except (EOFError, OSError):
-                pass
-        recv.close()
-        return outcome
+        if payload is None:
+            return (TASK_CRASHED, RemoteTaskError(
+                f"worker died with exit code {proc.exitcode}"))
+        kind, value = payload
+        return ((TASK_OK, value) if kind == "ok"
+                else (TASK_ERROR, RemoteTaskError(value)))
 
 
 def _invoke_inline(fn, item) -> Tuple[str, Any]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
@@ -43,6 +44,14 @@ INDEX_SCHEMA = "repro.results-index/1"
 _JOURNAL = "journal.jsonl"
 _INDEX = "index.json"
 _META = "meta.json"
+
+
+def _write_atomic(path: Path, obj: Any) -> None:
+    """Replace ``path`` with ``obj`` as JSON via a temp file and
+    ``os.replace``: a crash mid-write leaves the previous file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    os.replace(tmp, path)
 
 
 def _sha256(text: str) -> str:
@@ -180,9 +189,8 @@ class CampaignJournal:
                 except (OSError, ValueError):
                     pass
         else:
-            meta.write_text(json.dumps(
-                {"schema": META_SCHEMA, "campaign": key, "app": app},
-                indent=2, sort_keys=True))
+            _write_atomic(meta, {"schema": META_SCHEMA, "campaign": key,
+                                 "app": app})
 
     @property
     def journal_path(self) -> Path:
@@ -209,8 +217,7 @@ class CampaignJournal:
         meta.setdefault("schema", META_SCHEMA)
         meta.setdefault("campaign", self.key)
         meta.setdefault("app", self.app)
-        (self.root / _META).write_text(
-            json.dumps(meta, indent=2, sort_keys=True))
+        _write_atomic(self.root / _META, meta)
         return meta
 
     # -- writing -----------------------------------------------------------
@@ -311,8 +318,7 @@ class CampaignJournal:
         return index
 
     def _write_index(self) -> None:
-        (self.root / _INDEX).write_text(
-            json.dumps(self._build_index(), indent=2, sort_keys=True))
+        _write_atomic(self.root / _INDEX, self._build_index())
 
 
 class ResultStore:

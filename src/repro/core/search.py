@@ -32,6 +32,13 @@ yields :data:`GUIDED_BATCH` cases at a time and observations are only
 applied between batches, so the schedule depends on nothing but the
 case list and the (deterministic) per-case coverage — bit-identical
 across the serial, thread and process backends and under ``--resume``.
+
+The campaign engine drives any object with this duck-typed *scheduler*
+protocol — ``next_batch()`` (cases to run now; empty when done),
+``observe(case, result, *, restored)`` (one finished case, in batch
+order) and ``summary()`` (the ``campaign.guided`` payload, or ``None``
+for no event).  :class:`ExhaustiveSchedule` is the fixed schedule of a
+plain campaign; :class:`GuidedFrontier` is the adaptive one.
 """
 
 from __future__ import annotations
@@ -61,6 +68,23 @@ def case_identity(case) -> Tuple[str, str, int]:
     :class:`GuidedFrontier`).
     """
     return (case.function, case.code.token(), case.call_ordinal)
+
+
+class ExhaustiveSchedule:
+    """The fixed schedule: every enumerated case, in one batch."""
+
+    def __init__(self, cases: Iterable[Any]) -> None:
+        self._cases = list(cases)
+
+    def next_batch(self) -> List[Any]:
+        batch, self._cases = self._cases, []
+        return batch
+
+    def observe(self, case, result, *, restored: bool = False) -> None:
+        pass
+
+    def summary(self) -> None:
+        return None
 
 
 @dataclass

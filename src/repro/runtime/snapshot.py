@@ -205,8 +205,8 @@ class SnapshotCache:
     One worker process shares one cache: the serial backend uses it
     directly, thread-backend workers check instances out and back in
     under the lock, and the process backend builds instances *before*
-    forking (via the pool's warmup hook) so children inherit them at
-    the snapshot point with an empty dirty set.
+    forking (the campaign engine primes it in the parent) so children
+    inherit them at the snapshot point with an empty dirty set.
 
     The cache never evicts — a campaign holds at most one instance per
     (prefix point × concurrent worker), and instances die with the
@@ -248,7 +248,7 @@ class SnapshotCache:
 
     def prime(self, key: SnapshotKey, build: Callable[[], Any]) -> bool:
         """Ensure at least one instance exists for ``key`` (used by the
-        process backend's pre-fork warmup).  Returns True if it built."""
+        process backend's pre-fork priming).  Returns True if it built."""
         with self._lock:
             if self._free.get(key):
                 return False

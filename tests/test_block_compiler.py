@@ -539,20 +539,65 @@ class TestSharedCodeCache:
         assert stats["template_hits"] > stats["blocks_compiled"]
 
 
-class TestPoolWarmup:
-    def test_process_backend_invokes_warmup_in_parent(self):
-        from repro.core.exec.pool import WorkerPool
-        calls = []
-        pool = WorkerPool(jobs=2, backend="process", timeout=30.0)
-        pool.warmup = lambda: calls.append(1)
-        results = pool.map(lambda x: x * 2, [1, 2, 3])
-        assert [r.value for r in results] == [2, 4, 6]
-        assert calls == [1]
+def _parent_plan_recorder(app, seen):
+    """The CLI's campaign workload, recording every plan the parent
+    process sets it up under (forked workers record nothing)."""
+    import os
 
-    def test_thread_backend_skips_warmup(self):
-        from repro.core.exec.pool import WorkerPool
-        calls = []
-        pool = WorkerPool(jobs=2, backend="thread")
-        pool.warmup = lambda: calls.append(1)
-        pool.map(lambda x: x, [1])
-        assert calls == []
+    from repro.cli import _campaign_factory
+    from repro.core.campaign import PrefixFactory
+
+    inner = _campaign_factory(app, LINUX_X86)
+    parent = os.getpid()
+
+    def setup(lfi):
+        if os.getpid() == parent:
+            seen.append(lfi.plan.name)
+        return inner.setup(lfi)
+    return PrefixFactory(setup, inner.run, workload_id=inner.workload_id)
+
+
+class TestProcessCampaignPriming:
+    """The process backend primes the parent once, before the first
+    fork, without running any fault case outside the per-case timeout."""
+
+    def _cases(self, profiles):
+        return enumerate_cases(profiles, functions=["close"],
+                               max_codes_per_function=2)
+
+    def test_parent_runs_only_the_golden_plan(self, libc_profiles_linux):
+        seen = []
+        cases = self._cases(libc_profiles_linux)
+        report = run_campaign("minidb", _parent_plan_recorder("minidb", seen),
+                              LINUX_X86, libc_profiles_linux, cases,
+                              jobs=2, backend="process", timeout=30.0)
+        assert len(report.results) == len(cases)
+        assert seen == ["golden"]
+
+    def test_snapshot_parent_builds_checkpoints_not_cases(
+            self, libc_profiles_linux):
+        seen = []
+        run_campaign("minidb", _parent_plan_recorder("minidb", seen),
+                     LINUX_X86, libc_profiles_linux,
+                     self._cases(libc_profiles_linux), jobs=2,
+                     backend="process", timeout=30.0, snapshot=True)
+        assert seen == ["golden", "snapshot-prefix-close"]
+
+    def test_code_cache_is_warm_before_the_first_fork(
+            self, monkeypatch, libc_profiles_linux):
+        from multiprocessing.context import ForkProcess
+
+        compiled_at_fork = []
+        start = ForkProcess.start
+
+        def recording_start(proc):
+            compiled_at_fork.append(CODE_CACHE.stats()["blocks_compiled"])
+            start(proc)
+
+        monkeypatch.setattr(ForkProcess, "start", recording_start)
+        CODE_CACHE.clear()
+        run_campaign("minidb", _parent_plan_recorder("minidb", []),
+                     LINUX_X86, libc_profiles_linux,
+                     self._cases(libc_profiles_linux), jobs=2,
+                     backend="process", timeout=30.0)
+        assert compiled_at_fork and compiled_at_fork[0] > 0

@@ -162,3 +162,22 @@ class TestProcessBackend:
         assert results[0].status == TASK_OK
         assert results[1].status == TASK_HUNG
         assert time.monotonic() - started < 10
+
+    def test_worker_reaped_out_from_under_the_pool_is_ok(self,
+                                                         monkeypatch):
+        """A sibling supervisor's ``Process.start()`` polls — and so may
+        reap — this task's exited child before its own thread looks.
+        The payload on the pipe, not the exit status, decides."""
+        from multiprocessing.context import ForkProcess
+
+        start = ForkProcess.start
+
+        def start_then_reap(proc):
+            start(proc)
+            os.waitpid(proc.pid, 0)     # what the sibling's poll does
+
+        monkeypatch.setattr(ForkProcess, "start", start_then_reap)
+        (result,) = WorkerPool(jobs=1, backend=PROCESS, timeout=30.0).map(
+            lambda x: x * 7, [6])
+        assert result.status == TASK_OK
+        assert result.value == 42

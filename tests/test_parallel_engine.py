@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.controller import STATUS_HUNG
 from repro.kernel import Kernel, O_CREAT, O_RDWR
@@ -138,3 +140,77 @@ class TestRunSummary:
                               libc_profiles_linux, cases, jobs=2)
         assert all(r.seconds >= 0 for r in report.results)
         assert report.duration > 0
+
+
+class TestUnifiedEventOrder:
+    """Exhaustive and guided campaigns run through one engine loop and
+    frame their case events identically."""
+
+    CAMPAIGN_KINDS = ("campaign.start", "case", "campaign.resume",
+                      "campaign.guided", "campaign.end")
+
+    def _run(self, libc_linux, profiles, store, *, guided, resume=False,
+             plans=None):
+        from repro.core.campaign import FaultCase
+        from repro.core.scenario import ErrorCode
+        from repro.obs import MemorySink, Telemetry
+
+        inner = _copytool_factory(libc_linux.image)
+
+        def factory(lfi):
+            if plans is not None:
+                plans.append(lfi.plan.name)
+            return inner(lfi)
+
+        cases = [FaultCase("close", ErrorCode(-1, errno), 1)
+                 for errno in ("EIO", "EBADF", "EINTR")]
+        sink = MemorySink()
+        tele = Telemetry(sinks=[sink])
+        report = run_campaign("copytool", factory, LINUX_X86, profiles,
+                              cases, telemetry=tele, results=store,
+                              results_key={"app": "copytool"},
+                              resume=resume, guided=guided)
+        kinds = [e.kind for e in sink.events
+                 if e.kind in self.CAMPAIGN_KINDS]
+        counters = tele.metrics.snapshot()
+
+        def total(name):
+            return sum(v["value"]
+                       for v in counters.get(name, {}).get("values", ()))
+        hits_misses = (total("repro_result_store_hits_total"),
+                       total("repro_result_store_misses_total"))
+        return report, kinds, hits_misses
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_resume_reported_after_the_last_case(self, guided, tmp_path,
+                                                 libc_linux,
+                                                 libc_profiles_linux):
+        from repro.core.results import ResultStore
+
+        report, kinds, (hits, misses) = self._run(
+            libc_linux, libc_profiles_linux, ResultStore(tmp_path),
+            guided=guided)
+        n = len(report.results)
+        assert kinds == (["campaign.start"] + ["case"] * n
+                         + ["campaign.resume"]
+                         + (["campaign.guided"] if guided else [])
+                         + ["campaign.end"])
+        assert report.resumed == {"skipped": hits, "replayed": misses}
+
+    def test_full_exhaustive_resume_runs_no_case(self, tmp_path, libc_linux,
+                                                 libc_profiles_linux):
+        from repro.core.results import ResultStore
+
+        store = ResultStore(tmp_path)
+        first, _, _ = self._run(libc_linux, libc_profiles_linux, store,
+                                guided=False)
+        plans = []
+        resumed, kinds, (hits, misses) = self._run(
+            libc_linux, libc_profiles_linux, store, guided=False,
+            resume=True, plans=plans)
+        n = len(first.results)
+        assert resumed.resumed == {"skipped": n, "replayed": 0}
+        assert (hits, misses) == (n, 0)
+        assert plans == ["golden"]
+        assert kinds == (["campaign.start"] + ["case"] * n
+                         + ["campaign.resume", "campaign.end"])

@@ -156,6 +156,47 @@ class TestJournal:
         reopened = CampaignJournal(tmp_path / "c", "k1")
         assert reopened.app == "pidgin"
 
+    @staticmethod
+    def _fail_writes_halfway(monkeypatch):
+        """Every ``Path.write_text`` writes half its text, then fails —
+        a crash (or a full disk) in the middle of the write."""
+        from pathlib import Path
+
+        write_text = Path.write_text
+
+        def torn(path, data, *args, **kwargs):
+            write_text(path, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        monkeypatch.setattr(Path, "write_text", torn)
+
+    def test_failed_meta_write_keeps_the_previous_meta(self, tmp_path,
+                                                       monkeypatch):
+        journal = CampaignJournal(tmp_path / "c", "k1", app="demo")
+        journal.set_meta(golden="abc", cases_expected=3)
+        self._fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            journal.set_meta(golden="def")
+        monkeypatch.undo()
+        meta = journal.meta()
+        assert meta["golden"] == "abc"
+        assert meta["cases_expected"] == 3
+
+    def test_failed_index_write_keeps_the_previous_index(self, tmp_path,
+                                                         monkeypatch):
+        case = _case()
+        journal = CampaignJournal(tmp_path / "c", "k1", app="demo")
+        journal.record(case_digest(case), case, _result(case), "ok")
+        journal.close()
+        before = (tmp_path / "c" / "index.json").read_text()
+        other = _case(errno="EBADF")
+        journal.record(case_digest(other), other, _result(other), "ok")
+        self._fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            journal.close()
+        monkeypatch.undo()
+        assert (tmp_path / "c" / "index.json").read_text() == before
+        json.loads(before)
+
 
 class TestResultStore:
     def _store_with(self, tmp_path, *keys):
