@@ -11,13 +11,13 @@ count (trigger evaluation is cheap).
 
 from __future__ import annotations
 
-from repro.apps import ApacheBenchDriver, MiniWeb, top_called_functions
+from repro.apps import ApacheBenchDriver, MiniWeb
 from repro.core.controller import Controller
 from repro.core.scenario import error_codes_from_profile, passthrough_plan
 from repro.kernel import Kernel
 from repro.platform import LINUX_X86
 
-from _benchutil import print_table
+from _benchutil import exact_passthrough_plan, print_table
 
 #: (label, trigger count, top-N pool) — the paper's four plans + baseline.
 CONFIGS = (("baseline (no LFI)", 0, 0),
@@ -48,10 +48,7 @@ def _timed_run(images, profiles, codes, counts, n_triggers, top_n,
     if n_triggers == 0:
         server = MiniWeb(Kernel(), LINUX_X86)
     else:
-        top = top_called_functions(counts, top_n)
-        per_function = max(1, n_triggers // max(top_n, 1))
-        plan = passthrough_plan({f: codes.get(f, []) for f in top},
-                                per_function=per_function)
+        plan = exact_passthrough_plan(counts, codes, n_triggers, top_n)
         lfi = Controller(LINUX_X86, profiles, plan)
         server = MiniWeb(Kernel(), LINUX_X86, controller=lfi)
     ab = ApacheBenchDriver(server)

@@ -9,14 +9,14 @@ sustains more txns/sec than read/write.
 
 from __future__ import annotations
 
-from repro.apps import SysbenchOltpDriver, top_called_functions
+from repro.apps import SysbenchOltpDriver
 from repro.apps.minidb import MiniDB
 from repro.core.controller import Controller
 from repro.core.scenario import error_codes_from_profile, passthrough_plan
 from repro.kernel import Kernel
 from repro.platform import LINUX_X86
 
-from _benchutil import print_table
+from _benchutil import exact_passthrough_plan, print_table
 
 CONFIGS = (("baseline (no LFI)", 0, 0),
            ("10 triggers", 10, 10),
@@ -43,10 +43,7 @@ def _tps(profiles, codes, counts, n_triggers, top_n, read_only):
     if n_triggers == 0:
         db = MiniDB(Kernel(), LINUX_X86)
     else:
-        top = top_called_functions(counts, top_n)
-        per_function = max(1, n_triggers // max(top_n, 1))
-        plan = passthrough_plan({f: codes.get(f, []) for f in top},
-                                per_function=per_function)
+        plan = exact_passthrough_plan(counts, codes, n_triggers, top_n)
         lfi = Controller(LINUX_X86, profiles, plan)
         db = MiniDB(Kernel(), LINUX_X86, controller=lfi)
     driver = SysbenchOltpDriver(db)

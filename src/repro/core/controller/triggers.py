@@ -7,15 +7,22 @@ caller's backtrace; target scopes compare against the descriptor the
 call operates on; exhaustive triggers rotate their action list across
 consecutive firings; random triggers roll the controller's RNG.
 
-Ordering inside :meth:`TriggerEngine._fires` is load-bearing: the scope
-predicate runs *before* the probability roll, so plans without scoped
-triggers consume the RNG exactly as the pre-action-model engine did —
-the differential-equivalence guarantee for ReturnFault-only plans
-depends on it.
+Each function's triggers are compiled once, when the engine is built
+(:func:`_compile`): a run of plain random triggers becomes a tight loop
+of RNG draws, every other trigger a step with its count predicate
+precomputed.  Compilation changes no result: evaluation counts, firings
+and RNG consumption are those of checking each trigger in turn.
+
+Ordering inside a step is load-bearing: the scope predicate runs
+*before* the probability roll, so plans without scoped triggers consume
+the RNG exactly as the pre-action-model engine did — the
+differential-equivalence guarantee for ReturnFault-only plans depends
+on it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -23,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..scenario.model import (INJECT_EXHAUSTIVE, INJECT_NTH,
                               INJECT_ORDINALS, INJECT_RANDOM, Action,
                               ArgModification, FunctionTrigger, Plan,
-                              ReturnFault)
+                              ReturnFault, TargetScope)
 
 Frame = Tuple[int, Optional[str]]   # (return address, enclosing function)
 
@@ -69,6 +76,47 @@ def trigger_horizon(trigger: FunctionTrigger) -> Optional[int]:
     return None
 
 
+def _compile(entries: List[Tuple[int, FunctionTrigger]]) -> tuple:
+    """One function's triggers as evaluation steps, in plan order.
+
+    A run of consecutive plain random triggers (no count, scope, stack or
+    argument predicate) becomes one step ``(probabilities, ((index,
+    trigger), ...))``.  Any other trigger is a step ``(None, (index,
+    trigger, ordinals, scope, probability, late))``: the call ordinals it
+    may fire at (None: any), its scope, its roll (None: no draw) and
+    whether stack or argument conditions follow the roll.
+    """
+    steps: List[tuple] = []
+    for index, trigger in entries:
+        if trigger.mode == INJECT_RANDOM and trigger.scope is None \
+                and not trigger.stacktrace and not trigger.argconds:
+            if not steps or steps[-1][0] is None:
+                steps.append(([], []))
+            steps[-1][0].append(trigger.probability)
+            steps[-1][1].append((index, trigger))
+            continue
+        at = (frozenset((trigger.nth,)) if trigger.mode == INJECT_NTH
+              else frozenset(trigger.ordinals)
+              if trigger.mode == INJECT_ORDINALS else None)
+        steps.append((None, (
+            index, trigger, at, trigger.scope,
+            trigger.probability if trigger.mode == INJECT_RANDOM else None,
+            bool(trigger.stacktrace or trigger.argconds))))
+    return tuple((None, payload) if probs is None
+                 else (tuple(probs), tuple(payload))
+                 for probs, payload in steps)
+
+
+def _function_horizon(entries: List[Tuple[int, FunctionTrigger]]) -> float:
+    """The call count below which some trigger on the function could
+    still fire: infinite if any trigger has no call-count bound, else
+    the largest reachable horizon (0 when none is reachable)."""
+    horizons = [trigger_horizon(trigger) for _index, trigger in entries]
+    if None in horizons:
+        return math.inf
+    return max([h for h in horizons if h < NEVER_ORDINAL], default=0)
+
+
 class TriggerEngine:
     """Evaluates a plan's triggers against live calls."""
 
@@ -77,10 +125,16 @@ class TriggerEngine:
         self.rng = rng or random.Random(plan.seed)
         self.call_counts: Dict[str, int] = {}
         self._rotation: Dict[int, int] = {}
-        self._by_function: Dict[str, List[Tuple[int, FunctionTrigger]]] = {}
+        by_function: Dict[str, List[Tuple[int, FunctionTrigger]]] = {}
         for index, trigger in enumerate(plan.triggers):
-            self._by_function.setdefault(trigger.function, []).append(
+            by_function.setdefault(trigger.function, []).append(
                 (index, trigger))
+        self._steps = {function: _compile(entries)
+                       for function, entries in by_function.items()}
+        self._horizons = {function: _function_horizon(entries)
+                          for function, entries in by_function.items()}
+        self._sizes = {function: len(entries)
+                       for function, entries in by_function.items()}
         self.evaluations = 0
         self.firings = 0
         #: whether any trigger needs a backtrace; callers may skip
@@ -116,14 +170,23 @@ class TriggerEngine:
         random, exhaustive, scoped and stack-matched triggers are
         assumed live forever.
         """
-        count = self.call_counts.get(function, 0)
-        for _index, trigger in self._by_function.get(function, ()):
-            horizon = trigger_horizon(trigger)
-            if horizon is None:
-                return True
-            if count < horizon < NEVER_ORDINAL:
-                return True
-        return False
+        return self.call_counts.get(function, 0) \
+            < self._horizons.get(function, 0)
+
+    def prefix_evaluations(self, prefix_calls: Dict[str, int]
+                           ) -> Dict[str, int]:
+        """Trigger evaluations a fresh run spends on ``prefix_calls``.
+
+        Every call evaluates all of a function's triggers until the
+        function goes dormant (:meth:`can_still_fire`), after which the
+        injector skips evaluation; functions with none are omitted.
+        """
+        evaluations = {}
+        for function, horizon in self._horizons.items():
+            live_calls = min(prefix_calls.get(function, 0), horizon)
+            if live_calls:
+                evaluations[function] = live_calls * self._sizes[function]
+        return evaluations
 
     def on_call(self, function: str, frames: Sequence[Frame],
                 args: Sequence[int] = (),
@@ -132,47 +195,40 @@ class TriggerEngine:
         """Record one call; return (call ordinal, decision or None)."""
         count = self.call_counts.get(function, 0) + 1
         self.call_counts[function] = count
-        for index, trigger in self._by_function.get(function, ()):
-            self.evaluations += 1
-            if not self._fires(trigger, count, frames, args,
-                               scope_resolver):
+        for probs, payload in self._steps.get(function, ()):
+            if probs is not None:
+                rnd = self.rng.random
+                for n, probability in enumerate(probs, 1):
+                    if rnd() < probability:
+                        self.evaluations += n
+                        return count, self._decide(*payload[n - 1])
+                self.evaluations += len(probs)
                 continue
-            self.firings += 1
-            return count, Decision(
-                trigger=trigger,
-                action=self._select_action(index, trigger),
-                calloriginal=trigger.calloriginal,
-                modifications=trigger.modifications)
+            self.evaluations += 1
+            index, trigger, at, scope, probability, late = payload
+            if at is not None and count not in at:
+                continue
+            if scope is not None and not self._scope_matches(
+                    scope, args, scope_resolver):
+                continue
+            if probability is not None and self.rng.random() >= probability:
+                continue
+            if late and not self._late_checks_hold(trigger, frames, args):
+                continue
+            return count, self._decide(index, trigger)
         return count, None
 
     # -- internals --------------------------------------------------------
 
-    def _fires(self, trigger: FunctionTrigger, count: int,
-               frames: Sequence[Frame],
-               args: Sequence[int] = (),
-               scope_resolver: Optional[ScopeResolver] = None) -> bool:
-        if trigger.mode == INJECT_NTH and count != trigger.nth:
-            return False
-        if trigger.mode == INJECT_ORDINALS \
-                and count not in trigger.ordinals:
-            return False
-        if trigger.scope is not None and not self._scope_matches(
-                trigger, args, scope_resolver):
-            return False
-        if trigger.mode == INJECT_RANDOM \
-                and self.rng.random() >= trigger.probability:
-            return False
-        if trigger.stacktrace and not self._stack_matches(
-                trigger, frames):
-            return False
-        for cond in trigger.argconds:
-            if cond.arg_index >= len(args) \
-                    or not cond.holds(args[cond.arg_index]):
-                return False
-        return True
+    def _decide(self, index: int, trigger: FunctionTrigger) -> Decision:
+        self.firings += 1
+        return Decision(trigger=trigger,
+                        action=self._select_action(index, trigger),
+                        calloriginal=trigger.calloriginal,
+                        modifications=trigger.modifications)
 
     @staticmethod
-    def _scope_matches(trigger: FunctionTrigger, args: Sequence[int],
+    def _scope_matches(scope: TargetScope, args: Sequence[int],
                        scope_resolver: Optional[ScopeResolver]) -> bool:
         if not args:
             return False
@@ -181,15 +237,20 @@ class TriggerEngine:
         peer: Optional[int] = None
         if scope_resolver is not None:
             path, peer = scope_resolver(fd)
-        return trigger.scope.matches(fd=fd, path=path, peer=peer)
+        return scope.matches(fd=fd, path=path, peer=peer)
 
     @staticmethod
-    def _stack_matches(trigger: FunctionTrigger,
-                       frames: Sequence[Frame]) -> bool:
+    def _late_checks_hold(trigger: FunctionTrigger, frames: Sequence[Frame],
+                          args: Sequence[int]) -> bool:
+        """The stack-trace and argument conditions, after the roll."""
         if len(trigger.stacktrace) > len(frames):
             return False
         for spec, (addr, name) in zip(trigger.stacktrace, frames):
             if not spec.matches(addr, name):
+                return False
+        for cond in trigger.argconds:
+            if cond.arg_index >= len(args) \
+                    or not cond.holds(args[cond.arg_index]):
                 return False
         return True
 

@@ -45,8 +45,7 @@ from ...obs.telemetry import Telemetry, as_telemetry
 from ...platform import Platform
 from ...runtime.snapshot import MachineSnapshot, SnapshotCache, SnapshotKey
 from ..controller import Controller
-from ..controller.triggers import (NEVER_ORDINAL, TriggerEngine,
-                                   trigger_horizon)
+from ..controller.triggers import NEVER_ORDINAL, TriggerEngine
 from ..profiles import LibraryProfile
 from ..scenario.model import INJECT_NTH, FunctionTrigger, Plan
 
@@ -282,19 +281,7 @@ class SnapshotRunner:
         # then skips evaluation); the sentinel prefix run itself
         # evaluated nothing, so reproduce the fresh run's bookkeeping
         # from the checkpointed call counts.
-        prefix_evals: Dict[str, int] = {}
-        for function, triggers in engine._by_function.items():
-            calls = instance.prefix_calls.get(function, 0)
-            live_calls = 0
-            for _index, trigger in triggers:
-                horizon = trigger_horizon(trigger)
-                if horizon is None:
-                    live_calls = calls
-                    break
-                if horizon < NEVER_ORDINAL:
-                    live_calls = max(live_calls, min(calls, horizon))
-            if live_calls:
-                prefix_evals[function] = live_calls * len(triggers)
+        prefix_evals = engine.prefix_evaluations(instance.prefix_calls)
         engine.evaluations = sum(prefix_evals.values())
         lfi.engine = engine
         injector = lfi.injector
