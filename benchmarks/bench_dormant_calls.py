@@ -1,13 +1,10 @@
-"""Superblock traces + the no-fault fast path: throughput benchmarks.
+"""The dormant-plan fast path: intercepted-call and campaign throughput.
 
-The trace tier (``runtime/traces.py``) links hot blocks into single
-exec-compiled superblocks, and the injector's dormant fast path
-(``core/controller/injector.py``) collapses intercepted calls to direct
-dispatch once a plan provably cannot fire again.  This benchmark
-measures both, against the block tier they sit on:
+The injector's dormant fast path (``core/controller/injector.py``)
+collapses intercepted calls to direct dispatch once a plan provably
+cannot fire again.  This benchmark measures it against live trigger
+evaluation:
 
-* **hot loop** — guest MIPS with traces on vs off (same synthetic
-  kernel as ``bench_interp_throughput``, so numbers are comparable);
 * **dormant calls** — intercepted libc calls/sec through a
   stack-matched trigger whose call-ordinal horizon has passed (the
   dormant proof holds: no evaluation, no backtrace walk, no logbook)
@@ -16,9 +13,8 @@ measures both, against the block tier they sit on:
 * **no-fault campaign** — serial cases/sec on a minimal workload whose
   triggers fire on call 1 and go dormant for the rest of the case.
 
-Results land in ``BENCH_trace.json`` next to the recorded pre-trace
-block-tier baseline.  Runs standalone
-(``PYTHONPATH=src python benchmarks/bench_trace_throughput.py``)
+Results land in ``BENCH_dormant.json``.  Runs standalone
+(``PYTHONPATH=src python benchmarks/bench_dormant_calls.py``)
 or under pytest.  Set ``REPRO_BENCH_FAST=1`` for a CI-sized smoke run.
 """
 
@@ -39,53 +35,17 @@ from repro.core.controller import Controller
 from repro.core.profiler import Profiler
 from repro.core.scenario import ErrorCode, FrameSpec, FunctionTrigger, Plan
 from repro.corpus.libc import libc
-from repro.errors import RuntimeFault
 from repro.kernel import Kernel, build_kernel_image
 from repro.platform import LINUX_X86
-from repro.runtime import Process
-from repro.runtime.cpu import Cpu
 
 from _benchutil import print_table
-from bench_interp_throughput import _hot_loop_image
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
-_LOOP_ITERS = 20_000 if FAST else 300_000
 _DORMANT_CALLS = 300 if FAST else 2_000
 _CAMPAIGN_ROUNDS = 1 if FAST else 3
 
-#: Pre-trace numbers, measured on this host with the block tier only
-#: (commit 2cb5f87, superblocks and the dormant fast path not yet
-#: landed) — the fixed denominator for the speedup claims below.
-BASELINE = {
-    "interpreter": "block-compiled dispatch, per-call trigger "
-                   "evaluation (pre-trace)",
-    "hot_loop_block_mips": 3.12,
-    "minidb_block_mips": 0.72,
-}
-
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
-
-
-def _measure_hot_loop(use_traces: bool) -> float:
-    """Guest MIPS on the synthetic loop, trace tier on or off."""
-    image = _hot_loop_image(_LOOP_ITERS)
-    proc = Process(Kernel(), LINUX_X86)
-    proc.load(image)
-    proc.cpu.use_traces = use_traces
-    try:                                        # warm caches, link traces
-        proc.libcall("hot", max_steps=2_000)
-    except RuntimeFault:
-        pass
-    if use_traces:
-        assert any(getattr(b, "is_trace", False)
-                   for b in proc.cpu._blocks.values() if b is not None), \
-            "hot loop never promoted to a trace"
-    before = proc.cpu.instructions_executed
-    started = time.perf_counter()
-    proc.libcall("hot")
-    elapsed = time.perf_counter() - started
-    return (proc.cpu.instructions_executed - before) / elapsed / 1e6
+_OUT = Path(__file__).resolve().parent.parent / "BENCH_dormant.json"
 
 
 def _profiles():
@@ -163,8 +123,6 @@ def _measure_nofault_campaign(image, profiles) -> dict:
 def _arms():
     image, profiles = _profiles()
     results = {
-        "hot_loop": {"block_mips": _measure_hot_loop(False),
-                     "trace_mips": _measure_hot_loop(True)},
         "dormant_calls": {
             "live_calls_per_second": _measure_calls(
                 image, profiles, "live"),
@@ -174,11 +132,6 @@ def _arms():
                 image, profiles, "unbound")},
         "nofault_campaign": _measure_nofault_campaign(image, profiles),
     }
-    hot = results["hot_loop"]
-    hot["speedup_vs_block"] = round(hot["trace_mips"] / hot["block_mips"],
-                                    2)
-    hot["speedup_vs_baseline"] = round(
-        hot["trace_mips"] / BASELINE["hot_loop_block_mips"], 2)
     calls = results["dormant_calls"]
     calls["speedup"] = round(calls["dormant_calls_per_second"]
                              / calls["live_calls_per_second"], 2)
@@ -193,17 +146,12 @@ def _arms():
 
 
 def _report(results, write_json: bool = True):
-    hot = results["hot_loop"]
     calls = results["dormant_calls"]
     camp = results["nofault_campaign"]
     print_table(
-        "trace tier + dormant fast path "
-        f"({'fast' if FAST else 'full'} mode)",
-        "arm                         block/live           trace/dormant"
-        "        speedup",
-        [f"hot loop (MIPS)         {hot['block_mips']:10.3f}      "
-         f"{hot['trace_mips']:14.3f}      {hot['speedup_vs_block']:5.2f}x",
-         f"intercepted calls (/s)  {calls['live_calls_per_second']:10.1f}"
+        f"dormant fast path ({'fast' if FAST else 'full'} mode)",
+        "arm                           live             dormant      speedup",
+        [f"intercepted calls (/s)  {calls['live_calls_per_second']:10.1f}"
          f"      {calls['dormant_calls_per_second']:14.1f}      "
          f"{calls['speedup']:5.2f}x",
          f"  (unshimmed ceiling)   "
@@ -214,22 +162,16 @@ def _report(results, write_json: bool = True):
     if write_json:
         _OUT.write_text(json.dumps({
             "schema": "repro.bench/1",
-            "benchmark": "trace_throughput",
+            "benchmark": "dormant_calls",
             "mode": "fast" if FAST else "full",
-            "baseline": BASELINE,
             "results": results,
         }, indent=2, sort_keys=True) + "\n")
         print(f"wrote {_OUT}")
 
 
 def _assert_claims(results) -> None:
-    # CI runners are noisy; the fast-mode bars are regression
-    # tripwires, the full-mode bars the recorded claims
-    trace_bar = 1.2 if FAST else 1.5
-    hot = results["hot_loop"]
-    assert hot["speedup_vs_block"] >= trace_bar, \
-        (f"trace tier {hot['speedup_vs_block']:.2f}x over blocks fell "
-         f"below {trace_bar:.1f}x")
+    # CI runners are noisy; the fast-mode bar is a regression
+    # tripwire, the full-mode bar the recorded claim
     dormant_bar = 1.02 if FAST else 1.08
     calls = results["dormant_calls"]
     assert calls["speedup"] >= dormant_bar, \
@@ -243,7 +185,7 @@ def _assert_claims(results) -> None:
             f"dormant path recovered only {recovered} of the overhead"
 
 
-def test_trace_throughput(benchmark):
+def test_dormant_calls(benchmark):
     results = benchmark.pedantic(_arms, rounds=1, iterations=1)
     _report(results, write_json=not FAST)
     _assert_claims(results)

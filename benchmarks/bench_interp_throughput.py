@@ -84,17 +84,15 @@ def _hot_loop_image(iters: int) -> SharedObject:
         exports=(Symbol("hot", labels["hot"], len(text)),))
 
 
-def _measure_hot_loop(use_blocks: bool, use_traces: bool = False) -> float:
+def _measure_hot_loop(use_blocks: bool) -> float:
     """Guest MIPS on the synthetic loop."""
     image = _hot_loop_image(_LOOP_ITERS)
     proc = Process(Kernel(), LINUX_X86)
     proc.load(image)
     if hasattr(proc.cpu, "use_blocks"):
         proc.cpu.use_blocks = use_blocks
-    if hasattr(proc.cpu, "use_traces"):
-        proc.cpu.use_traces = use_traces
     try:                                        # warm caches / compile
-        proc.libcall("hot", max_steps=2_000 if use_traces else 200)
+        proc.libcall("hot", max_steps=200)
     except RuntimeFault:
         pass                                    # budget hit mid-loop: fine
     before = proc.cpu.instructions_executed
@@ -105,16 +103,13 @@ def _measure_hot_loop(use_blocks: bool, use_traces: bool = False) -> float:
     return executed / elapsed / 1e6
 
 
-def _measure_minidb(use_blocks: bool, use_traces: bool = False) -> float:
+def _measure_minidb(use_blocks: bool) -> float:
     """Guest MIPS across a minidb insert/select/checkpoint workload."""
     from repro.apps.minidb import MiniDB
 
     old = getattr(Cpu, "use_blocks", None)
-    old_traces = getattr(Cpu, "use_traces", None)
     if old is not None:
         Cpu.use_blocks = use_blocks
-    if old_traces is not None:
-        Cpu.use_traces = use_traces
     try:
         executed = 0
         elapsed = 0.0
@@ -133,46 +128,35 @@ def _measure_minidb(use_blocks: bool, use_traces: bool = False) -> float:
     finally:
         if old is not None:
             Cpu.use_blocks = old
-        if old_traces is not None:
-            Cpu.use_traces = old_traces
 
 
 def _arms():
     has_blocks = hasattr(Cpu, "use_blocks")
-    has_traces = hasattr(Cpu, "use_traces")
     results = {
         "hot_loop": {"step_mips": _measure_hot_loop(False),
                      "block_mips": _measure_hot_loop(has_blocks)},
         "minidb": {"step_mips": _measure_minidb(False),
                    "block_mips": _measure_minidb(has_blocks)},
     }
-    if has_traces:
-        results["hot_loop"]["trace_mips"] = _measure_hot_loop(
-            True, use_traces=True)
-        results["minidb"]["trace_mips"] = _measure_minidb(
-            True, use_traces=True)
     for name, arm in results.items():
         base = BASELINE[f"{name}_mips"]
-        best = arm.get("trace_mips", arm["block_mips"])
-        arm["speedup_vs_baseline"] = round(best / base, 2)
-        arm["speedup_vs_step"] = round(best / arm["step_mips"], 2)
+        arm["speedup_vs_baseline"] = round(arm["block_mips"] / base, 2)
+        arm["speedup_vs_step"] = round(
+            arm["block_mips"] / arm["step_mips"], 2)
     return results
 
 
 def _report(results, write_json: bool = True):
     rows = []
     for name, arm in results.items():
-        trace = arm.get("trace_mips")
-        trace_txt = f"{trace:7.3f} MIPS" if trace is not None else "      —"
         rows.append(
             f"{name:<10} {BASELINE[name + '_mips']:7.3f} MIPS   "
             f"{arm['step_mips']:7.3f} MIPS   {arm['block_mips']:7.3f} MIPS"
-            f"   {trace_txt}   {arm['speedup_vs_baseline']:5.2f}x")
+            f"   {arm['speedup_vs_baseline']:5.2f}x")
     print_table(
         "interpreter throughput — guest MIPS "
         f"({'fast' if FAST else 'full'} mode)",
-        "workload    baseline       step path      block path     "
-        "trace path     speedup",
+        "workload    baseline       step path      block path     speedup",
         rows)
     if write_json:
         _OUT.write_text(json.dumps({

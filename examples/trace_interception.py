@@ -24,7 +24,7 @@ def main() -> None:
 
     plan = Plan()
     plan.add(FunctionTrigger(function="close", mode="nth", nth=2,
-                             codes=(ErrorCode(-1, "EBADF"),)))
+                             actions=(ErrorCode(-1, "EBADF"),)))
     lfi = Controller(LINUX_X86, profiles, plan)
     proc = lfi.make_process(Kernel(), [built.image])
 

@@ -74,7 +74,7 @@ from .platform import (ALL_PLATFORMS, LINUX_X86, SOLARIS_SPARC, WINDOWS_X86,
 from .runtime import Process
 from .session import Session
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Session",

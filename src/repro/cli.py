@@ -496,11 +496,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"{code['blocks_compiled']} blocks compiled"
                 + (f" ({ratio:.0%} hit ratio)" if ratio is not None
                    else ""))
-        if code.get("traces_linked") or code.get("trace_hits"):
-            line += (f", {code['traces_linked']} traces linked, "
-                     f"{code['trace_hits']} trace hits")
-        if code.get("trace_invalidations"):
-            line += f", {code['trace_invalidations']} invalidated"
         if code.get("evictions"):
             line += f", {code['evictions']} evicted"
         print(line)

@@ -625,23 +625,6 @@ def _record_execution_metrics(tele: Telemetry, results,
             "repro_block_cache_hits_total",
             "Shared code cache hits (templates bound + modules reused)"
         ).inc(hits)
-    linked = delta("traces_linked")
-    if linked:
-        tele.metrics.counter(
-            "repro_traces_linked_total",
-            "Hot blocks linked into superblock traces").inc(linked)
-    trace_hits = delta("trace_hits")
-    if trace_hits:
-        tele.metrics.counter(
-            "repro_trace_cache_hits_total",
-            "Shared trace templates re-bound by another CPU"
-        ).inc(trace_hits)
-    invalidated = delta("trace_invalidations")
-    if invalidated:
-        tele.metrics.counter(
-            "repro_trace_invalidations_total",
-            "Traces dropped because a constituent block was invalidated"
-        ).inc(invalidated)
     evicted = delta("evictions")
     if evicted:
         tele.metrics.counter(

@@ -16,7 +16,6 @@ profile keeps the image's export order either way.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -52,38 +51,16 @@ class _ExportAnalysis:
     max_hops: int
 
 
-def _renamed_kwarg(legacy: Dict[str, object], old: str, new: str,
-                   owner: str, current):
-    """DeprecationWarning shim for a renamed keyword argument."""
-    if old in legacy:
-        warnings.warn(
-            f"{owner}: keyword argument {old!r} is deprecated and will "
-            f"be removed in 2.0; use {new!r}",
-            DeprecationWarning, stacklevel=3)
-        value = legacy.pop(old)
-        if current is None:
-            current = value
-    if legacy:
-        raise TypeError(f"{owner}: unexpected keyword arguments "
-                        f"{sorted(legacy)}")
-    return current
-
-
 class Profiler:
     """Static analyzer producing fault profiles from binaries."""
 
     def __init__(self, platform: Platform,
-                 images: Optional[Mapping[str, SharedObject]] = None,
+                 images: Mapping[str, SharedObject],
                  kernel_image: Optional[SharedObject] = None,
                  heuristics: Optional[HeuristicConfig] = None,
                  *, use_edge_constraints: bool = True,
                  infer_arg_conditions: bool = False,
-                 telemetry=None,
-                 **legacy) -> None:
-        images = _renamed_kwarg(dict(legacy), "libraries", "images",
-                                "Profiler", images)
-        if images is None:
-            raise TypeError("Profiler: missing required argument 'images'")
+                 telemetry=None) -> None:
         self.platform = platform
         self.images = dict(images)
         self.kernel_image = kernel_image
@@ -97,7 +74,7 @@ class Profiler:
 
     @property
     def libraries(self) -> Dict[str, SharedObject]:
-        """Deprecated alias kept for pre-`images` callers."""
+        """Read-only alias of :attr:`images`."""
         return self.images
 
     # -- public API --------------------------------------------------------

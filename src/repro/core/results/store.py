@@ -11,6 +11,12 @@ and every line is flushed on write, so a worker crash, a ``SIGKILL`` or
 a ``^C`` mid-run loses at most the in-flight cases — ``campaign
 --resume`` then skips everything already journaled.
 
+That is the whole guarantee: resume survives the *campaign process*
+dying, not the machine.  A flush hands each line to the operating
+system, but nothing here calls ``fsync`` — neither the journal nor the
+atomically replaced meta and index files — so an OS crash or a power
+loss can drop or tear lines the OS had not yet written to disk.
+
 Content addressing is the same invalidation currency
 :class:`~repro.core.store.ProfileStore` uses:
 
@@ -224,7 +230,8 @@ class CampaignJournal:
 
     def record(self, case_key: str, case, result,
                task_status: str) -> Dict[str, Any]:
-        """Append one finished case; flushed so crashes lose nothing."""
+        """Append one finished case; flushed so a crash of this process
+        loses nothing (an OS crash may — there is no fsync)."""
         rec = result_record(self.key, case_key, case, result, task_status)
         if self._fh is None:
             self._start_line_clean()

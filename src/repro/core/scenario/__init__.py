@@ -1,7 +1,5 @@
 """Fault scenarios: action model, XML language, generators, presets."""
 
-import warnings
-
 from .generate import (derive_plan_seed, error_codes_from_profile,
                        exhaustive_plan, passthrough_plan, random_plan)
 from .model import (ACTION_KINDS, INJECT_ALWAYS, INJECT_EXHAUSTIVE,
@@ -28,13 +26,3 @@ __all__ = [
     "FILE_IO_FUNCTIONS", "MEMORY_FUNCTIONS", "SOCKET_IO_FUNCTIONS",
     "IO_FUNCTIONS",
 ]
-
-
-def __getattr__(name: str):
-    if name == "Fault":
-        warnings.warn(
-            "repro.core.scenario.Fault is deprecated and will be "
-            "removed in 2.0; use ReturnFault",
-            DeprecationWarning, stacklevel=2)
-        return ReturnFault
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,15 +14,12 @@ actions are drawn from an open, versioned model:
   byte-count argument of read/write/send/recv-shaped calls so the
   original performs a short transfer (partial I/O).
 
-``ErrorCode`` remains as a compatibility alias for :class:`ReturnFault`;
-the pre-redesign ``Fault`` name is a :class:`DeprecationWarning` shim
-slated for removal in 2.0.
+``ErrorCode`` remains as a compatibility alias for :class:`ReturnFault`.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
@@ -298,15 +295,7 @@ class FunctionTrigger:
                  modifications: Sequence[ArgModification] = (),
                  argconds: Sequence[ArgCondition] = (),
                  ordinals: Sequence[int] = (),
-                 scope: Optional[TargetScope] = None,
-                 codes: Optional[Sequence[ReturnFault]] = None) -> None:
-        if codes is not None:
-            warnings.warn(
-                "FunctionTrigger: keyword argument 'codes' is deprecated "
-                "and will be removed in 2.0; use 'actions'",
-                DeprecationWarning, stacklevel=2)
-            if actions is None:
-                actions = tuple(codes)
+                 scope: Optional[TargetScope] = None) -> None:
         write = object.__setattr__
         write(self, "function", function)
         write(self, "mode", mode)
@@ -381,13 +370,3 @@ class Plan:
     def add(self, trigger: FunctionTrigger) -> "Plan":
         self.triggers.append(trigger)
         return self
-
-
-def __getattr__(name: str):
-    if name == "Fault":
-        warnings.warn(
-            "repro.core.scenario.model.Fault is deprecated and will be "
-            "removed in 2.0; use ReturnFault",
-            DeprecationWarning, stacklevel=2)
-        return ReturnFault
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

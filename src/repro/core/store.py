@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import json
 import threading
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
@@ -173,11 +172,10 @@ class ProfileStore:
     # -- the monthly-update workflow ----------------------------------------
 
     def profile_or_load(self, platform: Platform,
-                        images: Optional[Mapping[str, SharedObject]] = None,
+                        images: Mapping[str, SharedObject],
                         kernel_image: Optional[SharedObject] = None,
                         heuristics: Optional[HeuristicConfig] = None,
-                        *, jobs: int = 1,
-                        **legacy) -> Dict[str, LibraryProfile]:
+                        *, jobs: int = 1) -> Dict[str, LibraryProfile]:
         """Profiles for a library closure, re-analyzing only stale ones.
 
         Returns profiles for every library in ``images``; cached
@@ -186,11 +184,6 @@ class ProfileStore:
         configuration changed since they were computed.  ``jobs > 1``
         analyzes stale libraries' exports on a thread pool.
         """
-        if legacy:
-            images = _legacy_images(legacy, images)
-        if images is None:
-            raise TypeError(
-                "profile_or_load: missing required argument 'images'")
         kernel_digest = image_digest(kernel_image) if kernel_image else ""
         heur_digest = heuristics_digest(heuristics)
         tele = self.telemetry
@@ -258,19 +251,3 @@ class ProfileStore:
                 hits=self.hits, misses=self.misses,
                 memory_hits=self.memory_hits)
         return out
-
-
-def _legacy_images(legacy, images):
-    """DeprecationWarning shim for the pre-rename ``libraries=`` kwarg."""
-    if "libraries" in legacy:
-        warnings.warn(
-            "ProfileStore.profile_or_load: keyword argument 'libraries' "
-            "is deprecated and will be removed in 2.0; use 'images'",
-            DeprecationWarning, stacklevel=3)
-        value = legacy.pop("libraries")
-        if images is None:
-            images = value
-    if legacy:
-        raise TypeError("profile_or_load: unexpected keyword arguments "
-                        f"{sorted(legacy)}")
-    return images

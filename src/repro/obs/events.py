@@ -202,7 +202,7 @@ class BufferedEventLog(EventLog):
     Single-writer by construction — one case, one worker thread — so
     dropping the lock is safe; the campaign engine swaps this in for
     the per-case ``EventLog``+``MemorySink`` pair so the observability
-    layer stops taxing the interpreter's trace tier.
+    layer stops taxing the interpreter.
     """
 
     def __init__(self, *, clock: Optional[Clock] = None) -> None:
@@ -409,9 +409,8 @@ def _fault_totals(metrics: Mapping[str, Any]) -> Dict[str, float]:
 
 
 def _code_cache_stats(metrics: Mapping[str, Any]) -> Dict[str, Any]:
-    """Shared-code-cache effectiveness (block + superblock tiers) out
-    of a metrics snapshot — what ``repro stats`` renders as the
-    translation-cache section."""
+    """Shared-code-cache effectiveness out of a metrics snapshot —
+    what ``repro stats`` renders as the translation-cache section."""
     compiled = _metric_total(metrics, "repro_blocks_compiled_total")
     hits = _metric_total(metrics, "repro_block_cache_hits_total")
     lookups = hits + compiled
@@ -419,12 +418,6 @@ def _code_cache_stats(metrics: Mapping[str, Any]) -> Dict[str, Any]:
         "blocks_compiled": int(compiled),
         "hits": int(hits),
         "hit_ratio": (hits / lookups) if lookups else None,
-        "traces_linked": int(_metric_total(
-            metrics, "repro_traces_linked_total")),
-        "trace_hits": int(_metric_total(
-            metrics, "repro_trace_cache_hits_total")),
-        "trace_invalidations": int(_metric_total(
-            metrics, "repro_trace_invalidations_total")),
         "evictions": int(_metric_total(
             metrics, "repro_code_cache_evictions_total")),
     }

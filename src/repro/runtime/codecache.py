@@ -35,7 +35,6 @@ from typing import Dict, Optional, Tuple
 from ..binfmt import SharedObject, image_digest
 from ..isa import Rel, abi_for, decode_range
 from .blocks import BlockTemplate, compile_block
-from .traces import TraceTemplate, build_trace
 
 __all__ = ["SharedCodeCache", "ModuleCode", "CODE_CACHE"]
 
@@ -43,17 +42,15 @@ _UNSET = object()
 
 
 class ModuleCode:
-    """Decoded instructions plus block/trace templates for one
-    (image, base)."""
+    """Decoded instructions plus block templates for one (image, base)."""
 
-    __slots__ = ("entries", "templates", "traces", "_abi", "_tls_base",
-                 "_lock", "_cache")
+    __slots__ = ("entries", "templates", "_abi", "_tls_base", "_lock",
+                 "_cache")
 
     def __init__(self, entries: Dict[int, Tuple], abi, tls_base: int,
                  cache: "SharedCodeCache") -> None:
         self.entries = entries
         self.templates: Dict[int, Optional[BlockTemplate]] = {}
-        self.traces: Dict[int, Optional[TraceTemplate]] = {}
         self._abi = abi
         self._tls_base = tls_base
         self._lock = threading.Lock()
@@ -75,45 +72,6 @@ class ModuleCode:
         if t is not None:
             self._cache._count("blocks_compiled")
         return t
-
-    def trace(self, addr: int) -> Optional[TraceTemplate]:
-        """The superblock trace entered at ``addr`` (linking on first
-        request; None is a cached 'not traceable' verdict).  Like block
-        templates, traces are pure constants shared by every CPU in the
-        process tree."""
-        t = self.traces.get(addr, _UNSET)
-        if t is not _UNSET:
-            self._cache._count("trace_hits")
-            return t
-        # built outside the lock: the builder compiles constituent
-        # blocks through self.template, which takes the lock itself
-        t = build_trace(addr, self.entries, self._abi, self._tls_base,
-                        self.template)
-        with self._lock:
-            existing = self.traces.get(addr, _UNSET)
-            if existing is not _UNSET:
-                return existing      # lost a benign race; share theirs
-            self.traces[addr] = t
-        if t is not None:
-            self._cache._count("traces_linked")
-        return t
-
-    def invalidate(self, addr: int) -> None:
-        """Drop the block template at ``addr`` and every trace built on
-        it — a trace holds direct references to its constituent blocks,
-        so block invalidation must cascade."""
-        dropped = 0
-        with self._lock:
-            self.templates.pop(addr, None)
-            for entry in [e for e, t in self.traces.items()
-                          if t is not None and addr in t.block_entries]:
-                del self.traces[entry]
-                dropped += 1
-            # a cached 'not traceable' verdict at the address itself may
-            # now be stale too
-            self.traces.pop(addr, None)
-        if dropped:
-            self._cache._count("trace_invalidations", dropped)
 
 
 class SharedCodeCache:
@@ -137,14 +95,12 @@ class SharedCodeCache:
         """Counter snapshot: decode_hits/decode_misses (stream layer),
         module_hits/module_misses (per-base layer), blocks_compiled,
         template_hits (a CPU binding an already compiled template),
-        traces_linked/trace_hits/trace_invalidations (superblock tier),
         and evictions (LRU drops from either layer)."""
         with self._lock:
             out = {"decode_hits": 0, "decode_misses": 0,
                    "module_hits": 0, "module_misses": 0,
                    "blocks_compiled": 0, "template_hits": 0,
-                   "traces_linked": 0, "trace_hits": 0,
-                   "trace_invalidations": 0, "evictions": 0}
+                   "evictions": 0}
             out.update(self._counters)
             return out
 

@@ -154,14 +154,6 @@ class Cpu:
     #: (or the per-instance attribute) to force the step path.
     use_blocks: bool = True
 
-    #: Class-wide default for the superblock trace tier (see
-    #: :mod:`repro.runtime.traces`); tests flip it to pin execution at
-    #: the block tier for differential comparison.
-    use_traces: bool = True
-
-    #: Block dispatch count that promotes an entry to a trace.
-    trace_threshold: int = 16
-
     def __init__(self, proc) -> None:
         self.proc = proc
         self.abi = proc.abi
@@ -472,18 +464,6 @@ class Cpu:
         if block.fallthrough is not None:
             self.eip = block.fallthrough
 
-    def _promote_trace(self, entry: int):
-        """Replace the bound block at ``entry`` with a superblock trace
-        (or return None and leave the block in place — its heat counter
-        has already passed the threshold, so promotion is attempted
-        exactly once per entry)."""
-        template = self.proc.trace_template(entry)
-        if template is None:
-            return None
-        bound = template.bind(self._bindctx)
-        self._blocks[entry] = bound
-        return bound
-
     def run(self, entry: int, *, max_steps: int = 20_000_000) -> None:
         """Run from ``entry`` until control returns to the sentinel.
 
@@ -509,14 +489,12 @@ class Cpu:
         blocks = self._blocks
         unset = _UNSET
         coverage = self.coverage
-        use_traces = self.use_traces
-        threshold = self.trace_threshold
         try:
             while True:
-                obj = blocks.get(self.eip, unset)
-                if obj is unset:
-                    obj = self._compile_block(self.eip)
-                if obj is None or budget <= obj.count:
+                block = blocks.get(self.eip, unset)
+                if block is unset:
+                    block = self._compile_block(self.eip)
+                if block is None or budget <= block.count:
                     # no block here, or the budget could expire inside
                     # one: single-step so the fault lands on the exact
                     # instruction the step path would report
@@ -527,24 +505,11 @@ class Cpu:
                             f"step budget exhausted at {self.eip:#x}",
                             eip=self.eip)
                     continue
-                if obj.is_trace:
-                    # guards inside the trace re-check the budget per
-                    # block, so the remaining budget stays positive
-                    budget -= obj.execute(self, budget, coverage)
-                    continue
-                if use_traces:
-                    heat = obj.heat + 1
-                    obj.heat = heat
-                    if heat == threshold:
-                        promoted = self._promote_trace(obj.entry)
-                        if promoted is not None:
-                            budget -= promoted.execute(self, budget, coverage)
-                            continue
                 if coverage is not None:
                     addr = self.eip
                     coverage[addr] = coverage.get(addr, 0) + 1
-                self._run_block(obj)
-                budget -= obj.count
+                self._run_block(block)
+                budget -= block.count
         except _RunComplete:
             return
 
@@ -552,11 +517,7 @@ class Cpu:
 class _BoundBlock:
     """A block template bound to one CPU: closures plus accounting."""
 
-    __slots__ = ("ops", "count", "cum", "addrs", "ctl_index", "fallthrough",
-                 "entry", "heat")
-
-    #: duck-typed discriminator shared with ``traces.BoundTrace``
-    is_trace = False
+    __slots__ = ("ops", "count", "cum", "addrs", "ctl_index", "fallthrough")
 
     def __init__(self, template, ops) -> None:
         self.ops = ops
@@ -565,8 +526,6 @@ class _BoundBlock:
         self.addrs = template.addrs
         self.ctl_index = template.ctl_index
         self.fallthrough = template.fallthrough
-        self.entry = template.entry
-        self.heat = 0
 
 
 class _Unset:

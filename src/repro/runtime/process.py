@@ -163,18 +163,6 @@ class Process:
             return None
         return mc.template(addr)
 
-    def trace_template(self, addr: int):
-        """The shared superblock trace entered at ``addr`` (None when
-        the address has no module or no traceable block)."""
-        if addr < FIRST_MODULE_BASE:
-            return None
-        base = FIRST_MODULE_BASE + (
-            (addr - FIRST_MODULE_BASE) // MODULE_SPACING) * MODULE_SPACING
-        mc = self._module_code.get(base)
-        if mc is None:
-            return None
-        return mc.trace(addr)
-
     # -- symbols ----------------------------------------------------------
 
     def register_host(self, name: str, fn: Callable, *,

@@ -1,13 +1,11 @@
 """Differential equivalence for the generalized action model.
 
-Three guarantees the API redesign must not bend:
+Two guarantees the API redesign must not bend:
 
 * ReturnFault-only plans (the entire legacy scenario surface) produce
   **bit-identical** campaign results on every execution backend —
   serial, thread pool and process pool — so nothing about the open
   action model perturbed the deterministic path.
-* The legacy ``codes=`` spelling and the ``actions=`` spelling are the
-  same plan: identical XML, identical injected behavior.
 * Probabilistic (fail-rate) campaigns replay **bit-identically** from
   their content-derived recorded seeds — across fresh re-runs and under
   ``--resume`` from a durable result store.
@@ -18,8 +16,6 @@ skipped — the guarantee must actually be exercised, not waved through.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.apps.loadgen import LatencyRegression, LoadGenerator
@@ -29,8 +25,7 @@ from repro.core.campaign import (FaultCase, PrefixFactory, enumerate_cases,
                                  run_campaign)
 from repro.core.controller import Controller
 from repro.core.results import ResultStore
-from repro.core.scenario import (DelayFault, ErrorCode, FunctionTrigger,
-                                 Plan, plan_to_xml)
+from repro.core.scenario import DelayFault, FunctionTrigger, Plan
 from repro.core.scenario.generate import error_codes_from_profile
 from repro.kernel import Kernel
 from repro.obs import Telemetry
@@ -152,42 +147,6 @@ class TestReturnFaultCrossBackend:
         snap = _run(return_space, libc_profiles_linux, snapshot=True)
         _assert_identical(fresh, snap)
         assert any(r.snapshot is not None for r in snap.results)
-
-
-class TestLegacyCodesShim:
-    """codes= and actions= are the same plan, not merely similar."""
-
-    def _plans(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Plan(name="p")
-            legacy.add(FunctionTrigger(function="close", mode="nth",
-                                       nth=1,
-                                       codes=(ErrorCode(-1, "EIO"),)))
-        modern = Plan(name="p")
-        modern.add(FunctionTrigger(function="close", mode="nth", nth=1,
-                                   actions=(ErrorCode(-1, "EIO"),)))
-        return legacy, modern
-
-    def test_identical_xml(self):
-        legacy, modern = self._plans()
-        assert plan_to_xml(legacy) == plan_to_xml(modern)
-
-    def test_identical_triggers(self):
-        legacy, modern = self._plans()
-        assert legacy.triggers == modern.triggers
-
-    def test_identical_injection(self, libc_linux, libc_profiles_linux):
-        outcomes = []
-        for plan in self._plans():
-            lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
-            proc = lfi.make_process(Kernel(), [libc_linux.image])
-            from repro.kernel import O_CREAT, O_RDWR
-            fd = proc.libcall("open", proc.cstr("/f"),
-                              O_CREAT | O_RDWR, 0o644)
-            outcomes.append((proc.libcall("close", fd),
-                             proc.libcall("__errno"), lfi.injections))
-        assert outcomes[0] == outcomes[1] == (-1, 5, 1)   # EIO == 5
 
 
 class TestProbabilisticReplay:

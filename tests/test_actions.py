@@ -284,21 +284,6 @@ class TestSchemaV2:
 
 
 class TestDeprecationShims:
-    def test_fault_name_warns_and_aliases(self):
-        import repro.core.scenario as scenario
-
-        with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-            cls = scenario.Fault
-        assert cls is ReturnFault
-
-    def test_codes_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning,
-                          match="'codes' is deprecated"):
-            trigger = FunctionTrigger(function="close", mode="nth",
-                                      nth=1, codes=(ReturnFault(-1),))
-        assert trigger.actions == (ReturnFault(-1),)
-        assert trigger.codes == (ReturnFault(-1),)
-
     def test_actions_kwarg_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

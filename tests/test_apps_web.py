@@ -52,7 +52,7 @@ class TestMiniWeb:
         images, profiles = web_stack_linux
         plan = Plan()
         plan.add(FunctionTrigger(function="open", mode="always",
-                                 codes=(ErrorCode(-1, "EMFILE"),)))
+                                 actions=(ErrorCode(-1, "EMFILE"),)))
         lfi = Controller(LINUX_X86, profiles, plan)
         server = MiniWeb(Kernel(), LINUX_X86, controller=lfi)
         result = ApacheBenchDriver(server).run_static(3)

@@ -260,7 +260,7 @@ class TestForceTransferAndSentinel:
         plan = Plan(name="passthrough")
         plan.add(FunctionTrigger(function="close", mode=INJECT_NTH,
                                  nth=99,            # never reached
-                                 codes=(ErrorCode(-1, "EIO"),)))
+                                 actions=(ErrorCode(-1, "EIO"),)))
         results = {}
         for use_blocks in (True, False):
             Cpu.use_blocks = use_blocks

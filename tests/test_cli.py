@@ -386,8 +386,8 @@ class TestObservatory:
 
     def test_stats_latency_and_fault_sections(self, tmp_path, capsys):
         # synthesize the --log-json stream a miniweb load campaign
-        # writes: a final metrics.snapshot with the latency histogram
-        # and the generalized-fault counters
+        # writes: a final metrics.snapshot with the latency histogram,
+        # the generalized-fault counters and the code-cache counters
         from repro.obs import EventLog, FileSink, MetricsRegistry
 
         registry = MetricsRegistry()
@@ -400,6 +400,9 @@ class TestObservatory:
                          labelnames=("function",)).inc(25e6, function="read")
         registry.counter("repro_partial_io_bytes_total",
                          labelnames=("function",)).inc(512, function="write")
+        registry.counter("repro_blocks_compiled_total").inc(10)
+        registry.counter("repro_block_cache_hits_total").inc(30)
+        registry.counter("repro_code_cache_evictions_total").inc(2)
 
         log = tmp_path / "run.jsonl"
         events = EventLog()
@@ -413,3 +416,5 @@ class TestObservatory:
         assert "p50=" in out and "p99=" in out
         assert "injected latency: 25.00ms of virtual delay" in out
         assert "partial I/O: 512 bytes trimmed off transfer counts" in out
+        assert ("code cache: 30 hits, 10 blocks compiled (75% hit ratio), "
+                "2 evicted") in out

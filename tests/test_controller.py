@@ -39,7 +39,7 @@ def ready(libc_linux, libc_profiles_linux):
 class TestTriggerEngine:
     def test_nth_call_only(self):
         plan = _plan(FunctionTrigger(function="f", mode=INJECT_NTH, nth=3,
-                                     codes=(ErrorCode(-1, "EIO"),)))
+                                     actions=(ErrorCode(-1, "EIO"),)))
         engine = TriggerEngine(plan)
         results = [engine.on_call("f", [])[1] for _ in range(5)]
         assert [r is not None for r in results] == \
@@ -49,7 +49,7 @@ class TestTriggerEngine:
         codes = (ErrorCode(-1, "EIO"), ErrorCode(-1, "EBADF"),
                  ErrorCode(-1, "EINTR"))
         plan = _plan(FunctionTrigger(function="f",
-                                     mode=INJECT_EXHAUSTIVE, codes=codes))
+                                     mode=INJECT_EXHAUSTIVE, actions=codes))
         engine = TriggerEngine(plan)
         seen = [engine.on_call("f", [])[1].code.errno for _ in range(6)]
         assert seen == ["EIO", "EBADF", "EINTR", "EIO", "EBADF", "EINTR"]
@@ -58,7 +58,7 @@ class TestTriggerEngine:
         def run(seed):
             plan = _plan(FunctionTrigger(
                 function="f", mode=INJECT_RANDOM, probability=0.5,
-                codes=(ErrorCode(-1, "EIO"),)), seed=seed)
+                actions=(ErrorCode(-1, "EIO"),)), seed=seed)
             engine = TriggerEngine(plan)
             return [engine.on_call("f", [])[1] is not None
                     for _ in range(32)]
@@ -68,7 +68,7 @@ class TestTriggerEngine:
     def test_stacktrace_condition(self):
         plan = _plan(FunctionTrigger(
             function="f", mode=INJECT_NTH, nth=1,
-            codes=(ErrorCode(-1, "EIO"),),
+            actions=(ErrorCode(-1, "EIO"),),
             stacktrace=(FrameSpec("0xb824490"),
                         FrameSpec("refresh_files"))))
         engine = TriggerEngine(plan)
@@ -89,9 +89,9 @@ class TestTriggerEngine:
     def test_first_matching_trigger_wins(self):
         plan = _plan(
             FunctionTrigger(function="f", mode=INJECT_NTH, nth=1,
-                            codes=(ErrorCode(-1, "EIO"),)),
+                            actions=(ErrorCode(-1, "EIO"),)),
             FunctionTrigger(function="f", mode=INJECT_NTH, nth=1,
-                            codes=(ErrorCode(-2, "EBADF"),)))
+                            actions=(ErrorCode(-2, "EBADF"),)))
         engine = TriggerEngine(plan)
         _, decision = engine.on_call("f", [])
         assert decision.code.retval == -1
@@ -121,7 +121,7 @@ class TestInjection:
     def test_nth_call_injection_with_errno(self, ready):
         plan = _plan(FunctionTrigger(function="close", mode=INJECT_NTH,
                                      nth=2,
-                                     codes=(ErrorCode(-1, "EIO"),)))
+                                     actions=(ErrorCode(-1, "EIO"),)))
         lfi, proc = ready(plan)
         fd1 = proc.libcall("open", proc.cstr("/a"), O_CREAT | O_RDWR, 0o644)
         fd2 = proc.libcall("open", proc.cstr("/b"), O_CREAT | O_RDWR, 0o644)
@@ -133,7 +133,7 @@ class TestInjection:
     def test_injection_does_not_reach_kernel(self, ready):
         plan = _plan(FunctionTrigger(function="unlink", mode=INJECT_NTH,
                                      nth=1,
-                                     codes=(ErrorCode(-1, "EACCES"),)))
+                                     actions=(ErrorCode(-1, "EACCES"),)))
         lfi, proc = ready(plan)
         proc.kernel.vfs.write_file("/keep", b"data")
         assert proc.libcall("unlink", proc.cstr("/keep")) == -1
@@ -142,7 +142,7 @@ class TestInjection:
     def test_passthrough_preserves_semantics(self, ready):
         plan = _plan(FunctionTrigger(function="write", mode=INJECT_RANDOM,
                                      probability=1e-12,
-                                     codes=(ErrorCode(-1, "EIO"),),
+                                     actions=(ErrorCode(-1, "EIO"),),
                                      calloriginal=True))
         lfi, proc = ready(plan)
         fd = proc.libcall("open", proc.cstr("/f"), O_CREAT | O_RDWR, 0o644)
@@ -182,7 +182,7 @@ class TestInjection:
             built = build(platform)
             plan = _plan(FunctionTrigger(
                 function="getpid", mode=INJECT_NTH, nth=1,
-                codes=(ErrorCode(-1, None),)))
+                actions=(ErrorCode(-1, None),)))
             lfi = Controller(platform, {}, plan)
             proc = lfi.make_process(Kernel(os_name=platform.os),
                                     [built.image])
@@ -194,7 +194,7 @@ class TestInjection:
         images, profiles = web_stack_linux
         plan = _plan(FunctionTrigger(function="read", mode=INJECT_NTH,
                                      nth=1,
-                                     codes=(ErrorCode(-1, "EINTR"),)))
+                                     actions=(ErrorCode(-1, "EINTR"),)))
         lfi = Controller(LINUX_X86, profiles, plan)
         proc = lfi.make_process(Kernel(), list(images.values()))
         fd = proc.libcall("apr_file_open", proc.cstr("/f"),
@@ -207,7 +207,7 @@ class TestInjection:
         from repro.corpus.libc import libc as build
         built = build(WINDOWS_X86)
         plan = _plan(FunctionTrigger(function="close", mode=INJECT_NTH,
-                                     nth=1, codes=(ErrorCode(-1, "EBADF"),)))
+                                     nth=1, actions=(ErrorCode(-1, "EBADF"),)))
         lfi = Controller(WINDOWS_X86, {}, plan)
         proc = lfi.make_process(Kernel(os_name="Windows"), [built.image])
         assert proc.libcall("close", 5) == -1
@@ -217,7 +217,7 @@ class TestInjection:
 class TestLogAndReplay:
     def test_log_records_details(self, ready):
         plan = _plan(FunctionTrigger(function="close", mode=INJECT_NTH,
-                                     nth=1, codes=(ErrorCode(-1, "EIO"),)))
+                                     nth=1, actions=(ErrorCode(-1, "EIO"),)))
         lfi, proc = ready(plan)
         proc.libcall("close", 3)
         record = lfi.logbook.records[0]
@@ -230,7 +230,7 @@ class TestLogAndReplay:
                                          libc_profiles_linux):
         plan = _plan(FunctionTrigger(function="close", mode=INJECT_RANDOM,
                                      probability=0.5,
-                                     codes=(ErrorCode(-1, "EIO"),)),
+                                     actions=(ErrorCode(-1, "EIO"),)),
                      seed=123)
         lfi, proc = ready(plan)
         original = [proc.libcall("close", 99) for _ in range(10)]
@@ -244,7 +244,7 @@ class TestLogAndReplay:
 
     def test_run_test_outcomes(self, ready):
         plan = _plan(FunctionTrigger(function="close", mode=INJECT_NTH,
-                                     nth=1, codes=(ErrorCode(-1, "EIO"),)))
+                                     nth=1, actions=(ErrorCode(-1, "EIO"),)))
         lfi, proc = ready(plan)
 
         outcome = lfi.run_test(lambda: proc.libcall("close", 3) and 0)

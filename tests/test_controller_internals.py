@@ -33,7 +33,7 @@ class TestAttachment:
         # the shim in this process
         plan = _plan(FunctionTrigger(function="close", mode="random",
                                      probability=1e-12,
-                                     codes=(ErrorCode(-1, "EIO"),),
+                                     actions=(ErrorCode(-1, "EIO"),),
                                      calloriginal=True))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = Process(Kernel(), LINUX_X86)
@@ -44,7 +44,7 @@ class TestAttachment:
     def test_injection_works_without_original(self, libc_profiles_linux):
         # injection never touches the original function at all
         plan = _plan(FunctionTrigger(function="close", mode="nth", nth=1,
-                                     codes=(ErrorCode(-1, "EIO"),)))
+                                     actions=(ErrorCode(-1, "EIO"),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = Process(Kernel(), LINUX_X86)
         lfi.attach(proc, [])
@@ -54,7 +54,7 @@ class TestAttachment:
                                            libc_profiles_linux):
         plan = _plan(FunctionTrigger(function="getpid", mode="random",
                                      probability=1e-12,
-                                     codes=(ErrorCode(-1, None),),
+                                     actions=(ErrorCode(-1, None),),
                                      calloriginal=True))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         kernel = Kernel()
@@ -67,9 +67,9 @@ class TestAttachment:
     def test_shim_exports_match_plan(self, libc_profiles_linux):
         plan = _plan(
             FunctionTrigger(function="read", mode="nth", nth=1,
-                            codes=(ErrorCode(-1, "EIO"),)),
+                            actions=(ErrorCode(-1, "EIO"),)),
             FunctionTrigger(function="write", mode="nth", nth=1,
-                            codes=(ErrorCode(-1, "EIO"),)))
+                            actions=(ErrorCode(-1, "EIO"),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         assert {s.name for s in lfi.shim.exports} == {"read", "write"}
         assert lfi.shim.imports == (lfi.eval_symbol,)
@@ -80,7 +80,7 @@ class TestSideEffectApplication:
     def test_errno_written_to_libc_tls(self, libc_linux,
                                        libc_profiles_linux):
         plan = _plan(FunctionTrigger(function="close", mode="nth", nth=1,
-                                     codes=(ErrorCode(-1, "ENOSPC"),)))
+                                     actions=(ErrorCode(-1, "ENOSPC"),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = lfi.make_process(Kernel(), [libc_linux.image])
         proc.libcall("close", 3)
@@ -92,7 +92,7 @@ class TestSideEffectApplication:
     def test_errno_written_to_global_on_solaris(self, libc_sparc,
                                                 libc_profiles_linux):
         plan = _plan(FunctionTrigger(function="close", mode="nth", nth=1,
-                                     codes=(ErrorCode(-1, "EIO"),)))
+                                     actions=(ErrorCode(-1, "EIO"),)))
         lfi = Controller(SOLARIS_SPARC, {}, plan)
         proc = lfi.make_process(Kernel(os_name="Solaris"),
                                 [libc_sparc.image])
@@ -105,7 +105,7 @@ class TestSideEffectApplication:
     def test_code_without_errno_skips_side_effect(self, libc_linux,
                                                   libc_profiles_linux):
         plan = _plan(FunctionTrigger(function="getpid", mode="nth", nth=1,
-                                     codes=(ErrorCode(-1, None),)))
+                                     actions=(ErrorCode(-1, None),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = lfi.make_process(Kernel(), [libc_linux.image])
         assert proc.libcall("getpid") == -1
@@ -118,7 +118,7 @@ class TestStacktraceTriggersLive:
         """The paper's refresh_files-style condition, end to end."""
         plan = _plan(FunctionTrigger(
             function="close", mode="always",
-            codes=(ErrorCode(-1, "EBADF"),),
+            actions=(ErrorCode(-1, "EBADF"),),
             stacktrace=(FrameSpec("0xfffffff0"),
                         FrameSpec("refresh_files"))))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
@@ -162,9 +162,9 @@ class TestStackedControllers:
 
     def _stacked(self, libc_linux, profiles):
         plan_a = _plan(FunctionTrigger(function="close", mode="nth", nth=2,
-                                       codes=(ErrorCode(-1, "EIO"),)))
+                                       actions=(ErrorCode(-1, "EIO"),)))
         plan_b = _plan(FunctionTrigger(function="close", mode="nth", nth=1,
-                                       codes=(ErrorCode(-1, "EBADF"),),
+                                       actions=(ErrorCode(-1, "EBADF"),),
                                        calloriginal=False))
         outer = Controller(LINUX_X86, profiles, plan_a)
         inner = Controller(LINUX_X86, profiles, plan_b)

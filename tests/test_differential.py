@@ -4,7 +4,10 @@ Hypothesis generates random MinC functions; each is (a) evaluated by a
 direct Python interpreter over the AST and (b) compiled, loaded and run
 on the VM.  Any divergence is a bug in the code generator, assembler,
 encoder, loader or CPU — this is the deepest correctness net over the
-whole substrate stack.
+whole substrate stack.  The same programs also run on the CPU's two
+execution paths (per-instruction steps and compiled blocks) under
+random step budgets, which must stop both paths on the same
+instruction in the same state.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RuntimeFault
 from repro.kernel import Kernel
 from repro.platform import LINUX_X86, SOLARIS_SPARC
 from repro.runtime import Process
@@ -168,13 +172,34 @@ def _program(draw):
     return tuple(stmts)
 
 
-def _vm_run(body, params: List[int], platform) -> int:
+def _build(body, platform):
     builder = LibraryBuilder("libdiff.so")
     builder.simple("f", 2, *body)
-    image = builder.build(platform).image
+    return builder.build(platform).image
+
+
+def _vm_run(body, params: List[int], platform) -> int:
     proc = Process(Kernel(os_name=platform.os), platform)
-    proc.load(image)
+    proc.load(_build(body, platform))
     return proc.libcall("f", *[p & MASK for p in params])
+
+
+def _path_run(image, params: List[int], *, use_blocks: bool,
+              max_steps: int) -> dict:
+    """Everything a budgeted call leaves behind on one execution path."""
+    proc = Process(Kernel(os_name=LINUX_X86.os), LINUX_X86)
+    proc.load(image)
+    cpu = proc.cpu
+    cpu.use_blocks = use_blocks
+    try:
+        result = proc.libcall("f", *[p & MASK for p in params],
+                              max_steps=max_steps)
+    except RuntimeFault as fault:
+        result = str(fault)
+    return {"result": result, "regs": cpu.regs.as_dict(), "eip": cpu.eip,
+            "flags": (cpu.zf, cpu.sf),
+            "instructions": cpu.instructions_executed,
+            "memory": cpu.mem.content_digest()}
 
 
 @given(body=_program(), p0=_SMALL, p1=_SMALL)
@@ -189,6 +214,28 @@ def test_vm_matches_reference_x86(body, p0, p1):
 def test_vm_matches_reference_sparc(body, p0, p1):
     assert _vm_run(body, [p0, p1], SOLARIS_SPARC) == \
         reference_run(body, [p0, p1])
+
+
+@given(body=_program(), p0=_SMALL, p1=_SMALL, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_step_and_block_paths_agree_under_budgets(body, p0, p1, data):
+    """Budgets at the full instruction count (the run just completes),
+    one below it (it faults on the last instruction) and anywhere in
+    between (often mid-block) stop both paths in the same state."""
+    image = _build(body, LINUX_X86)
+    full = _path_run(image, [p0, p1], use_blocks=False,
+                     max_steps=1_000_000)
+    assert isinstance(full["result"], int), full["result"]
+    count = full["instructions"]
+    budgets = {count, max(count - 1, 1),
+               data.draw(st.integers(1, count), label="max_steps")}
+    for budget in sorted(budgets):
+        step = _path_run(image, [p0, p1], use_blocks=False,
+                         max_steps=budget)
+        block = _path_run(image, [p0, p1], use_blocks=True,
+                          max_steps=budget)
+        assert block == step, f"max_steps={budget}"
+    assert step == full                 # the full-count budget completes
 
 
 @given(body=_program(), p0=_SMALL, p1=_SMALL)

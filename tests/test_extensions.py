@@ -109,7 +109,7 @@ class TestArgCondTriggers:
         plan = Plan()
         plan.add(FunctionTrigger(
             function="close", mode="always",
-            codes=(ErrorCode(-1, "EBADF"),),
+            actions=(ErrorCode(-1, "EBADF"),),
             argconds=(ArgCondition(0, "==", 7),)))
         engine = TriggerEngine(plan)
         assert engine.needs_args
@@ -122,7 +122,7 @@ class TestArgCondTriggers:
         plan = Plan()
         plan.add(FunctionTrigger(
             function="read", mode="always",
-            codes=(ErrorCode(-1, "EIO"),),
+            actions=(ErrorCode(-1, "EIO"),),
             argconds=(ArgCondition(2, ">=", 4096),)))
         xml = plan_to_xml(plan)
         assert "<argcond" in xml and 'argument="3"' in xml  # 1-based XML
@@ -136,7 +136,7 @@ class TestArgCondTriggers:
         plan = Plan()
         plan.add(FunctionTrigger(
             function="close", mode="always",
-            codes=(ErrorCode(-1, "EIO"),),
+            actions=(ErrorCode(-1, "EIO"),),
             argconds=(ArgCondition(0, "==", 4),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = lfi.make_process(Kernel(), [libc_linux.image])

@@ -1,5 +1,8 @@
 """Small public-surface corners: layout, platform, errno, top-level API."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import __version__
@@ -69,6 +72,13 @@ class TestErrnoTables:
 class TestTopLevelApi:
     def test_version(self):
         assert __version__.count(".") == 2
+
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib: py3.10 has no TOML parser
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        match = re.search(r'^version\s*=\s*"([^"]+)"',
+                          pyproject.read_text(), re.MULTILINE)
+        assert match and match.group(1) == __version__
 
     def test_all_exports_resolve(self):
         import repro

@@ -197,14 +197,10 @@ class TestSummarizeEvents:
         metrics = {
             "repro_blocks_compiled_total": counter(10.0),
             "repro_block_cache_hits_total": counter(30.0),
-            "repro_traces_linked_total": counter(4.0),
-            "repro_trace_cache_hits_total": counter(12.0),
-            "repro_trace_invalidations_total": counter(1.0),
             "repro_code_cache_evictions_total": counter(2.0),
         }
         stream = [{"kind": "metrics.snapshot",
                    "fields": {"metrics": metrics}}]
         assert summarize_events(stream)["code_cache"] == {
             "blocks_compiled": 10, "hits": 30, "hit_ratio": 0.75,
-            "traces_linked": 4, "trace_hits": 12,
-            "trace_invalidations": 1, "evictions": 2}
+            "evictions": 2}

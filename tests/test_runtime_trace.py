@@ -43,7 +43,7 @@ class TestTracer:
                                            libc_profiles_linux):
         plan = Plan()
         plan.add(FunctionTrigger(function="close", mode="nth", nth=1,
-                                 codes=(ErrorCode(-1, "EBADF"),)))
+                                 actions=(ErrorCode(-1, "EBADF"),)))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = lfi.make_process(Kernel(), [libc_linux.image])
         with Tracer(proc) as trace:
@@ -63,7 +63,7 @@ class TestTracer:
         plan = Plan()
         plan.add(FunctionTrigger(function="getpid", mode="random",
                                  probability=1e-12,
-                                 codes=(ErrorCode(-1, None),),
+                                 actions=(ErrorCode(-1, None),),
                                  calloriginal=True))
         lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
         proc = lfi.make_process(Kernel(), [libc_linux.image])

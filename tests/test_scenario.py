@@ -99,7 +99,7 @@ class TestXmlLanguage:
         plan = Plan(seed=7)
         plan.add(FunctionTrigger(
             function="write", mode=INJECT_RANDOM, probability=0.25,
-            codes=(ErrorCode(-1, "EIO"), ErrorCode(-1, "ENOSPC"))))
+            actions=(ErrorCode(-1, "EIO"), ErrorCode(-1, "ENOSPC"))))
         again = plan_from_xml(plan_to_xml(plan))
         assert again.seed == 7
         assert again.triggers[0].probability == 0.25
@@ -108,7 +108,7 @@ class TestXmlLanguage:
     def test_exhaustive_mode_roundtrip(self):
         plan = Plan()
         plan.add(FunctionTrigger(function="close", mode=INJECT_EXHAUSTIVE,
-                                 codes=(ErrorCode(-1, "EBADF"),)))
+                                 actions=(ErrorCode(-1, "EBADF"),)))
         again = plan_from_xml(plan_to_xml(plan))
         assert again.triggers[0].mode == INJECT_EXHAUSTIVE
 
@@ -215,7 +215,7 @@ def _trigger(draw):
         nth=draw(st.integers(1, 50)) if mode == "nth" else 0,
         probability=(draw(st.floats(0.01, 1.0)) if mode == "random"
                      else 0.0),
-        codes=tuple(draw(st.lists(_code, max_size=4))),
+        actions=tuple(draw(st.lists(_code, max_size=4))),
         calloriginal=draw(st.booleans()),
         stacktrace=tuple(draw(st.lists(_frame, max_size=3))),
         modifications=tuple(draw(st.lists(_mod, max_size=2))),

@@ -1,5 +1,6 @@
 """The repro.Session facade: load -> profile -> campaign in one chain."""
 
+import importlib
 import json
 import warnings
 
@@ -10,6 +11,7 @@ from repro import Session
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.controller import TestOutcome, TestReport
 from repro.core.profiler import Profiler
+from repro.core.scenario import FunctionTrigger, ReturnFault
 from repro.core.store import ProfileStore
 from repro.errors import ReproError
 from repro.kernel import Kernel, O_CREAT, O_RDWR
@@ -158,25 +160,47 @@ class TestStoreIntegration:
         assert stage.cache_memory_hits == 1 and stage.cache_misses == 0
 
 
-class TestDeprecationShims:
-    def test_profiler_libraries_kwarg_warns_but_works(self, libc_linux):
-        with pytest.warns(DeprecationWarning, match="libraries"):
-            profiler = Profiler(
-                LINUX_X86, libraries={"libc.so.6": libc_linux.image})
-        assert profiler.images == {"libc.so.6": libc_linux.image}
-        assert profiler.libraries is profiler.images   # read alias stays
+#: Spellings that 2.0 removed, each with the error that must name it.
+_REMOVED_SPELLINGS = {
+    "Profiler-libraries": (
+        TypeError, "libraries",
+        lambda images, tmp: Profiler(LINUX_X86, libraries=images)),
+    "profile_or_load-libraries": (
+        TypeError, "libraries",
+        lambda images, tmp: ProfileStore(tmp).profile_or_load(
+            LINUX_X86, libraries=images)),
+    "FunctionTrigger-codes": (
+        TypeError, "codes",
+        lambda images, tmp: FunctionTrigger(
+            function="close", mode="nth", nth=1,
+            codes=(ReturnFault(-1),))),
+    "scenario.Fault": (
+        AttributeError, "Fault",
+        lambda images, tmp: importlib.import_module(
+            "repro.core.scenario").Fault),
+    "scenario.model.Fault": (
+        AttributeError, "Fault",
+        lambda images, tmp: importlib.import_module(
+            "repro.core.scenario.model").Fault),
+}
 
-    def test_store_libraries_kwarg_warns_but_works(self, tmp_path,
-                                                   libc_linux):
-        store = ProfileStore(tmp_path)
-        with pytest.warns(DeprecationWarning, match="libraries"):
-            profiles = store.profile_or_load(
-                LINUX_X86, libraries={"libc.so.6": libc_linux.image})
-        assert "libc.so.6" in profiles
+
+class TestDeprecationShims:
+    """2.0 removed the shims: old spellings fail by name, new ones are
+    silent."""
+
+    @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
+    def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
+                                            libc_linux):
+        error, name, use = _REMOVED_SPELLINGS[spelling]
+        with pytest.raises(error, match=f"'{name}'"):
+            use({"libc.so.6": libc_linux.image}, tmp_path)
 
     def test_images_kwarg_is_silent(self, tmp_path, libc_linux):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Profiler(LINUX_X86, images={"libc.so.6": libc_linux.image})
+            profiler = Profiler(LINUX_X86,
+                                images={"libc.so.6": libc_linux.image})
             ProfileStore(tmp_path).profile_or_load(
                 LINUX_X86, images={"libc.so.6": libc_linux.image})
+        assert profiler.libraries is profiler.images   # read alias stays
