@@ -89,26 +89,3 @@ def test_profiling_time_scales_with_code_size(benchmark):
     # profiling stays interactive (the paper's adoption argument)
     assert largest[3] < 60
 
-
-def _profile_libc_jobs(jobs):
-    from repro.corpus.libc import libc
-    built = libc(LINUX_X86)
-    profiler = Profiler(LINUX_X86, {built.image.soname: built.image},
-                        build_kernel_image(LINUX_X86))
-    started = time.perf_counter()
-    profile = profiler.profile_all(jobs=jobs)
-    return time.perf_counter() - started, profile["libc.so.6"]
-
-
-def test_parallel_profiling_matches_serial(benchmark):
-    """Per-export fan-out must not change profile content."""
-    def arms():
-        return [(jobs, *_profile_libc_jobs(jobs)) for jobs in (1, 4)]
-
-    results = benchmark.pedantic(arms, rounds=1, iterations=1)
-    print_table("§6.2 — per-export parallel profiling",
-                "jobs      time",
-                [f"{jobs:4d}  {seconds:7.3f} s"
-                 for jobs, seconds, _profile in results])
-    (_j1, _t1, serial), (_j4, _t4, parallel) = results
-    assert parallel.to_xml() == serial.to_xml()

@@ -24,15 +24,15 @@ two-command workflow (profile, then test) as one fluent object::
                       jobs=4, timeout=5.0, store="profile-cache/")
     report = (session
               .load(libc(LINUX_X86))
-              .profile()                       # store-backed, parallel
+              .profile()                       # store-backed
               .campaign(workload, functions=["open", "close"]))
     print(report.render())
     print(session.summary_json())              # cases/sec, cache hits, ...
 
-``jobs`` fans profiling out per-export and campaigns per-case over a
-worker pool (``backend="thread"`` or ``"process"``; processes add crash
-isolation and per-case timeouts that turn hung workloads into ``hung``
-results instead of hung runs).  ``store`` caches profiles on disk and
+``jobs`` fans campaigns out per case over a worker pool
+(``backend="thread"`` or ``"process"``; per-case timeouts turn hung
+workloads into ``hung`` results instead of hung runs, and processes add
+crash isolation).  Profiling always runs on the calling thread.  ``store`` caches profiles on disk and
 in a process-wide LRU, keyed by image, kernel, and heuristic digests.
 
 The lower-level pieces remain public and composable:
@@ -74,7 +74,7 @@ from .platform import (ALL_PLATFORMS, LINUX_X86, SOLARIS_SPARC, WINDOWS_X86,
 from .runtime import Process
 from .session import Session
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Session",

@@ -131,14 +131,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         from .core.store import ProfileStore
         store = ProfileStore(args.store, telemetry=telemetry)
         profiles = store.profile_or_load(platform, libraries,
-                                         kernel_image, heuristics,
-                                         jobs=args.jobs)
+                                         kernel_image, heuristics)
         profile = profiles[image.soname]
         origin = "cache" if store.hits else "analysis"
     else:
         profiler = Profiler(platform, libraries, kernel_image, heuristics,
                             telemetry=telemetry)
-        profile = profiler.profile_library(image.soname, jobs=args.jobs)
+        profile = profiler.profile_library(image.soname)
         origin = "analysis"
     xml = profile.to_xml()
     if args.output:
@@ -317,16 +316,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                       telemetry=telemetry,
                       results_dir=args.results_dir, resume=args.resume)
     session.load(libc(platform))
-    report = session.campaign(
-        _campaign_factory(args.app, platform),
-        functions=args.function or None,
-        call_ordinals=tuple(args.call_ordinal or [1]),
-        max_codes_per_function=args.max_codes,
-        fault_classes=tuple(args.fault_class or ["return"]),
-        latency_ns=args.latency_ns,
-        fail_rate=args.fail_rate,
-        guided=args.guided,
-        budget_cases=args.budget_cases)
+    try:
+        report = session.campaign(
+            _campaign_factory(args.app, platform),
+            functions=args.function or None,
+            call_ordinals=tuple(args.call_ordinal or [1]),
+            max_codes_per_function=args.max_codes,
+            fault_classes=tuple(args.fault_class or ["return"]),
+            latency_ns=args.latency_ns,
+            fail_rate=args.fail_rate,
+            guided=args.guided,
+            budget_cases=args.budget_cases)
+    except ValueError as exc:       # a campaign setting the engine refused
+        _error(args, str(exc))
+        return 2
 
     if report.resumed is not None and report.resumed["skipped"]:
         _notice(args, f"resumed: {report.resumed['skipped']} cases from "
@@ -636,8 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store",
                    help="profile-cache directory (reuse across programs, "
                         "re-analyze only on library updates)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel per-export analysis workers")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_profile)
 

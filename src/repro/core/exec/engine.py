@@ -314,7 +314,6 @@ def execute_campaign(app: str,
                      *, jobs: int = 1,
                      timeout: Optional[float] = None,
                      backend: Optional[str] = None,
-                     pool: Optional[WorkerPool] = None,
                      snapshot: bool = False,
                      telemetry=None,
                      results=None,
@@ -360,8 +359,9 @@ def execute_campaign(app: str,
     one batch.  ``guided=True`` hands scheduling to the coverage-guided
     :class:`~repro.core.search.GuidedFrontier`: ``cases`` becomes the
     search space rather than the execution list, ``budget_cases`` caps
-    how many cases actually run, and the frontier is fed every finished
-    case's coverage between batches.  Because batch width is fixed and
+    how many cases actually run (without ``guided`` it raises
+    :class:`ValueError`), and the frontier is fed every finished case's
+    coverage between batches.  Because batch width is fixed and
     observations apply in batch order, the schedule is a pure function
     of the case list and the per-case coverage — identical across
     backends.  Resume replays the *scheduler*, not the journal: each
@@ -375,15 +375,15 @@ def execute_campaign(app: str,
     from ..results.matrix import classify_result
     from ..search import ExhaustiveSchedule, GuidedFrontier
 
+    if budget_cases is not None and not guided:
+        raise ValueError("budget_cases only caps guided campaigns; set "
+                         "guided as well, or drop budget_cases")
     tele = as_telemetry(telemetry)
-    if pool is None:
-        pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout,
-                          metrics=tele.metrics)
+    pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout,
+                      metrics=tele.metrics)
     case_list = list(cases)
     profiles = dict(profiles)
     capture = tele.enabled
-    if not guided:
-        budget_cases = None
 
     journal = None
     finished: Dict[str, Mapping[str, Any]] = {}
@@ -469,15 +469,6 @@ def execute_campaign(app: str,
                      if case_digest(case) not in finished]
                     if finished else case_list)
 
-    original_metrics = None
-    if tele.enabled and not pool.metrics.enabled:
-        # borrow the campaign's registry for queue/pool metrics, but
-        # hand the pool back unchanged: a caller-supplied pool outlives
-        # this run and must not keep emitting into a stale campaign's
-        # registry
-        original_metrics = pool.metrics
-        pool.metrics = tele.metrics
-
     results_list: List[Any] = []
     all_tasks: List[TaskResult] = []
     restored_n = 0
@@ -538,8 +529,6 @@ def execute_campaign(app: str,
     finally:
         if journal is not None:
             journal.close()
-        if original_metrics is not None:
-            pool.metrics = original_metrics
     duration = time.perf_counter() - started
 
     replayed = len(results_list) - restored_n

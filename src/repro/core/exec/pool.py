@@ -1,4 +1,4 @@
-"""Worker pools: the fan-out substrate for campaigns and profiling.
+"""Worker pools: the fan-out substrate for campaigns.
 
 The fault space a systematic campaign enumerates — one test per
 (function, error code) — is embarrassingly parallel: every case builds
@@ -23,10 +23,12 @@ Three backends:
     (profiles, images) for free; a reaped hung task leaks its daemon
     thread but releases its worker slot so the run keeps going.
 ``process``
-    One forked child per task (falling back to the platform default
-    start method where ``fork`` is unavailable).  True CPU parallelism
-    for the pure-Python interpreter loop and hard kill on timeout; task
-    results travel back over a pipe, so they must pickle.
+    One forked child per task; hosts without the ``fork`` start method
+    are refused up front, because tasks are closures that only ``fork``
+    can hand to a child.  True CPU parallelism for the pure-Python
+    interpreter loop and hard kill on timeout; task results travel back
+    over a pipe, so they must pickle.  A child that cannot be started
+    becomes a ``"crashed"`` result.
 
 Pool sizes auto-clamp (threads to a fixed cap, processes to the CPU
 count) so ``--jobs 4`` is safe on a single-core runner.
@@ -156,17 +158,20 @@ class WorkerPool:
 
     def __init__(self, jobs: int = 1, backend: Optional[str] = None,
                  timeout: Optional[float] = None,
-                 mp_context: str = "fork",
                  metrics=None) -> None:
         if backend is None:
             backend = SERIAL if (jobs <= 1 and timeout is None) else THREAD
         if backend not in BACKENDS:
             raise ValueError(f"unknown pool backend {backend!r}; "
                              f"expected one of {BACKENDS}")
+        if backend == PROCESS \
+                and "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError("the process backend needs the 'fork' start "
+                             "method, which this host lacks; use the "
+                             "thread backend")
         self.backend = backend
         self.jobs = resolve_jobs(jobs, backend)
         self.timeout = timeout
-        self.mp_context = mp_context
         if metrics is None:
             from ...obs.metrics import NULL_REGISTRY
             metrics = NULL_REGISTRY
@@ -325,17 +330,23 @@ class WorkerPool:
         (and so may reap) every live child, after which this child's
         ``join()``/``is_alive()`` can no longer tell that it finished.
         A payload decides the outcome; the child exiting without one is
-        a crash; neither before the deadline is a hang.
+        a crash; neither before the deadline is a hang.  A child that
+        never starts (``fork`` failing with ``EAGAIN``/``ENOMEM``) is a
+        crash too: raising here would kill the supervisor thread before
+        the task is marked done, and ``map`` would wait forever.
         """
-        try:
-            ctx = multiprocessing.get_context(self.mp_context)
-        except ValueError:
-            ctx = multiprocessing.get_context()
+        ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_subprocess_main, args=(send, fn, item),
                            daemon=True)
-        proc.start()
-        send.close()
+        try:
+            proc.start()
+        except Exception as exc:
+            recv.close()
+            return (TASK_CRASHED, RemoteTaskError(
+                f"worker could not start: {exc!r}"))
+        finally:
+            send.close()
         try:
             if not wait([recv, proc.sentinel], self.timeout):
                 proc.terminate()

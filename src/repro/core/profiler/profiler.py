@@ -5,19 +5,13 @@ mimics the end-to-end flow: run ``ldd`` over the target's libraries,
 profile each library in the closure, and return the profiles keyed by
 soname — "testers point LFI at a target application and the profiler
 automatically finds which shared libraries the application links to".
-
-Profiling is embarrassingly parallel at per-export granularity (each
-exported function gets its own CFG + reverse constant propagation), so
-``profile_library``/``profile_all`` accept ``jobs``/``pool`` and fan the
-exports out over a :class:`repro.core.exec.WorkerPool`; the assembled
-profile keeps the image's export order either way.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ...binfmt import SharedObject, ldd
 from ...errors import ProfilerError
@@ -79,14 +73,8 @@ class Profiler:
 
     # -- public API --------------------------------------------------------
 
-    def profile_library(self, soname: str, *, jobs: int = 1,
-                        pool=None) -> LibraryProfile:
-        """Profile every exported function of one library.
-
-        ``jobs > 1`` (or an explicit ``pool``) analyzes exports on a
-        thread pool; the profile content and ordering are the same as a
-        serial run.
-        """
+    def profile_library(self, soname: str) -> LibraryProfile:
+        """Profile every exported function of one library."""
         image = self.images.get(soname)
         if image is None:
             raise ProfilerError(f"library {soname!r} not registered")
@@ -96,8 +84,8 @@ class Profiler:
                                  code_bytes=image.code_size())
         with self.telemetry.tracer.trace(f"profile:{soname}",
                                          soname=soname) as span:
-            analyses = self._analyze_exports(soname, image, jobs=jobs,
-                                             pool=pool, parent_span=span)
+            analyses = [self._analyze_export(soname, sym)
+                        for sym in image.exports]
             sizes: Dict[str, int] = {}
             calls: Dict[str, int] = {}
             hops = self.telemetry.metrics.histogram(
@@ -154,44 +142,17 @@ class Profiler:
                          instructions=report.instructions,
                          seconds=round(report.seconds, 6))
 
-    def profile_all(self, *, jobs: int = 1,
-                    pool=None) -> Dict[str, LibraryProfile]:
-        """Profile every registered library (optionally in parallel)."""
-        if pool is None and jobs and jobs > 1:
-            from ..exec.pool import WorkerPool
-            pool = WorkerPool(jobs=jobs, backend="thread")
-        return {soname: self.profile_library(soname, pool=pool)
+    def profile_all(self) -> Dict[str, LibraryProfile]:
+        """Profile every registered library."""
+        return {soname: self.profile_library(soname)
                 for soname in sorted(self.images)}
 
     # -- internals ---------------------------------------------------------
 
-    def _analyze_exports(self, soname: str, image: SharedObject,
-                         *, jobs: int = 1, pool=None, parent_span=None
-                         ) -> List[_ExportAnalysis]:
-        if pool is None and jobs and jobs > 1:
-            from ..exec.pool import WorkerPool
-            pool = WorkerPool(jobs=jobs, backend="thread")
-        if pool is not None and pool.backend != "serial" \
-                and len(image.exports) > 1:
-            tasks = pool.map(
-                lambda sym: self._analyze_export(soname, sym,
-                                                 parent_span=parent_span),
-                image.exports)
-            return [task.unwrap() for task in tasks]
-        return [self._analyze_export(soname, sym, parent_span=parent_span)
-                for sym in image.exports]
-
-    def _analyze_export(self, soname: str, sym,
-                        parent_span=None) -> _ExportAnalysis:
-        """Analyze one exported function — the unit of parallelism.
-
-        The parent span is passed explicitly: on a thread pool the
-        library span lives on another thread's stack, so implicit
-        (thread-local) parenting would misfile these spans as roots.
-        """
+    def _analyze_export(self, soname: str, sym) -> _ExportAnalysis:
+        """Analyze one exported function: CFG plus reverse propagation."""
         image = self.images[soname]
         with self.telemetry.tracer.trace(f"export:{sym.name}",
-                                         parent=parent_span,
                                          soname=soname) as span:
             analysis = self.context.analyze_function(soname, sym.offset)
             cfg = self.context.cfg(image, sym.offset)
@@ -217,8 +178,8 @@ def profile_application(platform: Platform,
                         app_libraries: Sequence[SharedObject],
                         available: Mapping[str, SharedObject],
                         kernel_image: Optional[SharedObject] = None,
-                        heuristics: Optional[HeuristicConfig] = None,
-                        *, jobs: int = 1) -> Dict[str, LibraryProfile]:
+                        heuristics: Optional[HeuristicConfig] = None
+                        ) -> Dict[str, LibraryProfile]:
     """End-to-end §2 flow: discover the closure with ``ldd``, profile all.
 
     ``app_libraries`` are the libraries the application links directly;
@@ -229,7 +190,7 @@ def profile_application(platform: Platform,
         for dep in ldd(lib, available):
             closure.setdefault(dep.soname, dep)
     profiler = Profiler(platform, closure, kernel_image, heuristics)
-    return profiler.profile_all(jobs=jobs)
+    return profiler.profile_all()
 
 
 def _real_call_count(cfg) -> int:

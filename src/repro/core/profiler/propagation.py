@@ -140,9 +140,10 @@ class AnalysisContext:
         self.stats = CfgStats()
         self._cfgs: Dict[Tuple[str, int], Cfg] = {}
         self._memo: Dict[Tuple[str, int], FunctionAnalysis] = {}
-        # cycle detection is per recursive walk, hence per thread: a
-        # parallel profiler analyzing export A on one thread must not
-        # make export B's walk on another thread think it is recursing
+        # cycle detection is per recursive walk, hence per thread: when
+        # two threads share one context, a walk in progress on one
+        # thread must not make the other thread's walk think it is
+        # recursing
         self._local = threading.local()
         self._kernel_consts: Dict[int, Tuple[int, ...]] = {}
         self._export_index: Dict[str, Tuple[str, int]] = {}

@@ -58,7 +58,9 @@ OUTCOME_CLASSES = (CLASS_CRASH, CLASS_HANG, CLASS_SILENT,
 #: ``survived`` is the outcome a campaign hopes for).
 FAILURE_CLASSES = (CLASS_CRASH, CLASS_HANG, CLASS_SILENT, CLASS_DETECTED)
 
-_STATUS_CLASSES = {
+#: Outcome statuses whose class follows from the status alone (triage
+#: buckets read the same map).
+STATUS_CLASSES = {
     STATUS_SIGSEGV: CLASS_CRASH,
     STATUS_SIGABRT: CLASS_CRASH,
     STATUS_CRASHED: CLASS_CRASH,
@@ -78,7 +80,7 @@ def classify_status(status: str, *, fired: bool = True,
     looked normal — a missing digest (old journal, dead worker)
     degrades to ``survived``, never to a false corruption.
     """
-    cls = _STATUS_CLASSES.get(status)
+    cls = STATUS_CLASSES.get(status)
     if cls is not None:
         return cls
     if (status == STATUS_NORMAL and fired

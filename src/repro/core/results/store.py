@@ -34,7 +34,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from ...errors import ResultsError
 from ...obs.telemetry import as_telemetry
@@ -50,6 +50,31 @@ INDEX_SCHEMA = "repro.results-index/1"
 _JOURNAL = "journal.jsonl"
 _INDEX = "index.json"
 _META = "meta.json"
+
+
+def fold_records(lines: Iterable[bytes], campaign: Optional[str],
+                 into: Dict[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The one journal-reading rule, shared by resume and ``repro watch``.
+
+    Keeps the lines that parse as JSON objects tagged
+    :data:`RESULT_SCHEMA` (and with ``campaign`` as their campaign key,
+    when one is given) and files each under its case key in ``into``,
+    so the last record per case wins.  Blank, torn and foreign lines
+    are skipped.  Returns the kept records in journal order.
+    """
+    kept: List[Dict[str, Any]] = []
+    for line in lines:
+        try:
+            rec = json.loads(line)
+        except ValueError:      # blank, torn, or not UTF-8
+            continue
+        if not isinstance(rec, dict) \
+                or rec.get("schema") != RESULT_SCHEMA \
+                or (campaign and rec.get("campaign") != campaign):
+            continue
+        into[rec.get("case_key", rec.get("case", ""))] = rec
+        kept.append(rec)
+    return kept
 
 
 def _write_atomic(path: Path, obj: Any) -> None:
@@ -266,21 +291,8 @@ class CampaignJournal:
         """Completed cases by case key (last record wins on re-runs)."""
         out: Dict[str, Dict[str, Any]] = {}
         path = self.journal_path
-        if not path.exists():
-            return out
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue        # torn line from a crashed writer
-            if not isinstance(rec, dict) \
-                    or rec.get("schema") != RESULT_SCHEMA \
-                    or rec.get("campaign") != self.key:
-                continue
-            out[rec["case_key"]] = rec
+        if path.exists():
+            fold_records(path.read_bytes().splitlines(), self.key, out)
         return out
 
     def summary(self) -> Dict[str, Any]:

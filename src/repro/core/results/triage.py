@@ -24,32 +24,20 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ..controller import (STATUS_CRASHED, STATUS_ERROR_EXIT, STATUS_HUNG,
-                          STATUS_SIGABRT, STATUS_SIGSEGV)
 from ..controller.logbook import InjectionRecord
 from ..controller.replay import build_replay_plan
 from ..scenario.xml_io import plan_to_xml
-from .matrix import (CLASS_CRASH, CLASS_DETECTED, CLASS_HANG,
-                     FAILURE_CLASSES, classify_record)
-
-#: Failing outcome statuses → the coarse triage class.  One vocabulary
-#: with the failure-mode matrix (``core.results.matrix``): triage
-#: buckets and matrix cells use the same labels.
-_CLASSES = {
-    STATUS_SIGSEGV: CLASS_CRASH,
-    STATUS_SIGABRT: CLASS_CRASH,
-    STATUS_CRASHED: CLASS_CRASH,
-    STATUS_HUNG: CLASS_HANG,
-    STATUS_ERROR_EXIT: CLASS_DETECTED,
-}
+from .matrix import (CLASS_DETECTED, FAILURE_CLASSES, STATUS_CLASSES,
+                     classify_record)
 
 
 def outcome_class(status: str) -> Optional[str]:
     """The coarse failure class of an outcome status (None = not a
-    failure).  Status alone can never yield ``silent-corruption`` —
-    that verdict needs the output digest, so record-level callers use
-    :func:`record_class` instead."""
-    return _CLASSES.get(status)
+    failure), read off the failure-mode matrix's own map so triage
+    buckets and matrix cells use the same labels.  Status alone can
+    never yield ``silent-corruption`` — that verdict needs the output
+    digest, so record-level callers use :func:`record_class` instead."""
+    return STATUS_CLASSES.get(status)
 
 
 def record_class(record: Mapping[str, Any]) -> Optional[str]:

@@ -174,15 +174,14 @@ class ProfileStore:
     def profile_or_load(self, platform: Platform,
                         images: Mapping[str, SharedObject],
                         kernel_image: Optional[SharedObject] = None,
-                        heuristics: Optional[HeuristicConfig] = None,
-                        *, jobs: int = 1) -> Dict[str, LibraryProfile]:
+                        heuristics: Optional[HeuristicConfig] = None
+                        ) -> Dict[str, LibraryProfile]:
         """Profiles for a library closure, re-analyzing only stale ones.
 
         Returns profiles for every library in ``images``; cached
         entries are served from the in-memory LRU or from disk when
         neither the library, the kernel image, nor the heuristic
-        configuration changed since they were computed.  ``jobs > 1``
-        analyzes stale libraries' exports on a thread pool.
+        configuration changed since they were computed.
         """
         kernel_digest = image_digest(kernel_image) if kernel_image else ""
         heur_digest = heuristics_digest(heuristics)
@@ -228,17 +227,13 @@ class ProfileStore:
         if stale:
             # dependencies of stale libraries must be loadable by the
             # analyzer even when their own profiles are cached
-            pool = None
-            if jobs and jobs > 1:
-                from .exec.pool import WorkerPool
-                pool = WorkerPool(jobs=jobs, backend="thread")
             profiler = Profiler(platform, dict(images), kernel_image,
                                 heuristics, telemetry=tele if tele.enabled
                                 else None)
             for soname in sorted(stale):
                 self.misses += 1
                 miss_metric.inc()
-                profile = profiler.profile_library(soname, pool=pool)
+                profile = profiler.profile_library(soname)
                 self.save(profile, stale[soname], kernel_digest, heuristics)
                 out[soname] = profile
                 if self._memory_enabled:

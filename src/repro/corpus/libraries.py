@@ -11,6 +11,7 @@ graded-size set used for the §6.2 profiling-time measurements (libdmx,
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..platform import (LINUX_X86, SOLARIS_SPARC, WINDOWS_X86, Platform,
@@ -70,7 +71,7 @@ def table2_spec(soname: str, n_functions: int, tp: int, fn: int, fp: int,
         visible_codes=tp,
         hidden_codes=fn,
         phantom_codes=fp,
-        seed=hash(soname) & 0xFFFF,
+        seed=zlib.crc32(soname.encode("utf-8")) & 0xFFFF,
         filler_instructions=filler,
         errno_fraction=0.15,
         outarg_fraction=0.08,

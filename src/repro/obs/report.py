@@ -40,10 +40,6 @@ from ..errors import ResultsError
 #: Schema tag of the serialized watch snapshot (``repro watch --json``).
 WATCH_SCHEMA = "repro.watch/1"
 
-#: Journal record schema accepted by the tailer (mirrors
-#: ``core.results.store.RESULT_SCHEMA``; asserted equal in tests).
-_RESULT_SCHEMA = "repro.case-result/1"
-
 
 def resolve_journal(source: Any, campaign: Optional[str] = None
                     ) -> Tuple[Path, Dict[str, Any]]:
@@ -82,10 +78,10 @@ def resolve_journal(source: Any, campaign: Optional[str] = None
 class JournalTailer:
     """Incrementally read finished-case records from a live journal.
 
-    The reader contract matches ``CampaignJournal.finished()`` —
-    non-JSON lines are skipped, records are filtered by schema (and by
-    campaign key when one is given), the last record per case key wins
-    — but consumption is incremental: :meth:`poll` returns only the
+    Records pass the same filter as ``CampaignJournal.finished()``
+    (:func:`~repro.core.results.store.fold_records`: schema tag,
+    campaign key when one is given, last record per case key wins), but
+    consumption is incremental: :meth:`poll` returns only the
     records that arrived since the previous poll, and the byte offset
     only ever advances past a terminated line, so a torn tail is read
     on a later poll once its newline lands.
@@ -121,24 +117,9 @@ class JournalTailer:
         if not complete:
             return []           # only a torn tail so far
         self.offset += complete
-        fresh: List[Dict[str, Any]] = []
-        for line in chunk[:complete].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue        # torn or foreign line
-            if not isinstance(record, dict) \
-                    or record.get("schema") != _RESULT_SCHEMA:
-                continue
-            if self.campaign and record.get("campaign") != self.campaign:
-                continue
-            self.records[record.get("case_key", record.get("case", ""))] \
-                = record
-            fresh.append(record)
-        return fresh
+        from ..core.results.store import fold_records
+        return fold_records(chunk[:complete].splitlines(), self.campaign,
+                            self.records)
 
 
 class CampaignWatch:

@@ -3,8 +3,8 @@
 The paper's §6.1 pitch is "issuing two commands, one for profiling and
 one for running the tests".  ``Session`` is that pitch as an API: it
 owns the platform, the loaded images, the (optionally store-backed)
-profiles, and the worker-pool knobs, and exposes the whole flow as a
-fluent chain::
+profiles, and the campaign worker-pool knobs, and exposes the whole
+flow as a fluent chain::
 
     from repro import Session, libc, LINUX_X86
 
@@ -65,9 +65,10 @@ class Session:
         sessions and processes; a warm store makes ``profile()``
         orders of magnitude faster.
     jobs, timeout, backend:
-        Worker-pool configuration used by both ``profile()``
-        (per-export fan-out) and ``campaign()`` (per-case fan-out with
-        crash isolation).  ``backend=None`` auto-selects.
+        Worker-pool configuration for campaigns only: ``campaign()``
+        fans cases out with per-case timeouts and, on the process
+        backend, crash isolation.  ``backend=None`` auto-selects.
+        ``profile()`` always runs on the calling thread.
     heuristics:
         §3.1 profile filters; part of the store's cache key.
     kernel_image:
@@ -188,7 +189,7 @@ class Session:
                 memory0 = self.store.memory_hits
                 self._profiles = self.store.profile_or_load(
                     self.platform, self.images, self.kernel_image,
-                    self.heuristics, jobs=self.jobs)
+                    self.heuristics)
                 cache = (self.store.hits - hits0,
                          self.store.misses - misses0,
                          self.store.memory_hits - memory0)
@@ -196,7 +197,7 @@ class Session:
                 profiler = Profiler(self.platform, self.images,
                                     self.kernel_image, self.heuristics,
                                     telemetry=self.obs)
-                self._profiles = profiler.profile_all(jobs=self.jobs)
+                self._profiles = profiler.profile_all()
                 cache = (0, len(self.images), 0)
             duration = time.perf_counter() - started
             exports = sum(len(img.exports) for img in self.images.values())
@@ -205,8 +206,6 @@ class Session:
         self.summaries.append(RunSummary(
             kind="profile", app=self.app, outcome="ok", duration=duration,
             cases=exports, ok=exports,
-            jobs=resolve_jobs(self.jobs), backend=self.backend or "thread",
-            timeout=self.timeout,
             cases_per_second=(exports / duration) if duration > 0 else 0.0,
             cache_hits=cache[0], cache_misses=cache[1],
             cache_memory_hits=cache[2]))

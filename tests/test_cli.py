@@ -204,13 +204,23 @@ class TestCampaign:
         assert report["app"] == "miniweb"
         assert report["schema"] == "repro.report/1"
 
-    def test_profile_jobs_flag(self, sysroot, tmp_path):
+    def test_profile_jobs_flag(self, sysroot, tmp_path, capsys):
+        """Profiling runs on one thread: ``--jobs`` is a usage error."""
         out = tmp_path / "libc.xml"
-        assert main(["profile", str(sysroot / "libc.so.6.self"),
-                     "--kernel", str(sysroot / "kernel.self"),
-                     "--jobs", "2", "-o", str(out)]) == 0
-        profile = LibraryProfile.from_xml(out.read_text())
-        assert profile.soname == "libc.so.6"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", str(sysroot / "libc.so.6.self"),
+                  "--kernel", str(sysroot / "kernel.self"),
+                  "--jobs", "2", "-o", str(out)])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_budget_cases_needs_guided(self, store_dir, capsys):
+        code = main(["campaign", "minidb", "--function", "close",
+                     "--max-codes", "1", "--store", str(store_dir),
+                     "--budget-cases", "3"])
+        assert code == 2
+        assert "budget_cases" in capsys.readouterr().err
 
 
 class TestResultsAndTriage:

@@ -1,7 +1,13 @@
 """Corpus: libc ground truth, generated libraries, docs, Table 1 pop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.accuracy import score_against_docs, score_against_truth
 from repro.core.docparse import parse_manual
 from repro.core.profiler import HeuristicConfig, Profiler
@@ -129,6 +135,23 @@ class TestTable2Machinery:
         docs = parse_manual(manual_for_library(generated))
         result = score_against_docs(profile, docs, built=generated.built)
         assert (result.tp, result.fn, result.fp) == (row[3], row[4], row[5])
+
+    def test_build_ignores_the_string_hash_salt(self):
+        """Python salts ``str`` hashes per process; a Table 2 library
+        must have the same bytes under every ``PYTHONHASHSEED``."""
+        script = ("from repro.binfmt import image_digest\n"
+                  "from repro.corpus import build_table2_library\n"
+                  "from repro.platform import LINUX_X86\n"
+                  "print(image_digest(build_table2_library("
+                  "'libdmx', LINUX_X86).image))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = set()
+        for salt in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=src)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        assert len(digests) == 1 and "" not in digests
 
     def test_libpcre_hand_audit_numbers(self):
         generated = build_libpcre()

@@ -1,5 +1,7 @@
 """WorkerPool semantics: ordered results, timeouts, crash isolation."""
 
+import errno
+import multiprocessing
 import os
 import threading
 import time
@@ -162,6 +164,36 @@ class TestProcessBackend:
         assert results[0].status == TASK_OK
         assert results[1].status == TASK_HUNG
         assert time.monotonic() - started < 10
+
+    def test_failed_start_is_crashed_not_a_hang(self, monkeypatch):
+        """A child that never starts (``fork`` failing with ``EAGAIN``
+        or ``ENOMEM``) is a crashed task; ``map`` must still return."""
+        from multiprocessing.context import ForkProcess
+
+        def refuse(_proc):
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(ForkProcess, "start", refuse)
+        pool = WorkerPool(jobs=1, backend=PROCESS, timeout=30.0)
+        returned = []
+        # a helper thread with a deadline: a regression fails the test
+        # instead of hanging the suite
+        runner = threading.Thread(
+            target=lambda: returned.append(pool.map(lambda x: x, [1])),
+            daemon=True)
+        runner.start()
+        runner.join(5.0)
+        assert returned, "map() did not return after a failed start"
+        (result,) = returned[0]
+        assert result.status == TASK_CRASHED
+        assert "fork refused" in str(result.error)
+
+    def test_host_without_fork_is_refused_by_name(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.raises(ValueError, match="'fork'"):
+            WorkerPool(jobs=1, backend=PROCESS)
+        assert WorkerPool(jobs=2, backend=THREAD).backend == THREAD
 
     def test_worker_reaped_out_from_under_the_pool_is_ok(self,
                                                          monkeypatch):

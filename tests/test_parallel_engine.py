@@ -62,6 +62,16 @@ class TestDeterministicOrdering:
         assert report.summary.backend == "serial"
         assert report.summary.jobs == 1
 
+    def test_budget_cases_needs_guided(self, libc_linux,
+                                       libc_profiles_linux):
+        """A budget caps guided scheduling only; without ``guided`` it
+        used to be dropped silently and every case ran."""
+        factory = _copytool_factory(libc_linux.image)
+        cases = enumerate_cases(libc_profiles_linux, functions=["close"])
+        with pytest.raises(ValueError, match="budget_cases"):
+            run_campaign("copytool", factory, LINUX_X86,
+                         libc_profiles_linux, cases, budget_cases=3)
+
 
 class TestHungWorkloads:
     def test_hanging_case_reaped_by_per_case_timeout(

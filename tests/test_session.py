@@ -10,7 +10,9 @@ import repro
 from repro import Session
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.controller import TestOutcome, TestReport
-from repro.core.profiler import Profiler
+from repro.core.exec.engine import execute_campaign
+from repro.core.exec.pool import WorkerPool
+from repro.core.profiler import Profiler, profile_application
 from repro.core.scenario import FunctionTrigger, ReturnFault
 from repro.core.store import ProfileStore
 from repro.errors import ReproError
@@ -115,6 +117,10 @@ class TestRunSummaryJson:
         assert data["app"] == "copytool"
         assert [s["kind"] for s in data["stages"]] \
             == ["profile", "campaign"]
+        # profiling ignores the pool knobs, and its stage says so
+        profile_stage = data["stages"][0]
+        assert (profile_stage["jobs"], profile_stage["backend"]) \
+            == (1, "serial")
         campaign_stage = data["stages"][1]
         assert campaign_stage["cases"] == 2
         assert campaign_stage["cases_per_second"] > 0
@@ -160,7 +166,8 @@ class TestStoreIntegration:
         assert stage.cache_memory_hits == 1 and stage.cache_misses == 0
 
 
-#: Spellings that 2.0 removed, each with the error that must name it.
+#: Spellings that 2.0 and 3.0 removed, each with the error that must
+#: name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
         TypeError, "libraries",
@@ -182,12 +189,43 @@ _REMOVED_SPELLINGS = {
         AttributeError, "Fault",
         lambda images, tmp: importlib.import_module(
             "repro.core.scenario.model").Fault),
+    "profile_library-jobs": (
+        TypeError, "jobs",
+        lambda images, tmp: Profiler(LINUX_X86, images).profile_library(
+            "libc.so.6", jobs=2)),
+    "profile_library-pool": (
+        TypeError, "pool",
+        lambda images, tmp: Profiler(LINUX_X86, images).profile_library(
+            "libc.so.6", pool=None)),
+    "profile_all-jobs": (
+        TypeError, "jobs",
+        lambda images, tmp: Profiler(LINUX_X86, images).profile_all(
+            jobs=2)),
+    "profile_all-pool": (
+        TypeError, "pool",
+        lambda images, tmp: Profiler(LINUX_X86, images).profile_all(
+            pool=None)),
+    "profile_application-jobs": (
+        TypeError, "jobs",
+        lambda images, tmp: profile_application(
+            LINUX_X86, list(images.values()), images, jobs=2)),
+    "profile_or_load-jobs": (
+        TypeError, "jobs",
+        lambda images, tmp: ProfileStore(tmp).profile_or_load(
+            LINUX_X86, images, jobs=2)),
+    "execute_campaign-pool": (
+        TypeError, "pool",
+        lambda images, tmp: execute_campaign(
+            "app", None, LINUX_X86, {}, [], pool=None)),
+    "WorkerPool-mp_context": (
+        TypeError, "mp_context",
+        lambda images, tmp: WorkerPool(jobs=1, mp_context="fork")),
 }
 
 
 class TestDeprecationShims:
-    """2.0 removed the shims: old spellings fail by name, new ones are
-    silent."""
+    """2.0 removed the shims and 3.0 the profiler's pool parameters: old
+    spellings fail by name, new ones are silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
