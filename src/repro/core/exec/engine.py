@@ -328,7 +328,8 @@ def execute_campaign(app: str,
     whose worker exceeds ``timeout`` becomes a ``"hung"``
     :class:`~repro.core.campaign.CaseResult`; a worker that dies (or a
     workload that raises outside the monitored guest) becomes a
-    ``"crashed"`` one — neither stalls nor aborts the run.
+    ``"crashed"`` one — neither stalls nor aborts the run.  The pool's
+    workers are stopped before this returns or raises.
 
     ``snapshot=True`` with a two-phase factory
     (:class:`~repro.core.campaign.PrefixFactory`) routes cases through
@@ -460,11 +461,11 @@ def execute_campaign(app: str,
                          snapshot=runner is not None,
                          **({"guided": True} if guided else {}))
     if runner is not None and pool.backend == PROCESS:
-        # build every checkpoint in the parent: forked children inherit
-        # guests parked at the snapshot point with an empty dirty-page
-        # set.  Guided expansion only deepens ordinals of enumerated
-        # (function, action) pairs, so the seed list covers every
-        # checkpoint the frontier can need.
+        # build every checkpoint in the parent: the workers, forked on
+        # the first batch, inherit guests parked at the snapshot point
+        # with an empty dirty-page set.  Guided expansion only deepens
+        # ordinals of enumerated (function, action) pairs, so the seed
+        # list covers every checkpoint the frontier can need.
         runner.warm([case for case in case_list
                      if case_digest(case) not in finished]
                     if finished else case_list)
@@ -527,6 +528,7 @@ def execute_campaign(app: str,
                 results_list.append(result)
                 all_tasks.append(task)
     finally:
+        pool.close()
         if journal is not None:
             journal.close()
     duration = time.perf_counter() - started
@@ -566,11 +568,17 @@ def execute_campaign(app: str,
                           cases=len(results_list))
         if runner is not None:
             stats = runner.cache.stats()
+            # replays and fallbacks are counted from the drained results,
+            # so they do not depend on which process ran each case: a
+            # fallback finished without raising and has no snapshot record
             end_fields.update(
                 snapshots_built=stats["built"],
                 snapshot_replays=sum(1 for r in results_list
                                      if getattr(r, "snapshot", None)),
-                snapshot_fallbacks=runner.fallbacks)
+                snapshot_fallbacks=sum(
+                    1 for r, t in zip(results_list, all_tasks)
+                    if t.status == TASK_OK
+                    and not getattr(r, "snapshot", None)))
         tele.events.emit("campaign.end", **end_fields)
     return report
 
@@ -581,9 +589,9 @@ def _record_execution_metrics(tele: Telemetry, results,
     per-case MIPS gauge, and this process's shared-code-cache activity.
 
     The cache deltas cover the parent process only, golden run
-    included — under the process backend the forked children's
-    compilations die with them (which is exactly what priming the parent
-    before the first fork minimizes).
+    included — under the process backend each worker compiles what the
+    parent had not warmed before the fork and keeps it for its later
+    cases, but the parent never sees those compilations.
     """
     instructions = tele.metrics.counter(
         "repro_instructions_total",

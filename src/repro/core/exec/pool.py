@@ -2,9 +2,9 @@
 
 The fault space a systematic campaign enumerates — one test per
 (function, error code) — is embarrassingly parallel: every case builds
-its own controller, kernel and guest process, so cases share nothing
-but read-only profiles and images.  ``WorkerPool`` turns that property
-into throughput while keeping the semantics of a serial run:
+or rewinds its own controller, kernel and guest process, so cases share
+nothing but read-only profiles and images.  ``WorkerPool`` turns that
+property into throughput while keeping the semantics of a serial run:
 
 * **deterministic ordering** — ``map`` returns results in input order,
   whatever order workers finish in;
@@ -23,12 +23,17 @@ Three backends:
     (profiles, images) for free; a reaped hung task leaks its daemon
     thread but releases its worker slot so the run keeps going.
 ``process``
-    One forked child per task; hosts without the ``fork`` start method
-    are refused up front, because tasks are closures that only ``fork``
-    can hand to a child.  True CPU parallelism for the pure-Python
-    interpreter loop and hard kill on timeout; task results travel back
-    over a pipe, so they must pickle.  A child that cannot be started
-    becomes a ``"crashed"`` result.
+    ``jobs`` forked workers, each a serial loop in a child.  They fork
+    on the first ``map`` with a given task function, after whatever the
+    parent primed (warm code cache, parked snapshot checkpoints), serve
+    later ``map`` calls with the same function, and stop on
+    :meth:`WorkerPool.close`.  Only ``fork`` can hand a closure to a
+    child, so hosts without it are refused up front.  Items and results
+    travel over pipes, so they must pickle.  True CPU parallelism for
+    the pure-Python interpreter loop and hard kill on timeout: a worker
+    that dies or overruns is a ``"crashed"`` or ``"hung"`` result and
+    is replaced by a fresh fork, and one that cannot be started is a
+    ``"crashed"`` result.
 
 Pool sizes auto-clamp (threads to a fixed cap, processes to the CPU
 count) so ``--jobs 4`` is safe on a single-core runner.
@@ -38,9 +43,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
@@ -62,6 +69,9 @@ MAX_THREAD_JOBS = 32
 
 #: Supervisor poll interval while waiting on slots/results (seconds).
 _TICK = 0.02
+
+#: How long a stopping worker gets to exit before it is killed (seconds).
+_GRACE = 1.0
 
 
 def resolve_jobs(jobs: Optional[int], backend: str = THREAD) -> int:
@@ -108,7 +118,8 @@ class TaskResult:
 
 
 class _Task:
-    """Internal per-item bookkeeping for the threaded dispatcher."""
+    """Internal per-item bookkeeping for the thread and process
+    dispatchers."""
 
     __slots__ = ("index", "item", "status", "value", "error", "seconds",
                  "waited", "started_at", "done", "reaped")
@@ -131,21 +142,41 @@ class _Task:
                           seconds=self.seconds, waited=self.waited)
 
 
-def _subprocess_main(conn, fn, item) -> None:
-    """Entry point of a process-backend worker."""
-    try:
-        payload: Tuple[str, Any] = ("ok", fn(item))
-    except BaseException:
-        payload = ("error", traceback.format_exc())
-    try:
-        conn.send(payload)
-    except Exception as exc:       # e.g. unpicklable result
+class _Worker:
+    """One forked process-backend worker and the task it is running."""
+
+    __slots__ = ("proc", "conn", "task")
+
+    def __init__(self, proc, conn) -> None:
+        self.proc = proc
+        self.conn = conn
+        self.task: Optional[_Task] = None
+
+
+def _worker_main(conn, fn, inherited) -> None:
+    """Entry point of a process-backend worker: run ``fn`` on each item
+    the parent sends, until the parent closes its end of the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent owns ^C
+    for other in inherited:
+        # the parent's ends of this and earlier workers' pipes: only the
+        # parent may hold them, so that closing one (or the parent
+        # dying) is an end of file to its worker
+        other.close()
+    while True:
         try:
+            item = conn.recv()
+        except EOFError:
+            return
+        try:
+            payload: Tuple[str, Any] = ("ok", fn(item))
+        except BaseException:
+            payload = ("error", traceback.format_exc())
+        try:
+            conn.send(payload)
+        except OSError:
+            return                      # the parent is gone
+        except Exception as exc:        # e.g. unpicklable result
             conn.send(("error", f"could not serialize task result: {exc!r}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
 
 
 class WorkerPool:
@@ -176,6 +207,9 @@ class WorkerPool:
             from ...obs.metrics import NULL_REGISTRY
             metrics = NULL_REGISTRY
         self.metrics = metrics
+        # the process backend's live workers and the function they run
+        self._fn: Optional[Callable[[Any], Any]] = None
+        self._workers: List[_Worker] = []
 
     # -- public API --------------------------------------------------------
 
@@ -189,6 +223,10 @@ class WorkerPool:
         before it) has finished — campaigns use it to journal results
         durably while later cases are still running.  A raising
         callback aborts the run.
+
+        The process backend forks its workers on the first ``map`` with
+        a given ``fn`` and keeps them for later calls with the same
+        ``fn``; call :meth:`close` when done.
         """
         items = list(items)
         if not items:
@@ -197,17 +235,22 @@ class WorkerPool:
         if self.backend == SERIAL:
             results = self._map_serial(fn, items, progress)
         elif self.backend == PROCESS:
-            results = self._map_threaded(
-                lambda item: self._invoke_subprocess(fn, item), items,
-                reap_timeout=None,     # the subprocess wait enforces it
-                progress=progress)
+            results = self._map_process(fn, items, progress)
         else:
-            results = self._map_threaded(
-                lambda item: _invoke_inline(fn, item), items,
-                reap_timeout=self.timeout, progress=progress)
+            results = self._map_threaded(fn, items, progress)
         if self.metrics.enabled:
             self._record_metrics(results, time.monotonic() - started)
         return results
+
+    def close(self) -> None:
+        """Stop the process backend's workers.
+
+        A no-op for the other backends and for a pool with no worker
+        running; a later ``map`` forks fresh workers.
+        """
+        self._fn = None
+        while self._workers:
+            self._retire(self._workers[-1])
 
     def _record_metrics(self, results: List[TaskResult],
                         elapsed: float) -> None:
@@ -257,14 +300,14 @@ class WorkerPool:
                 progress(result)
         return results
 
-    # -- threaded dispatcher (thread + process backends) --------------------
+    # -- thread backend -----------------------------------------------------
 
-    def _map_threaded(self, invoke, items: Sequence[Any],
-                      reap_timeout: Optional[float],
+    def _map_threaded(self, fn, items: Sequence[Any],
                       progress=None) -> List[TaskResult]:
         tasks = [_Task(i, item) for i, item in enumerate(items)]
         lock = threading.Lock()
         slots = threading.Semaphore(self.jobs)
+        reap_timeout = self.timeout
         t0 = time.monotonic()
 
         def reap_expired() -> None:
@@ -282,7 +325,7 @@ class WorkerPool:
                         task.done.set()
 
         def worker(task: _Task) -> None:
-            status, payload = invoke(task.item)
+            status, payload = _invoke_inline(fn, task.item)
             with lock:
                 if task.reaped:        # supervisor gave up on us already
                     return
@@ -322,54 +365,151 @@ class WorkerPool:
 
     # -- process backend ----------------------------------------------------
 
-    def _invoke_subprocess(self, fn, item) -> Tuple[str, Any]:
-        """Run one task in a forked child; enforce the timeout hard.
+    def _map_process(self, fn, items: Sequence[Any],
+                     progress=None) -> List[TaskResult]:
+        """The dispatcher loop: hand tasks to idle (or newly forked)
+        workers, report finished tasks in input order, then wait on
+        every busy worker's pipe and sentinel until the earliest
+        deadline."""
+        if fn is not self._fn:
+            self.close()
+            self._fn = fn
+        tasks = [_Task(i, item) for i, item in enumerate(items)]
+        pending = deque(tasks)
+        results: List[TaskResult] = []
+        t0 = time.monotonic()
+        try:
+            while True:
+                while pending and (len(self._workers) < self.jobs
+                                   or any(w.task is None
+                                          for w in self._workers)):
+                    self._start(pending.popleft(), t0)
+                while (len(results) < len(tasks)
+                       and tasks[len(results)].done.is_set()):
+                    results.append(tasks[len(results)].as_result())
+                    if progress is not None:
+                        progress(results[-1])
+                if len(results) == len(tasks):
+                    return results
+                self._collect()
+        except BaseException:
+            # a raising callback or ^C: a busy worker's result would
+            # reach the next map, so no worker outlives an aborted one
+            self.close()
+            raise
 
-        The outcome is read off the pipe, never off the child's exit
-        status: ``Process.start()`` in a sibling supervisor thread polls
-        (and so may reap) every live child, after which this child's
-        ``join()``/``is_alive()`` can no longer tell that it finished.
-        A payload decides the outcome; the child exiting without one is
-        a crash; neither before the deadline is a hang.  A child that
-        never starts (``fork`` failing with ``EAGAIN``/``ENOMEM``) is a
-        crash too: raising here would kill the supervisor thread before
-        the task is marked done, and ``map`` would wait forever.
-        """
+    def _start(self, task: _Task, t0: float) -> None:
+        """Send ``task`` to an idle worker, forking one if none is."""
+        task.started_at = time.monotonic()
+        task.waited = task.started_at - t0
+        worker = next((w for w in self._workers if w.task is None), None)
+        if worker is None:
+            try:
+                worker = self._fork()
+            except Exception as exc:   # fork failing: EAGAIN, ENOMEM
+                _finish(task, TASK_CRASHED, RemoteTaskError(
+                    f"worker could not start: {exc!r}"))
+                return
+        try:
+            worker.conn.send(task.item)
+        except OSError:                # died between two tasks
+            _finish(task, TASK_CRASHED, RemoteTaskError(
+                f"worker died with exit code {self._retire(worker)}"))
+            return
+        except Exception as exc:       # e.g. an unpicklable item
+            _finish(task, TASK_ERROR, RemoteTaskError(
+                f"could not serialize task item: {exc!r}"))
+            return
+        worker.task = task
+
+    def _fork(self) -> _Worker:
         ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_subprocess_main, args=(send, fn, item),
-                           daemon=True)
+        ours, theirs = ctx.Pipe()
+        inherited = [w.conn for w in self._workers] + [ours]
+        proc = ctx.Process(target=_worker_main,
+                           args=(theirs, self._fn, inherited), daemon=True)
         try:
             proc.start()
-        except Exception as exc:
-            recv.close()
-            return (TASK_CRASHED, RemoteTaskError(
-                f"worker could not start: {exc!r}"))
+        except BaseException:
+            ours.close()
+            raise
         finally:
-            send.close()
-        try:
-            if not wait([recv, proc.sentinel], self.timeout):
-                proc.terminate()
-                proc.join(1.0)
-                if proc.exitcode is None:
-                    proc.kill()
-                    proc.join(1.0)
-                return (TASK_HUNG, None)
-            payload = None
-            if recv.poll():
+            theirs.close()
+        worker = _Worker(proc, ours)
+        self._workers.append(worker)
+        return worker
+
+    def _collect(self) -> None:
+        """Wait for a busy worker to report, die or overrun; settle it.
+
+        The outcome is read off the pipe, never off the exit status: a
+        payload decides, even from a worker that has exited since (its
+        status may already be reaped by someone else); a worker gone
+        without one is a crash; neither by the deadline is a hang.
+        """
+        busy = [w for w in self._workers if w.task is not None]
+        timeout = None
+        if self.timeout is not None:
+            first = min(w.task.started_at for w in busy)
+            timeout = max(0.0, first + self.timeout - time.monotonic())
+        ready = set(wait([w.conn for w in busy]
+                         + [w.proc.sentinel for w in busy], timeout))
+        now = time.monotonic()
+        for worker in busy:
+            task = worker.task
+            died = worker.proc.sentinel in ready
+            if worker.conn in ready:
                 try:
-                    payload = recv.recv()
+                    payload = worker.conn.recv()
                 except (EOFError, OSError):
-                    pass
-            proc.join(self.timeout)
-        finally:
-            recv.close()
-        if payload is None:
-            return (TASK_CRASHED, RemoteTaskError(
-                f"worker died with exit code {proc.exitcode}"))
-        kind, value = payload
-        return ((TASK_OK, value) if kind == "ok"
-                else (TASK_ERROR, RemoteTaskError(value)))
+                    payload = None
+            elif died:
+                payload = None
+            elif (self.timeout is not None
+                  and now - task.started_at >= self.timeout):
+                task.seconds = now - task.started_at
+                self._retire(worker)    # busy: terminated, then killed
+                _finish(task, TASK_HUNG, None)
+                continue
+            else:
+                continue                # still running
+            task.seconds = now - task.started_at
+            worker.task = None
+            if payload is None:
+                _finish(task, TASK_CRASHED, RemoteTaskError(
+                    f"worker died with exit code {self._retire(worker)}"))
+                continue
+            kind, value = payload
+            if kind == "ok":
+                _finish(task, TASK_OK, value)
+            else:
+                _finish(task, TASK_ERROR, RemoteTaskError(value))
+            if died:
+                self._retire(worker)    # reported, then exited
+
+    def _retire(self, worker: _Worker) -> Optional[int]:
+        """Stop one worker and forget it; returns its exit code.  An
+        idle worker exits on the end of file; a busy one is terminated,
+        then killed."""
+        self._workers.remove(worker)
+        worker.conn.close()
+        proc = worker.proc
+        if worker.task is not None:
+            proc.terminate()
+        proc.join(_GRACE)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join(_GRACE)
+        return proc.exitcode
+
+
+def _finish(task: _Task, status: str, payload: Any) -> None:
+    task.status = status
+    if status == TASK_OK:
+        task.value = payload
+    else:
+        task.error = payload
+    task.done.set()
 
 
 def _invoke_inline(fn, item) -> Tuple[str, Any]:

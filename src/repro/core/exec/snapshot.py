@@ -79,8 +79,10 @@ class SnapshotRunner:
     *prefix point*).  The instance pool is shared per worker process —
     serial runs use it directly, thread workers check instances in and
     out under a lock, and the process backend builds instances before
-    forking (see :meth:`warm`) so children inherit them with an empty
-    dirty-page set.
+    forking (see :meth:`warm`) so its workers inherit them.  Every case
+    rewinds its instance as it finishes, so an instance in the pool is
+    always at the snapshot point with an empty dirty-page set, however
+    many cases a worker has replayed on it.
     """
 
     def __init__(self, app: str, factory, platform: Platform,
@@ -99,7 +101,6 @@ class SnapshotRunner:
         self.telemetry = as_telemetry(telemetry)
         self.cache = SnapshotCache()
         self.workload_id = getattr(factory, "workload_id", None) or app
-        self.fallbacks = 0
 
     @property
     def supported(self) -> bool:
@@ -112,7 +113,11 @@ class SnapshotRunner:
     # -- engine entry points ------------------------------------------------
 
     def run_case(self, case):
-        """Produce one CaseResult, replaying the suffix when possible."""
+        """Produce one CaseResult, replaying the suffix when possible.
+
+        The checkpoint is rewound right after the case, so the restore
+        figures on the result count the pages this case dirtied.
+        """
         from .engine import _case_runner
 
         if getattr(case, "probability", 0.0) > 0:
@@ -120,7 +125,6 @@ class SnapshotRunner:
             # including the prefix's — replaying only the suffix would
             # consume the seed's stream differently from a fresh run,
             # so bit-identical results require running the whole case
-            self.fallbacks += 1
             return _case_runner(self.factory, self.platform, self.profiles,
                                 case, self.capture, self.observe)
         key = self._key(case.function)
@@ -130,11 +134,13 @@ class SnapshotRunner:
             # the trigger would have fired inside the shared prefix;
             # only a fresh run injects at the right call
             self.cache.release(key, instance)
-            self.fallbacks += 1
             return _case_runner(self.factory, self.platform, self.profiles,
                                 case, self.capture, self.observe)
         try:
             result = self._replay(instance, case)
+            started = time.perf_counter()
+            stats = instance.machine.restore()
+            restore_seconds = time.perf_counter() - started
         except BaseException:
             # the guest state is suspect (the failure happened outside
             # the monitored region); retire the instance
@@ -142,6 +148,13 @@ class SnapshotRunner:
             self.cache.discard(instance)
             raise
         self.cache.release(key, instance)
+        result.snapshot = {
+            "group": case.function,
+            "workload": self.workload_id,
+            "dirty_pages": stats.dirty_pages,
+            "bytes": stats.bytes_restored,
+            "seconds": restore_seconds,
+        }
         return result
 
     def warm(self, cases: Iterable[Any]) -> None:
@@ -251,10 +264,6 @@ class SnapshotRunner:
         from .engine import _worker_label
         from ..campaign import CaseResult
 
-        started = time.perf_counter()
-        stats = instance.machine.restore()
-        restore_seconds = time.perf_counter() - started
-
         lfi = instance.controller
         case_telemetry = None
         case_events = None
@@ -317,11 +326,4 @@ class SnapshotRunner:
         if self.observe:
             from .engine import _observe_result
             _observe_result(result, lfi)
-        result.snapshot = {
-            "group": case.function,
-            "workload": self.workload_id,
-            "dirty_pages": stats.dirty_pages,
-            "bytes": stats.bytes_restored,
-            "seconds": restore_seconds,
-        }
         return result

@@ -205,8 +205,11 @@ class SnapshotCache:
     One worker process shares one cache: the serial backend uses it
     directly, thread-backend workers check instances out and back in
     under the lock, and the process backend builds instances *before*
-    forking (the campaign engine primes it in the parent) so children
-    inherit them at the snapshot point with an empty dirty set.
+    forking its workers (the campaign engine primes it in the parent)
+    so each worker inherits them at the snapshot point.  The campaign
+    runner rewinds an instance right after its case and only then
+    releases it, so a free instance holds no dirty pages or journal,
+    however many cases a long-lived worker replays on it.
 
     The cache never evicts — a campaign holds at most one instance per
     (prefix point × concurrent worker), and instances die with the

@@ -3,6 +3,7 @@
 import errno
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -130,43 +131,115 @@ class TestThreadBackend:
             release.set()
 
 
+def _within(call, deadline):
+    """``call()`` in a helper thread joined with a deadline: a
+    dispatcher that never returns fails the test instead of hanging
+    the suite.  Whatever ``call`` raised is re-raised here."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, call()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(deadline)
+    assert outcome, f"no return within {deadline:g}s"
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value
+
+
+def _map_within(pool, fn, items, deadline=20.0, **kwargs):
+    return _within(lambda: pool.map(fn, items, **kwargs), deadline)
+
+
+@pytest.fixture
+def process_pool():
+    """Builds process-backend pools and closes each after the test."""
+    pools = []
+
+    def make(**kwargs):
+        pool = WorkerPool(backend=PROCESS, **kwargs)
+        pools.append(pool)
+        return pool
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
+@pytest.fixture
+def fork_starts(monkeypatch):
+    """The pid of every process-backend worker started during the test."""
+    from multiprocessing.context import ForkProcess
+
+    start = ForkProcess.start
+    pids = []
+
+    def counting_start(proc):
+        start(proc)
+        pids.append(proc.pid)
+
+    monkeypatch.setattr(ForkProcess, "start", counting_start)
+    return pids
+
+
+def _no_new_children(before):
+    return not set(multiprocessing.active_children()) - before
+
+
 class TestProcessBackend:
-    def test_roundtrip(self):
-        results = WorkerPool(jobs=2, backend=PROCESS).map(
-            lambda x: x + 1, [1, 2, 3])
+    def test_roundtrip(self, process_pool):
+        results = _map_within(process_pool(jobs=2), lambda x: x + 1,
+                              [1, 2, 3])
         assert [r.value for r in results] == [2, 3, 4]
 
-    def test_worker_exception_travels_back(self):
+    def test_worker_exception_travels_back(self, process_pool):
         def boom(_x):
             raise RuntimeError("inside the child")
 
-        (result,) = WorkerPool(jobs=1, backend=PROCESS).map(boom, [0])
+        (result,) = _map_within(process_pool(jobs=1), boom, [0])
         assert result.status == TASK_ERROR
         assert "inside the child" in str(result.error)
 
-    def test_dead_worker_is_crashed_not_fatal(self):
+    def test_dead_worker_is_crashed_not_fatal(self, process_pool):
         def die(_x):
             os._exit(3)
 
-        results = WorkerPool(jobs=1, backend=PROCESS).map(die, [0, 1])
+        results = _map_within(process_pool(jobs=1), die, [0, 1])
         assert [r.status for r in results] == [TASK_CRASHED, TASK_CRASHED]
         assert "exit code 3" in str(results[0].error)
 
-    def test_hung_worker_killed_on_timeout(self):
+    def test_hung_worker_killed_on_timeout(self, process_pool):
         def hang(x):
             if x == "hang":
                 time.sleep(30)
             return x
 
         started = time.monotonic()
-        results = WorkerPool(jobs=1, backend=PROCESS, timeout=0.5).map(
-            hang, ["ok", "hang"])
+        results = _map_within(process_pool(jobs=1, timeout=0.5), hang,
+                              ["ok", "hang"])
         assert results[0].status == TASK_OK
         assert results[1].status == TASK_HUNG
         assert time.monotonic() - started < 10
 
-    def test_failed_start_is_crashed_not_a_hang(self, monkeypatch):
-        """A child that never starts (``fork`` failing with ``EAGAIN``
+    def test_unpicklable_item_or_result_is_an_error(self, process_pool):
+        pool = process_pool(jobs=1)
+        (result,) = _map_within(pool, lambda _x: threading.Lock(), [0])
+        assert result.status == TASK_ERROR
+        assert "could not serialize task result" in str(result.error)
+        # items travel over the pipe too; the worker stays usable
+        results = _map_within(pool, lambda x: x, [threading.Lock(), 1])
+        assert [r.status for r in results] == [TASK_ERROR, TASK_OK]
+        assert "could not serialize task item" in str(results[0].error)
+
+    def test_failed_start_is_crashed_not_a_hang(self, monkeypatch,
+                                                process_pool):
+        """A worker that never starts (``fork`` failing with ``EAGAIN``
         or ``ENOMEM``) is a crashed task; ``map`` must still return."""
         from multiprocessing.context import ForkProcess
 
@@ -174,17 +247,8 @@ class TestProcessBackend:
             raise OSError(errno.EAGAIN, "fork refused")
 
         monkeypatch.setattr(ForkProcess, "start", refuse)
-        pool = WorkerPool(jobs=1, backend=PROCESS, timeout=30.0)
-        returned = []
-        # a helper thread with a deadline: a regression fails the test
-        # instead of hanging the suite
-        runner = threading.Thread(
-            target=lambda: returned.append(pool.map(lambda x: x, [1])),
-            daemon=True)
-        runner.start()
-        runner.join(5.0)
-        assert returned, "map() did not return after a failed start"
-        (result,) = returned[0]
+        (result,) = _map_within(process_pool(jobs=1, timeout=30.0),
+                                lambda x: x, [1], deadline=5.0)
         assert result.status == TASK_CRASHED
         assert "fork refused" in str(result.error)
 
@@ -195,21 +259,155 @@ class TestProcessBackend:
             WorkerPool(jobs=1, backend=PROCESS)
         assert WorkerPool(jobs=2, backend=THREAD).backend == THREAD
 
-    def test_worker_reaped_out_from_under_the_pool_is_ok(self,
-                                                         monkeypatch):
-        """A sibling supervisor's ``Process.start()`` polls — and so may
-        reap — this task's exited child before its own thread looks.
-        The payload on the pipe, not the exit status, decides."""
-        from multiprocessing.context import ForkProcess
+    def test_worker_reaped_out_from_under_the_pool_is_ok(
+            self, monkeypatch, process_pool, fork_starts):
+        """A worker that reports and then exits, its exit status reaped
+        by someone else (a ``Process.start()`` polls every live child)
+        before the dispatcher looks: the payload on the pipe, not the
+        exit status, decides."""
+        from repro.core.exec import pool as pool_module
 
-        start = ForkProcess.start
+        real_wait = pool_module.wait
+        reaped = []
 
-        def start_then_reap(proc):
-            start(proc)
-            os.waitpid(proc.pid, 0)     # what the sibling's poll does
+        def report_then_exit(x):
+            threading.Timer(0.1, os._exit, (0,)).start()
+            return x * 7
 
-        monkeypatch.setattr(ForkProcess, "start", start_then_reap)
-        (result,) = WorkerPool(jobs=1, backend=PROCESS, timeout=30.0).map(
-            lambda x: x * 7, [6])
+        def wait_after_reaping(objects, timeout=None):
+            for pid in fork_starts:
+                if pid not in reaped:
+                    os.waitpid(pid, 0)  # what a foreign poll does
+                    reaped.append(pid)
+            return real_wait(objects, timeout)
+
+        monkeypatch.setattr(pool_module, "wait", wait_after_reaping)
+        (result,) = _map_within(process_pool(jobs=1, timeout=30.0),
+                                report_then_exit, [6])
         assert result.status == TASK_OK
         assert result.value == 42
+
+
+class TestPersistentWorkers:
+    """The process backend forks ``jobs`` workers once and replaces
+    only the ones that die or hang."""
+
+    def test_same_function_reuses_the_workers(self, process_pool,
+                                              fork_starts):
+        pool = process_pool(jobs=1)
+        double = lambda x: x * 2            # noqa: E731
+        for _ in range(3):
+            results = _map_within(pool, double, [1, 2, 3])
+            assert [r.value for r in results] == [2, 4, 6]
+        assert len(fork_starts) == 1
+        # another function needs workers that run it
+        _map_within(pool, lambda x: -x, [1])
+        assert len(fork_starts) == 2
+
+    def test_crash_mid_batch_replaces_one_worker(self, process_pool,
+                                                 fork_starts):
+        def work(x):
+            if x == "die":
+                os._exit(5)
+            return x
+
+        results = _map_within(process_pool(jobs=1), work,
+                              ["a", "die", "b"])
+        assert [r.status for r in results] \
+            == [TASK_OK, TASK_CRASHED, TASK_OK]
+        assert [r.value for r in results] == ["a", None, "b"]
+        assert "exit code 5" in str(results[1].error)
+        assert len(fork_starts) == 2
+
+    def test_hang_mid_batch_replaces_one_worker(self, process_pool,
+                                                fork_starts):
+        def work(x):
+            if x == "hang":
+                time.sleep(30)
+            return x
+
+        results = _map_within(process_pool(jobs=1, timeout=0.5), work,
+                              ["a", "hang", "b"])
+        assert [r.status for r in results] == [TASK_OK, TASK_HUNG, TASK_OK]
+        assert results[2].value == "b"
+        assert len(fork_starts) == 2
+
+    def test_worker_killed_between_tasks_is_replaced(self, process_pool,
+                                                     fork_starts):
+        """A worker killed while idle fails the task sent to it next;
+        the task after that runs on a fresh fork."""
+        pool = process_pool(jobs=1)
+        identity = lambda x: x              # noqa: E731
+        _map_within(pool, identity, [0])
+        os.kill(fork_starts[0], signal.SIGKILL)
+        time.sleep(0.2)
+        results = _map_within(pool, identity, [1, 2])
+        assert [r.status for r in results] == [TASK_CRASHED, TASK_OK]
+        assert f"exit code -{int(signal.SIGKILL)}" in str(results[0].error)
+        assert len(fork_starts) == 2
+
+    def test_close_stops_every_worker(self):
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(jobs=2, backend=PROCESS)
+        _map_within(pool, lambda x: x, [1, 2, 3, 4])
+        pool.close()
+        assert _no_new_children(before)
+        pool.close()                        # idempotent
+        # a closed pool forks afresh on the next map
+        assert [r.value for r in _map_within(pool, lambda x: x, [7])] \
+            == [7]
+        pool.close()
+        assert _no_new_children(before)
+
+    def test_raising_progress_stops_every_worker(self, process_pool):
+        def slow(x):
+            if x:
+                time.sleep(5)
+            return x
+
+        def full(_result):
+            raise RuntimeError("journal full")
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="journal full"):
+            _map_within(process_pool(jobs=2), slow, [0, 1, 1],
+                        progress=full)
+        assert _no_new_children(before)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_guided_campaign_forks_jobs_workers(
+            self, jobs, monkeypatch, fork_starts, libc_linux,
+            libc_profiles_linux):
+        """Three guided batches (three ``map`` calls) share ``jobs``
+        workers, and none outlives ``execute_campaign``."""
+        from tests.test_guided_equivalence import _factory
+
+        from repro.core.campaign import FaultCase
+        from repro.core.exec.engine import execute_campaign
+        from repro.core.scenario import ErrorCode
+        from repro.platform import LINUX_X86
+
+        # the guided frontier runs 19 of these 54 cases, 8 at a time
+        cases = [FaultCase(fn, ErrorCode(-1, errno), ordinal)
+                 for fn in ("open", "write", "close")
+                 for errno in ("EIO", "EACCES", "ENOSPC", "EINTR",
+                               "EBADF", "EFBIG")
+                 for ordinal in (1, 2, 3)]
+        maps = []
+        pool_map = WorkerPool.map
+
+        def counting_map(pool, fn, items, progress=None):
+            maps.append(len(items))
+            return pool_map(pool, fn, items, progress=progress)
+
+        monkeypatch.setattr(WorkerPool, "map", counting_map)
+        before = set(multiprocessing.active_children())
+        factory = _factory(libc_linux)
+        report = _within(lambda: execute_campaign(
+            "guided-pool", factory, LINUX_X86, libc_profiles_linux, cases,
+            jobs=jobs, backend=PROCESS, guided=True), 60.0)
+        assert len(maps) == 3, maps
+        assert all(r.outcome.status not in (TASK_CRASHED, TASK_HUNG)
+                   for r in report.results)
+        assert len(fork_starts) == resolve_jobs(jobs, PROCESS)
+        assert _no_new_children(before)

@@ -228,6 +228,56 @@ class TestSnapshotTelemetry:
         assert snaps["restored_bytes"] > 0
 
 
+@pytest.fixture(scope="module")
+def backend_snapshot_records(campaign_space):
+    """Per backend: each case's snapshot record without its wall time,
+    and ``campaign.end``'s fallback count."""
+    from repro.obs import MemorySink
+
+    factory, profiles, cases, _prefix = campaign_space
+    out = {}
+    for backend, jobs in (("serial", 1), ("thread", 2), ("process", 2)):
+        sink = MemorySink()
+        report = run_campaign("equiv", factory, LINUX_X86, profiles, cases,
+                              jobs=jobs, backend=backend, snapshot=True,
+                              telemetry=Telemetry(sinks=[sink]))
+        records = [None if r.snapshot is None
+                   else {k: v for k, v in r.snapshot.items()
+                         if k != "seconds"}
+                   for r in report.results]
+        (end,) = [e for e in sink.events if e.kind == "campaign.end"]
+        out[backend] = (records, end.fields["snapshot_fallbacks"])
+    return out
+
+
+class TestRestoreStatsAcrossBackends:
+    """A case's restore figures describe the pages that case dirtied,
+    and the fallback count is taken in the parent, so neither depends
+    on which backend (or which earlier case) ran before."""
+
+    def test_per_case_records_identical_on_every_backend(
+            self, backend_snapshot_records):
+        serial, _ = backend_snapshot_records["serial"]
+        for backend in ("thread", "process"):
+            assert backend_snapshot_records[backend][0] == serial, backend
+
+    def test_a_case_that_writes_reports_dirty_pages(
+            self, backend_snapshot_records):
+        records, _ = backend_snapshot_records["process"]
+        replays = [r for r in records if r is not None]
+        assert replays
+        # every case inserts a row and checkpoints the table
+        assert all(r["dirty_pages"] > 0 for r in replays)
+        assert all(r["bytes"] > 0 for r in replays)
+
+    def test_fallback_count_identical_on_every_backend(
+            self, backend_snapshot_records):
+        _records, serial = backend_snapshot_records["serial"]
+        assert serial > 0       # in-prefix cases that finished
+        for backend in ("thread", "process"):
+            assert backend_snapshot_records[backend][1] == serial, backend
+
+
 class TestSessionSurface:
     def test_session_campaign_snapshot_flag(self, libc_linux,
                                             campaign_space):
