@@ -198,18 +198,33 @@ class SharedObject:
 def image_digest(image: SharedObject) -> str:
     """Content hash identifying one exact library build.
 
-    Both the profile store and the shared code cache key on this, so one
-    exact image maps to one profile and one decoded/translated copy of
-    its code.  Memoized on the image object: campaigns hash the same
-    immutable images once per process, not once per cache lookup.  (The
-    dataclass is frozen, hence ``object.__setattr__`` — a plain
-    assignment would raise ``FrozenInstanceError``.)
+    The profile store keys on this, so one exact image maps to one
+    profile.  Memoized on the image object: campaigns hash the same
+    immutable images once per process, not once per lookup.
     """
-    cached = getattr(image, "_repro_digest", None)
+    return _memo_digest(image, "_repro_digest", image.to_bytes)
+
+
+def text_digest(image: SharedObject) -> str:
+    """Content hash of the image's code alone.
+
+    Decoding and block translation read nothing but the text (and the
+    machine and load base), so the shared code cache keys on this: two
+    shims that differ only in soname, exports or imports — every
+    single-function shim a campaign synthesizes — share one decoded and
+    translated copy of their code.
+    """
+    return _memo_digest(image, "_repro_text_digest", lambda: image.text)
+
+
+def _memo_digest(image: SharedObject, attr: str, payload) -> str:
+    # the dataclass is frozen, hence ``object.__setattr__`` — a plain
+    # assignment would raise ``FrozenInstanceError``
+    cached = getattr(image, attr, None)
     if cached is None:
-        cached = hashlib.sha256(image.to_bytes()).hexdigest()
+        cached = hashlib.sha256(payload()).hexdigest()
         try:
-            object.__setattr__(image, "_repro_digest", cached)
+            object.__setattr__(image, attr, cached)
         except (AttributeError, TypeError):    # exotic types with __slots__
             pass
     return cached

@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...binfmt import SharedObject
+from ...binfmt import SharedObject, image_digest, text_digest
 from ...errors import ControllerError, GuestAbort, MemoryFault, RuntimeFault
 from ...kernel import Kernel, ProcessExit
 from ...obs.telemetry import as_telemetry
 from ...platform import PRELOAD, Platform
-from ...runtime import Process
+from ...runtime import Process, ProcessSnapshot
 from ..profiles import LibraryProfile
 from ..scenario.model import Plan
 from .injector import Injector
@@ -115,6 +115,20 @@ class TestReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+class _ParkedProcess:
+    """A guest process checkpointed right after its shim and libraries
+    loaded, before it ran an instruction.  Any controller whose shim
+    has the same text can take it over (see ``Controller.make_process``).
+    """
+
+    __slots__ = ("checkpoint", "shim_index", "eval_addr")
+
+    def __init__(self, proc: Process, lfi: "Controller") -> None:
+        self.shim_index = lfi.injector.shim_module_index
+        self.eval_addr = proc.lookup(lfi.eval_symbol)
+        self.checkpoint = ProcessSnapshot.capture(proc)
+
+
 class Controller:
     """Drives fault-injection experiments from profiles + a scenario."""
 
@@ -152,6 +166,10 @@ class Controller:
         #: every process this controller interposed on, for aggregate
         #: execution statistics (campaign MIPS accounting)
         self.processes: List[Process] = []
+        #: a campaign's pool of parked processes, set by the engine for
+        #: one case (see ``make_process``), and the ones taken from it
+        self._parked = None
+        self._taken: List[Tuple[Any, _ParkedProcess]] = []
 
     # -- interposition ------------------------------------------------------
 
@@ -175,10 +193,49 @@ class Controller:
 
     def make_process(self, kernel: Kernel,
                      libraries: Sequence[SharedObject]) -> Process:
-        """Convenience: new process with the shim already interposed."""
+        """Convenience: new process with the shim already interposed.
+
+        Inside a campaign the process may be a recycled one.  The engine
+        lends each case's controller a pool of *parked* processes:
+        loaded, checkpointed, and never run.  A free one with the same
+        platform, shim text and libraries is rewound to its checkpoint,
+        moved onto ``kernel`` and relinked to this controller's shim
+        instead of loading again; otherwise a new one is built and
+        parked.  Either way it behaves exactly like a fresh process.
+        """
+        pool = self._parked
+        if pool is not None:
+            key = (self.platform.name, text_digest(self.shim),
+                   tuple(image_digest(lib) for lib in libraries))
+            parked = pool.take(key)
+            if parked is not None:
+                self._taken.append((key, parked))
+                return self._take_over(parked, kernel)
         proc = Process(kernel, self.platform)
         self.attach(proc, libraries)
+        if pool is not None:
+            self._taken.append((key, _ParkedProcess(proc, self)))
         return proc
+
+    def _take_over(self, parked: _ParkedProcess, kernel: Kernel) -> Process:
+        proc = parked.checkpoint.proc
+        parked.checkpoint.rewind()
+        proc.join_kernel(kernel)
+        proc.relink(proc.modules[parked.shim_index], self.shim)
+        proc.rebind_host(parked.eval_addr, self.eval_symbol,
+                         self.injector.eval_host)
+        # the rest of what attach does
+        self.processes.append(proc)
+        proc.cpu.coverage = {} if self.coverage_enabled else None
+        self.injector.shim_module_index = parked.shim_index
+        return proc
+
+    def _return_parked(self) -> None:
+        """Give the processes taken from the campaign's pool back; the
+        engine calls this once the case's result is built."""
+        for key, parked in self._taken:
+            self._parked.release(key, parked)
+        self._taken.clear()
 
     # -- monitored execution ---------------------------------------------
 

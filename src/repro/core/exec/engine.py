@@ -34,7 +34,7 @@ from ...obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
 from ...platform import Platform
 from ..controller import (REPORT_SCHEMA, STATUS_CRASHED, STATUS_HUNG,
                           Controller, TestOutcome)
-from ...runtime import CODE_CACHE
+from ...runtime import CODE_CACHE, SnapshotCache
 from ..profiles import LibraryProfile
 from .pool import (PROCESS, TASK_CRASHED, TASK_HUNG, TASK_OK, TaskResult,
                    WorkerPool)
@@ -182,7 +182,8 @@ def _worker_label() -> str:
 
 def _case_runner(factory, platform: Platform,
                  profiles: Mapping[str, LibraryProfile], case,
-                 capture: bool = False, observe: bool = False):
+                 capture: bool = False, observe: bool = False,
+                 parked: Optional[SnapshotCache] = None):
     """Run one fault case in isolation; shared by every backend.
 
     With ``capture``, the controller gets a private in-memory telemetry
@@ -193,6 +194,12 @@ def _case_runner(factory, platform: Platform,
     classification signals — the guest-filesystem output digest and the
     block-coverage map — which ride back on the result for the *parent*
     to classify and journal (deterministic across backends).
+
+    With ``parked``, the campaign's pool of post-load processes, the
+    case's controller takes its processes from the pool and returns
+    them once the result is built (see ``Controller.make_process``).
+    A case that raises outside the monitored run returns nothing: its
+    processes' state is suspect, so later cases build new ones.
     """
     from ..campaign import CaseResult
 
@@ -208,6 +215,7 @@ def _case_runner(factory, platform: Platform,
                                    tracer=NULL_TRACER)
     lfi = Controller(platform, dict(profiles), case.plan(),
                      telemetry=case_telemetry, coverage=observe)
+    lfi._parked = parked
     session = factory(lfi)
     outcome = lfi.run_test(session, test_id=case.case_id())
     from ..campaign import injection_sites
@@ -222,6 +230,7 @@ def _case_runner(factory, platform: Platform,
         result.worker = _worker_label()
     if observe:
         _observe_result(result, lfi)
+    lfi._return_parked()
     return result
 
 
@@ -447,12 +456,18 @@ def execute_campaign(app: str,
                                 observe=observe)
         if not runner.supported:
             runner = None
+    # processes parked right after loading: each case takes them over
+    # instead of loading its own (the snapshot runner keeps its own pool
+    # for its fallbacks).  Thread workers share the pool; a forked
+    # worker inherits the parent's, which is empty because the parent
+    # runs no case from the start (the golden run keeps its own).
+    parked = SnapshotCache()
 
     def run_one(case):
         if runner is not None:
             return runner.run_case(case)
         return _case_runner(factory, platform, profiles, case, capture,
-                            observe)
+                            observe, parked)
 
     if tele.enabled:
         tele.events.emit("campaign.start", app=app, cases=len(case_list),

@@ -100,6 +100,9 @@ class SnapshotRunner:
         self.observe = observe
         self.telemetry = as_telemetry(telemetry)
         self.cache = SnapshotCache()
+        #: post-load processes for the cases that run from the start
+        #: (see ``Controller.make_process``)
+        self.parked = SnapshotCache()
         self.workload_id = getattr(factory, "workload_id", None) or app
 
     @property
@@ -126,7 +129,8 @@ class SnapshotRunner:
             # consume the seed's stream differently from a fresh run,
             # so bit-identical results require running the whole case
             return _case_runner(self.factory, self.platform, self.profiles,
-                                case, self.capture, self.observe)
+                                case, self.capture, self.observe,
+                                self.parked)
         key = self._key(case.function)
         instance = self.cache.acquire(
             key, lambda: self._build(case.function, case.code))
@@ -135,7 +139,8 @@ class SnapshotRunner:
             # only a fresh run injects at the right call
             self.cache.release(key, instance)
             return _case_runner(self.factory, self.platform, self.profiles,
-                                case, self.capture, self.observe)
+                                case, self.capture, self.observe,
+                                self.parked)
         try:
             result = self._replay(instance, case)
             started = time.perf_counter()

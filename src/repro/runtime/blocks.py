@@ -16,7 +16,7 @@ processes (and OS threads):
 
 1. :func:`compile_block` produces an immutable :class:`BlockTemplate`
    whose ops are *binder* factories ``bind(rt) -> closure`` closing over
-   pure constants only — safe to cache per (image digest, machine, base)
+   pure constants only — safe to cache per (text digest, machine, base)
    in the cross-process code cache.
 2. Each CPU binds the template against its own ``_BindContext`` (the
    register list, memory accessors, host table), yielding the zero-arg
@@ -497,13 +497,14 @@ def _int(insn, abi, tls_base, addr):
         cpu = rt.cpu
         proc = rt.proc
         v = rt.values
-        dispatch = proc.kernel.dispatch
         def op():
             # handlers may inspect eip (and ProcessExit propagates with
             # it), so park it on the int instruction like the step path
             cpu.eip = addr
-            v[ret_i] = dispatch(proc, v[nr_i],
-                                [v[i] for i in arg_is]) & MASK32
+            # the kernel is read per call, not bound: a recycled process
+            # keeps its bound blocks but moves to each case's kernel
+            v[ret_i] = proc.kernel.dispatch(
+                proc, v[nr_i], [v[i] for i in arg_is]) & MASK32
         return op
     return bind
 

@@ -3,22 +3,27 @@
 Campaigns run the same guest images in hundreds of short-lived
 processes (§6: one injection experiment per run).  Decoding an image's
 text section and translating its hot blocks are pure functions of the
-image bytes, the machine, and the load base — so both are cached once
+text bytes, the machine, and the load base — so both are cached once
 per process *tree* and shared:
 
-* **decoded streams** key on ``(image digest, machine)`` — the
+* **decoded streams** key on ``(text digest, machine)`` — the
   disassembly is base-independent (addresses are module-relative);
-* **module code** keys on ``(image digest, machine, base)`` — the
+* **module code** keys on ``(text digest, machine, base)`` — the
   predecoded entry dict and the lazily compiled
   :class:`~repro.runtime.blocks.BlockTemplate` objects bake absolute
-  addresses (branch targets, the folded TLS base) in.
+  addresses (branch targets, the folded TLS base, which follows from
+  the base) in.
+
+Keying on the text rather than the whole image lets every controller's
+shim share one entry: shims for the same number of functions differ
+only in soname, exports and the eval symbol they import.
 
 Templates contain only pure constants (see ``blocks.py``), so sharing
 them across guest processes and OS threads is safe; each CPU binds its
 own closures.  Mirroring the :class:`~repro.core.store.ProfileStore`
-invalidation pattern, everything keys on the image *digest*: a changed
-library hashes differently and simply misses, while stale entries for
-the old bytes age out of the LRU.
+invalidation pattern, everything keys on a content *digest*: changed
+code hashes differently and simply misses, while stale entries for the
+old bytes age out of the LRU.
 
 Under the fork-based process backend, children inherit whatever the
 parent already decoded and compiled at fork time — warming the cache
@@ -32,7 +37,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..binfmt import SharedObject, image_digest
+from ..binfmt import SharedObject, text_digest
 from ..isa import Rel, abi_for, decode_range
 from .blocks import BlockTemplate, compile_block
 
@@ -42,7 +47,7 @@ _UNSET = object()
 
 
 class ModuleCode:
-    """Decoded instructions plus block templates for one (image, base)."""
+    """Decoded instructions plus block templates for one (text, base)."""
 
     __slots__ = ("entries", "templates", "_abi", "_tls_base", "_lock",
                  "_cache")
@@ -114,7 +119,7 @@ class SharedCodeCache:
 
     def decoded(self, image: SharedObject) -> tuple:
         """The module-relative decoded instruction stream of ``image``."""
-        key = (image_digest(image), image.machine)
+        key = (text_digest(image), image.machine)
         with self._lock:
             stream = self._streams.get(key)
             if stream is not None:
@@ -140,7 +145,7 @@ class SharedCodeCache:
                     tls_base: int) -> ModuleCode:
         """Predecoded entries + templates for ``image`` mapped at
         ``base`` (with its TLS block at ``tls_base``)."""
-        key = (image_digest(image), image.machine, base)
+        key = (text_digest(image), image.machine, base)
         with self._lock:
             mc = self._modules.get(key)
             if mc is not None:

@@ -50,6 +50,8 @@ class LoadedModule:
     index: int
     base: int
     tls_base: int
+    #: resolution priority of the exports (lower resolves first)
+    priority: int = 0
 
     @property
     def data_base(self) -> int:
@@ -71,8 +73,7 @@ class Process:
         self.platform = platform
         self.abi = abi_for(platform.machine)
         self.memory = Memory()
-        self.kstate = KProcState(pid=kernel.new_pid())
-        kernel.processes.append(self)
+        self.join_kernel(kernel)
         self.modules: List[LoadedModule] = []
         self.code_cache: Dict[int, Tuple] = {}
         self._module_code: Dict[int, ModuleCode] = {}
@@ -91,6 +92,14 @@ class Process:
         self.app_stack: List[str] = []
         self.exit_status: Optional[int] = None
 
+    def join_kernel(self, kernel: Kernel) -> None:
+        """Become a new process of ``kernel``: a new pid, no open
+        files and an empty heap.  A recycled process joins each case's
+        kernel this way (see ``Controller.make_process``)."""
+        self.kernel = kernel
+        self.kstate = KProcState(pid=kernel.new_pid())
+        kernel.processes.append(self)
+
     # -- loading --------------------------------------------------------
 
     def load(self, image: SharedObject, *,
@@ -103,7 +112,10 @@ class Process:
         index = len(self.modules)
         base = module_base(index)
         tls_base = TLS_REGION_BASE + index * TLS_BLOCK_SPACING
-        module = LoadedModule(image, index, base, tls_base)
+        priority = 0 if front else self._next_priority
+        if not front:
+            self._next_priority += 10
+        module = LoadedModule(image, index, base, tls_base, priority)
         self.modules.append(module)
 
         if len(image.text) > DATA_REGION_OFFSET:
@@ -120,16 +132,29 @@ class Process:
         self.memory.write_u32(tls_base, tls_base)     # TCB self-pointer
 
         self._predecode(module)
-        priority = 0 if front else self._next_priority
-        if not front:
-            self._next_priority += 10
         for sym in image.exports:
-            self._providers.setdefault(sym.name, []).append(
-                (priority, index, base + sym.offset))
-            self._providers[sym.name].sort(key=lambda t: (t[0], t[1]))
+            self._provide(sym.name, (priority, index, base + sym.offset))
         if front:
             self._plt_cache.clear()
         return module
+
+    def relink(self, module: LoadedModule, image: SharedObject) -> None:
+        """Put another image with the same mapped bytes behind
+        ``module``: its exports replace the old image's, at the
+        module's priority.  A recycled process carries the shim of
+        whichever controller takes it over this way."""
+        old = module.image
+        if (image.machine, image.text, image.data, image.tls_size) != \
+                (old.machine, old.text, old.data, old.tls_size):
+            raise LoaderError(f"cannot relink {old.soname} as "
+                              f"{image.soname}: the code differs")
+        for sym in old.exports:
+            self._withdraw(sym.name, lambda entry: entry[1] == module.index)
+        module.image = image
+        for sym in image.exports:
+            self._provide(sym.name, (module.priority, module.index,
+                                     module.base + sym.offset))
+        self._plt_cache.clear()
 
     def load_program(self, libraries: Sequence[SharedObject],
                      preload: Sequence[SharedObject] = ()) -> None:
@@ -174,11 +199,37 @@ class Process:
         priority = 0 if front else self._next_priority
         if not front:
             self._next_priority += 10
-        self._providers.setdefault(name, []).append((priority, -1, addr))
-        self._providers[name].sort(key=lambda t: (t[0], t[1]))
+        self._provide(name, (priority, -1, addr))
         if front:
             self._plt_cache.clear()
         return addr
+
+    def rebind_host(self, addr: int, name: str, fn: Callable) -> None:
+        """Rename the host binding at ``addr`` and point it at ``fn``,
+        keeping its address and resolution priority."""
+        old = self.host_functions[addr]
+        [entry] = self._withdraw(old.name, lambda entry: entry[2] == addr)
+        self._provide(name, entry)
+        # in place: compiled block closures hold the dict itself
+        self.host_functions[addr] = HostFunction(name, fn, old.raw)
+        self._plt_cache.clear()
+
+    def _provide(self, symbol: str, entry: Tuple[int, int, int]) -> None:
+        providers = self._providers.setdefault(symbol, [])
+        providers.append(entry)
+        providers.sort(key=lambda t: (t[0], t[1]))
+
+    def _withdraw(self, symbol: str,
+                  match) -> List[Tuple[int, int, int]]:
+        """Drop (and return) the providers of ``symbol`` that ``match``."""
+        providers = self._providers[symbol]
+        dropped = [entry for entry in providers if match(entry)]
+        kept = [entry for entry in providers if not match(entry)]
+        if kept:
+            self._providers[symbol] = kept
+        else:
+            del self._providers[symbol]
+        return dropped
 
     def lookup(self, symbol: str) -> int:
         providers = self._providers.get(symbol)

@@ -24,7 +24,10 @@ so restore mutates those objects in place and never replaces them.
 :class:`SnapshotCache` pools live checkpoint instances per worker
 process, keyed by ``(image digest, workload id, prefix point)``; the
 campaign engine (``core.exec.snapshot``) builds one instance per trigger
-function and replays only the post-trigger suffix per fault case.
+function and replays only the post-trigger suffix per fault case.  The
+same per-process rewind recycles a guest parked right after loading, so
+cases that run from the start skip the load too (see
+``Controller.make_process``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import copy
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .cpu import ShadowFrame
 from .memory import PAGE_SIZE
@@ -53,7 +56,16 @@ class RestoreStats:
 
 @dataclass
 class ProcessSnapshot:
-    """Frozen state of one guest process (paired with its live object)."""
+    """Frozen state of one guest process (paired with its live object).
+
+    :meth:`capture` arms copy-on-write on the process's memory and
+    freezes the rest; :meth:`rewind` rolls the same live process back
+    in place.  Campaigns use it twice: inside a
+    :class:`MachineSnapshot` (which also rewinds the process's kernel),
+    and on its own to recycle a process parked right after loading
+    (which then moves to each case's new kernel, see
+    ``Controller.make_process``).
+    """
 
     proc: Any
     regs: List[int]
@@ -63,7 +75,7 @@ class ProcessSnapshot:
     shadow: List[Tuple[int, int]]
     instructions: int
     coverage: Optional[Dict[int, int]]
-    modules_len: int
+    images: List[Any]                     # one per loaded module
     host_functions: Dict[int, Any]
     next_host_addr: int
     providers: Dict[str, List[Tuple[int, int, int]]]
@@ -72,7 +84,82 @@ class ProcessSnapshot:
     scratch_next: int
     app_stack: List[str]
     exit_status: Optional[int]
-    kstate_frozen: Any                    # deepcopied with the kernel memo
+    kstate_frozen: Any = None             # deepcopied with the kernel memo
+
+    @classmethod
+    def capture(cls, proc: Any,
+                memo: Optional[dict] = None) -> "ProcessSnapshot":
+        """Checkpoint ``proc``; with a kernel ``memo`` (see
+        :meth:`MachineSnapshot.capture`) its fd table is frozen too."""
+        proc.memory.snapshot_begin()
+        cpu = proc.cpu
+        return cls(
+            proc=proc,
+            regs=list(cpu.regs.values),
+            zf=cpu.zf, sf=cpu.sf, eip=cpu.eip,
+            shadow=[(f.return_addr, f.callee_addr) for f in cpu.shadow],
+            instructions=cpu.instructions_executed,
+            coverage=None if cpu.coverage is None else dict(cpu.coverage),
+            images=[module.image for module in proc.modules],
+            host_functions=dict(proc.host_functions),
+            next_host_addr=proc._next_host_addr,
+            providers={name: list(entries) for name, entries
+                       in proc._providers.items()},
+            next_priority=proc._next_priority,
+            plt_cache=dict(proc._plt_cache),
+            scratch_next=proc._scratch_next,
+            app_stack=list(proc.app_stack),
+            exit_status=proc.exit_status,
+            kstate_frozen=(None if memo is None
+                           else copy.deepcopy(proc.kstate, memo)))
+
+    def rewind(self) -> int:
+        """Roll the live process back to the checkpoint, in place:
+        memory, registers, flags, the shadow stack, loader tables and
+        host bindings.  Kernel-side state is the caller's.  Returns the
+        number of dirty pages restored."""
+        proc = self.proc
+        cpu = proc.cpu
+        dirty = proc.memory.snapshot_restore()
+        # registers/flags/control flow — values list mutated in place;
+        # compiled block closures hold the list object itself
+        cpu.regs.values[:] = self.regs
+        cpu.zf, cpu.sf, cpu.eip = self.zf, self.sf, self.eip
+        cpu.shadow[:] = [ShadowFrame(ret, callee)
+                         for ret, callee in self.shadow]
+        cpu.instructions_executed = self.instructions
+        # coverage is hoisted per run() call, never captured by block
+        # closures, so swapping the dict object is identity-safe
+        cpu.coverage = None if self.coverage is None else dict(self.coverage)
+        # loader state — modules loaded after the snapshot unmap (their
+        # regions vanished with the memory restore), so drop their
+        # decoded code and compiled blocks too; the ones that stay get
+        # back the image they were captured with (a recycled shim may
+        # have been relinked to another controller's)
+        if len(proc.modules) > len(self.images):
+            del proc.modules[len(self.images):]
+            keep = {m.base for m in proc.modules}
+            proc._module_code = {base: mc for base, mc
+                                 in proc._module_code.items()
+                                 if base in keep}
+            proc.code_cache = {}
+            for mc in proc._module_code.values():
+                proc.code_cache.update(mc.entries)
+            cpu._blocks.clear()
+        for module, image in zip(proc.modules, self.images):
+            module.image = image
+        # host bindings — the dict object is captured by block closures
+        proc.host_functions.clear()
+        proc.host_functions.update(self.host_functions)
+        proc._next_host_addr = self.next_host_addr
+        proc._providers = {name: list(entries) for name, entries
+                           in self.providers.items()}
+        proc._next_priority = self.next_priority
+        proc._plt_cache = dict(self.plt_cache)
+        proc._scratch_next = self.scratch_next
+        proc.app_stack[:] = self.app_stack
+        proc.exit_status = self.exit_status
+        return dirty
 
 
 class MachineSnapshot:
@@ -102,30 +189,10 @@ class MachineSnapshot:
             memo: dict = {}
             snap.kernels.append((kernel, kernel.clone(memo)))
             for proc in procs:
-                proc.memory.snapshot_begin()
+                snap.procs.append(ProcessSnapshot.capture(proc, memo))
                 snap.resident_bytes += proc.memory.resident_bytes()
                 for module in proc.modules:
                     digest.update(module.image.text)
-                snap.procs.append(ProcessSnapshot(
-                    proc=proc,
-                    regs=list(proc.cpu.regs.values),
-                    zf=proc.cpu.zf, sf=proc.cpu.sf, eip=proc.cpu.eip,
-                    shadow=[(f.return_addr, f.callee_addr)
-                            for f in proc.cpu.shadow],
-                    instructions=proc.cpu.instructions_executed,
-                    coverage=(None if proc.cpu.coverage is None
-                              else dict(proc.cpu.coverage)),
-                    modules_len=len(proc.modules),
-                    host_functions=dict(proc.host_functions),
-                    next_host_addr=proc._next_host_addr,
-                    providers={name: list(entries) for name, entries
-                               in proc._providers.items()},
-                    next_priority=proc._next_priority,
-                    plt_cache=dict(proc._plt_cache),
-                    scratch_next=proc._scratch_next,
-                    app_stack=list(proc.app_stack),
-                    exit_status=proc.exit_status,
-                    kstate_frozen=copy.deepcopy(proc.kstate, memo)))
         snap.image_digest = digest.hexdigest()
         return snap
 
@@ -137,57 +204,19 @@ class MachineSnapshot:
             kernel.restore(frozen, memo)
             memos[id(kernel)] = memo
         for ps in self.procs:
-            stats.dirty_pages += ps.proc.memory.snapshot_restore()
-            self._restore_process(ps, memos[id(ps.proc.kernel)])
+            stats.dirty_pages += ps.rewind()
+            # kernel-side per-process state: thaw with the kernel's memo
+            # so open fds point into the freshly thawed VFS/pipe/socket
+            # objects
+            thawed = copy.deepcopy(ps.kstate_frozen,
+                                   memos[id(ps.proc.kernel)])
+            kstate = ps.proc.kstate
+            kstate.fds = thawed.fds
+            kstate.next_fd = thawed.next_fd
+            kstate.heap_next = thawed.heap_next
+            kstate.heap_used = thawed.heap_used
+            kstate.allocs = thawed.allocs
         return stats
-
-    @staticmethod
-    def _restore_process(ps: ProcessSnapshot, memo: dict) -> None:
-        proc = ps.proc
-        cpu = proc.cpu
-        # registers/flags/control flow — values list mutated in place;
-        # compiled block closures hold the list object itself
-        cpu.regs.values[:] = ps.regs
-        cpu.zf, cpu.sf, cpu.eip = ps.zf, ps.sf, ps.eip
-        cpu.shadow[:] = [ShadowFrame(ret, callee)
-                         for ret, callee in ps.shadow]
-        cpu.instructions_executed = ps.instructions
-        # coverage is hoisted per run() call, never captured by block
-        # closures, so swapping the dict object is identity-safe
-        cpu.coverage = None if ps.coverage is None else dict(ps.coverage)
-        # loader state — modules loaded after the snapshot unmap (their
-        # regions vanished with the memory restore), so drop their
-        # decoded code and compiled blocks too
-        if len(proc.modules) > ps.modules_len:
-            del proc.modules[ps.modules_len:]
-            keep = {m.base for m in proc.modules}
-            proc._module_code = {base: mc for base, mc
-                                 in proc._module_code.items()
-                                 if base in keep}
-            proc.code_cache = {}
-            for mc in proc._module_code.values():
-                proc.code_cache.update(mc.entries)
-            cpu._blocks.clear()
-        # host bindings — the dict object is captured by block closures
-        proc.host_functions.clear()
-        proc.host_functions.update(ps.host_functions)
-        proc._next_host_addr = ps.next_host_addr
-        proc._providers = {name: list(entries) for name, entries
-                           in ps.providers.items()}
-        proc._next_priority = ps.next_priority
-        proc._plt_cache = dict(ps.plt_cache)
-        proc._scratch_next = ps.scratch_next
-        proc.app_stack[:] = ps.app_stack
-        proc.exit_status = ps.exit_status
-        # kernel-side per-process state: thaw with the kernel's memo so
-        # open fds point into the freshly thawed VFS/pipe/socket objects
-        thawed = copy.deepcopy(ps.kstate_frozen, memo)
-        kstate = proc.kstate
-        kstate.fds = thawed.fds
-        kstate.next_fd = thawed.next_fd
-        kstate.heap_next = thawed.heap_next
-        kstate.heap_used = thawed.heap_used
-        kstate.allocs = thawed.allocs
 
     def detach(self) -> None:
         """Disarm copy-on-write journaling on every captured process."""
@@ -211,6 +240,10 @@ class SnapshotCache:
     releases it, so a free instance holds no dirty pages or journal,
     however many cases a long-lived worker replays on it.
 
+    Campaigns keep a second cache of *parked processes*: guests checked
+    out by ``Controller.make_process`` and rewound to their post-load
+    checkpoint there (see ``core.exec.engine``).
+
     The cache never evicts — a campaign holds at most one instance per
     (prefix point × concurrent worker), and instances die with the
     worker process.
@@ -223,22 +256,28 @@ class SnapshotCache:
         self.reused = 0
         self.discarded = 0
 
-    def acquire(self, key: SnapshotKey,
-                build: Callable[[], Any]) -> Any:
-        """Check out a free instance for ``key``, building one if the
-        pool is empty.  Builds run outside the lock (they execute the
-        whole workload prefix)."""
+    def take(self, key: Hashable) -> Optional[Any]:
+        """Check out a free instance for ``key`` (None if there is none)."""
         with self._lock:
             pool = self._free.get(key)
             if pool:
                 self.reused += 1
                 return pool.pop()
-        instance = build()
-        with self._lock:
-            self.built += 1
+        return None
+
+    def acquire(self, key: SnapshotKey,
+                build: Callable[[], Any]) -> Any:
+        """Check out a free instance for ``key``, building one if the
+        pool is empty.  Builds run outside the lock (they execute the
+        whole workload prefix)."""
+        instance = self.take(key)
+        if instance is None:
+            instance = build()
+            with self._lock:
+                self.built += 1
         return instance
 
-    def release(self, key: SnapshotKey, instance: Any) -> None:
+    def release(self, key: Hashable, instance: Any) -> None:
         with self._lock:
             self._free.setdefault(key, []).append(instance)
 
