@@ -669,11 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel case workers (0 = one per CPU)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-case timeout in seconds (hung cases are "
-                        "reaped and reported as 'hung')")
-    p.add_argument("--backend", choices=("serial", "thread", "process"),
+                        "killed and reported as 'hung')")
+    p.add_argument("--backend", choices=("serial", "process"),
                    default=None,
-                   help="worker backend (default: auto; process adds "
-                        "crash isolation)")
+                   help="worker backend (default: serial for one job "
+                        "and no timeout, else process)")
     p.add_argument("--snapshot", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="checkpoint the booted workload once per trigger "

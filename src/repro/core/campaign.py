@@ -405,12 +405,13 @@ def run_campaign(app: str,
     """Run every fault case as its own monitored test.
 
     With the defaults (``jobs=1``, no timeout) cases run inline exactly
-    as a plain loop would.  ``jobs > 1`` fans cases out over a
-    :class:`repro.core.exec.WorkerPool` (``backend`` picks ``"thread"``
-    or ``"process"``; default thread), and ``timeout`` bounds each
-    case's wall time — an overrunning worker is reaped into a
-    ``"hung"`` :class:`CaseResult` instead of stalling the campaign.
-    Result ordering is the case order regardless of worker count.
+    as a plain loop would.  ``jobs > 1`` (``0`` = one per CPU) or a
+    ``timeout`` runs cases on forked workers of a
+    :class:`repro.core.exec.WorkerPool` (the ``"process"`` backend), and
+    ``timeout`` bounds each case's wall time — an overrunning worker is
+    killed and its case becomes a ``"hung"`` :class:`CaseResult`
+    instead of stalling the campaign.  Result ordering is the case
+    order regardless of worker count.
 
     ``snapshot=True`` with a :class:`PrefixFactory` checkpoints the
     guest once per trigger function at workload-ready and replays only

@@ -2,14 +2,14 @@
 
 from .engine import (RunSummary, execute_campaign, record_tasks,
                      summarize_tasks)
-from .pool import (BACKENDS, MAX_THREAD_JOBS, PROCESS, SERIAL, TASK_CRASHED,
-                   TASK_ERROR, TASK_HUNG, TASK_OK, THREAD, RemoteTaskError,
-                   TaskResult, WorkerPool, resolve_jobs)
+from .pool import (BACKENDS, PROCESS, SERIAL, TASK_CRASHED, TASK_ERROR,
+                   TASK_HUNG, TASK_OK, RemoteTaskError, TaskResult,
+                   WorkerPool, resolve_jobs)
 from .snapshot import PREFIX_SENTINEL, SnapshotRunner
 
 __all__ = [
     "WorkerPool", "TaskResult", "RemoteTaskError", "resolve_jobs",
-    "SERIAL", "THREAD", "PROCESS", "BACKENDS", "MAX_THREAD_JOBS",
+    "SERIAL", "PROCESS", "BACKENDS",
     "TASK_OK", "TASK_ERROR", "TASK_HUNG", "TASK_CRASHED",
     "RunSummary", "execute_campaign", "summarize_tasks", "record_tasks",
     "SnapshotRunner", "PREFIX_SENTINEL",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
@@ -172,12 +171,10 @@ def summarize_tasks(kind: str, app: str, outcome: str, duration: float,
 
 
 def _worker_label() -> str:
-    """Who am I: the pool thread, a forked worker, or the main thread."""
-    parent = getattr(multiprocessing, "parent_process", None)
-    if parent is not None and parent() is not None:
+    """Who am I: ``proc-<pid>`` in a forked worker, else ``main``."""
+    if multiprocessing.parent_process() is not None:
         return f"proc-{os.getpid()}"
-    name = threading.current_thread().name
-    return name if name.startswith("repro-pool") else "main"
+    return "main"
 
 
 def _case_runner(factory, platform: Platform,
@@ -458,9 +455,9 @@ def execute_campaign(app: str,
             runner = None
     # processes parked right after loading: each case takes them over
     # instead of loading its own (the snapshot runner keeps its own pool
-    # for its fallbacks).  Thread workers share the pool; a forked
-    # worker inherits the parent's, which is empty because the parent
-    # runs no case from the start (the golden run keeps its own).
+    # for its fallbacks).  A forked worker inherits the parent's, which
+    # is empty because the parent runs no case from the start (the
+    # golden run keeps its own).
     parked = SnapshotCache()
 
     def run_one(case):

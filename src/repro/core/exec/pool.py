@@ -9,19 +9,17 @@ property into throughput while keeping the semantics of a serial run:
 * **deterministic ordering** — ``map`` returns results in input order,
   whatever order workers finish in;
 * **per-task timeout** — a task that exceeds ``timeout`` seconds is
-  reaped and reported as ``"hung"`` instead of stalling the run;
-* **crash isolation** — with the process backend a worker that dies
-  (segfault, ``os._exit``, OOM-kill) becomes a ``"crashed"`` result.
+  killed with its worker and reported as ``"hung"`` instead of stalling
+  the run;
+* **crash isolation** — a worker that dies (segfault, ``os._exit``,
+  OOM-kill) becomes a ``"crashed"`` result.
 
-Three backends:
+Two backends:
 
 ``serial``
-    Inline execution in the calling thread.  Zero overhead, no timeout
-    enforcement; the default when ``jobs == 1`` and no timeout is set.
-``thread``
-    Daemon threads gated by a slot semaphore.  Cheap, shares memory
-    (profiles, images) for free; a reaped hung task leaks its daemon
-    thread but releases its worker slot so the run keeps going.
+    Inline execution in the calling thread: one worker, zero overhead,
+    no timeout.  The default when ``jobs`` resolves to 1 and no timeout
+    is set.
 ``process``
     ``jobs`` forked workers, each a serial loop in a child.  They fork
     on the first ``map`` with a given task function, after whatever the
@@ -35,8 +33,8 @@ Three backends:
     is replaced by a fresh fork, and one that cannot be started is a
     ``"crashed"`` result.
 
-Pool sizes auto-clamp (threads to a fixed cap, processes to the CPU
-count) so ``--jobs 4`` is safe on a single-core runner.
+Process pools clamp to the CPU count, so ``--jobs 4`` is safe on a
+single-core runner.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 import traceback
 from collections import deque
@@ -60,33 +57,23 @@ TASK_CRASHED = "crashed"    # the worker process died without reporting
 
 #: Backend names.
 SERIAL = "serial"
-THREAD = "thread"
 PROCESS = "process"
-BACKENDS = (SERIAL, THREAD, PROCESS)
-
-#: Threads are cheap but not free; more than this buys nothing here.
-MAX_THREAD_JOBS = 32
-
-#: Supervisor poll interval while waiting on slots/results (seconds).
-_TICK = 0.02
+BACKENDS = (SERIAL, PROCESS)
 
 #: How long a stopping worker gets to exit before it is killed (seconds).
 _GRACE = 1.0
 
 
-def resolve_jobs(jobs: Optional[int], backend: str = THREAD) -> int:
-    """Clamp a requested worker count to something the host can run.
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Clamp a requested worker count to the host's CPU count.
 
-    ``None``/``0``/``"auto"`` mean "one worker per CPU".  Thread pools
-    cap at :data:`MAX_THREAD_JOBS`; process pools at the CPU count —
-    on a single-core runner ``jobs=4`` degrades gracefully to 1.
+    ``None``/``0``/``"auto"`` mean "one worker per CPU"; on a
+    single-core runner ``jobs=4`` degrades gracefully to 1.
     """
+    cpus = os.cpu_count() or 1
     if jobs in (None, 0, "auto"):
-        jobs = os.cpu_count() or 1
-    jobs = max(1, int(jobs))
-    if backend == PROCESS:
-        return min(jobs, max(1, os.cpu_count() or 1))
-    return min(jobs, MAX_THREAD_JOBS)
+        return cpus
+    return max(1, min(int(jobs), cpus))
 
 
 class RemoteTaskError(Exception):
@@ -118,11 +105,10 @@ class TaskResult:
 
 
 class _Task:
-    """Internal per-item bookkeeping for the thread and process
-    dispatchers."""
+    """Internal per-item bookkeeping for the process dispatcher."""
 
     __slots__ = ("index", "item", "status", "value", "error", "seconds",
-                 "waited", "started_at", "done", "reaped")
+                 "waited", "started_at", "done")
 
     def __init__(self, index: int, item: Any) -> None:
         self.index = index
@@ -133,8 +119,7 @@ class _Task:
         self.seconds = 0.0
         self.waited = 0.0
         self.started_at: Optional[float] = None
-        self.done = threading.Event()
-        self.reaped = False
+        self.done = False
 
     def as_result(self) -> TaskResult:
         return TaskResult(index=self.index, status=self.status,
@@ -165,8 +150,8 @@ def _worker_main(conn, fn, inherited) -> None:
     while True:
         try:
             item = conn.recv()
-        except EOFError:
-            return
+        except (EOFError, OSError):
+            return                      # the parent closed the pipe or died
         try:
             payload: Tuple[str, Any] = ("ok", fn(item))
         except BaseException:
@@ -182,26 +167,38 @@ def _worker_main(conn, fn, inherited) -> None:
 class WorkerPool:
     """A bounded pool executing tasks with ordered results.
 
-    ``backend=None`` picks ``serial`` when ``jobs <= 1`` and no timeout
-    is requested (bit-for-bit the behavior of a plain loop), otherwise
-    ``thread``.
+    ``jobs`` is resolved first (``0`` means one per CPU).  Then
+    ``backend=None`` picks ``serial`` when that is one worker and no
+    timeout is requested (bit-for-bit the behavior of a plain loop),
+    otherwise ``process``.  A serial pool is one worker, so asking it
+    for more, or for a timeout, raises :class:`ValueError`.
     """
 
     def __init__(self, jobs: int = 1, backend: Optional[str] = None,
                  timeout: Optional[float] = None,
                  metrics=None) -> None:
+        if jobs in (None, 0, "auto"):
+            jobs = resolve_jobs(jobs)
         if backend is None:
-            backend = SERIAL if (jobs <= 1 and timeout is None) else THREAD
+            backend = SERIAL if (jobs <= 1 and timeout is None) else PROCESS
         if backend not in BACKENDS:
             raise ValueError(f"unknown pool backend {backend!r}; "
                              f"expected one of {BACKENDS}")
+        if backend == SERIAL and jobs > 1:
+            raise ValueError(f"the serial backend runs one worker, but "
+                             f"'jobs' asks for {jobs}; leave the backend "
+                             f"unset or use {PROCESS!r}")
+        if backend == SERIAL and timeout is not None:
+            raise ValueError(f"the serial backend cannot enforce a "
+                             f"'timeout'; leave the backend unset or use "
+                             f"{PROCESS!r}")
         if backend == PROCESS \
                 and "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError("the process backend needs the 'fork' start "
-                             "method, which this host lacks; use the "
-                             "thread backend")
+                             "method, which this host lacks; run with "
+                             "jobs=1 and no timeout")
         self.backend = backend
-        self.jobs = resolve_jobs(jobs, backend)
+        self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
         if metrics is None:
             from ...obs.metrics import NULL_REGISTRY
@@ -234,10 +231,8 @@ class WorkerPool:
         started = time.monotonic()
         if self.backend == SERIAL:
             results = self._map_serial(fn, items, progress)
-        elif self.backend == PROCESS:
-            results = self._map_process(fn, items, progress)
         else:
-            results = self._map_threaded(fn, items, progress)
+            results = self._map_process(fn, items, progress)
         if self.metrics.enabled:
             self._record_metrics(results, time.monotonic() - started)
         return results
@@ -245,7 +240,7 @@ class WorkerPool:
     def close(self) -> None:
         """Stop the process backend's workers.
 
-        A no-op for the other backends and for a pool with no worker
+        A no-op for the serial backend and for a pool with no worker
         running; a later ``map`` forks fresh workers.
         """
         self._fn = None
@@ -300,69 +295,6 @@ class WorkerPool:
                 progress(result)
         return results
 
-    # -- thread backend -----------------------------------------------------
-
-    def _map_threaded(self, fn, items: Sequence[Any],
-                      progress=None) -> List[TaskResult]:
-        tasks = [_Task(i, item) for i, item in enumerate(items)]
-        lock = threading.Lock()
-        slots = threading.Semaphore(self.jobs)
-        reap_timeout = self.timeout
-        t0 = time.monotonic()
-
-        def reap_expired() -> None:
-            """Declare overdue in-flight tasks hung; free their slots."""
-            now = time.monotonic()
-            with lock:
-                for task in tasks:
-                    if (task.started_at is not None and not task.done.is_set()
-                            and not task.reaped
-                            and now - task.started_at >= reap_timeout):
-                        task.reaped = True
-                        task.status = TASK_HUNG
-                        task.seconds = now - task.started_at
-                        slots.release()
-                        task.done.set()
-
-        def worker(task: _Task) -> None:
-            status, payload = _invoke_inline(fn, task.item)
-            with lock:
-                if task.reaped:        # supervisor gave up on us already
-                    return
-                task.seconds = time.monotonic() - task.started_at
-                task.status = status
-                if status == TASK_OK:
-                    task.value = payload
-                else:
-                    task.error = payload
-                task.done.set()
-                slots.release()
-
-        for task in tasks:
-            if reap_timeout is None:
-                slots.acquire()
-            else:
-                while not slots.acquire(timeout=_TICK):
-                    reap_expired()
-            task.started_at = time.monotonic()
-            task.waited = task.started_at - t0
-            threading.Thread(target=worker, args=(task,), daemon=True,
-                             name=f"repro-pool-{task.index}").start()
-
-        results: List[TaskResult] = []
-        for task in tasks:
-            if reap_timeout is None:
-                task.done.wait()
-            else:
-                while not task.done.wait(timeout=_TICK):
-                    reap_expired()
-            results.append(task.as_result())
-            if progress is not None:
-                # in the supervising thread, in input order: the task
-                # (and every task before it) is finished at this point
-                progress(results[-1])
-        return results
-
     # -- process backend ----------------------------------------------------
 
     def _map_process(self, fn, items: Sequence[Any],
@@ -385,7 +317,7 @@ class WorkerPool:
                                           for w in self._workers)):
                     self._start(pending.popleft(), t0)
                 while (len(results) < len(tasks)
-                       and tasks[len(results)].done.is_set()):
+                       and tasks[len(results)].done):
                     results.append(tasks[len(results)].as_result())
                     if progress is not None:
                         progress(results[-1])
@@ -509,7 +441,7 @@ def _finish(task: _Task, status: str, payload: Any) -> None:
         task.value = payload
     else:
         task.error = payload
-    task.done.set()
+    task.done = True
 
 
 def _invoke_inline(fn, item) -> Tuple[str, Any]:

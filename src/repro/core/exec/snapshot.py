@@ -36,7 +36,6 @@ wired to the restored guest.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import random
 import time
 from typing import Any, Dict, Iterable, List, Mapping
@@ -48,6 +47,7 @@ from ..controller import Controller
 from ..controller.triggers import NEVER_ORDINAL, TriggerEngine
 from ..profiles import LibraryProfile
 from ..scenario.model import INJECT_NTH, FunctionTrigger, Plan
+from .engine import _worker_label
 
 #: A call ordinal no workload reaches: the prefix runs under a real plan
 #: for the trigger function without the trigger ever firing.  Defined as
@@ -55,11 +55,6 @@ from ..scenario.model import INJECT_NTH, FunctionTrigger, Plan
 #: fast path proves the sentinel dead on the first call and the whole
 #: prefix executes with zero interception overhead.
 PREFIX_SENTINEL = NEVER_ORDINAL
-
-
-def _in_forked_worker() -> bool:
-    parent = getattr(multiprocessing, "parent_process", None)
-    return parent is not None and parent() is not None
 
 
 class _Instance:
@@ -76,13 +71,13 @@ class SnapshotRunner:
 
     One runner serves one campaign: the factory, platform and profiles
     are fixed, so checkpoints are grouped by trigger function (the
-    *prefix point*).  The instance pool is shared per worker process —
-    serial runs use it directly, thread workers check instances in and
-    out under a lock, and the process backend builds instances before
-    forking (see :meth:`warm`) so its workers inherit them.  Every case
-    rewinds its instance as it finishes, so an instance in the pool is
-    always at the snapshot point with an empty dirty-page set, however
-    many cases a worker has replayed on it.
+    *prefix point*).  Each worker process has its own instance pool —
+    serial runs use the runner's directly, and the process backend
+    builds instances before forking (see :meth:`warm`) so its workers
+    inherit them.  Every case rewinds its instance as it finishes, so
+    an instance in the pool is always at the snapshot point with an
+    empty dirty-page set, however many cases a worker has replayed on
+    it.
     """
 
     def __init__(self, app: str, factory, platform: Platform,
@@ -251,7 +246,7 @@ class SnapshotRunner:
     def _note_taken(self, instance: _Instance, function: str) -> None:
         # builds inside forked pool children would record into the
         # child's dead copy of the parent telemetry; skip there
-        if not self.telemetry.enabled or _in_forked_worker():
+        if not self.telemetry.enabled or _worker_label() != "main":
             return
         self.telemetry.metrics.counter(
             "repro_snapshots_taken_total",
@@ -266,7 +261,6 @@ class SnapshotRunner:
     # -- replay -------------------------------------------------------------
 
     def _replay(self, instance: _Instance, case):
-        from .engine import _worker_label
         from ..campaign import CaseResult
 
         lfi = instance.controller

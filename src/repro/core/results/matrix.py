@@ -27,8 +27,8 @@ supplies the two halves:
 Classification happens **in the campaign parent** (see
 ``core.exec.engine``): workers ship back the raw signals — outcome
 status, the guest-filesystem digest, the block-coverage map — and the
-parent assigns the class deterministically, so serial, thread, process
-and snapshot runs all journal identical classes.
+parent assigns the class deterministically, so serial, process and
+snapshot runs all journal identical classes.
 """
 
 from __future__ import annotations

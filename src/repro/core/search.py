@@ -31,7 +31,7 @@ Scheduling is deliberately batched: :meth:`GuidedFrontier.next_batch`
 yields :data:`GUIDED_BATCH` cases at a time and observations are only
 applied between batches, so the schedule depends on nothing but the
 case list and the (deterministic) per-case coverage — bit-identical
-across the serial, thread and process backends and under ``--resume``.
+across the serial and process backends and under ``--resume``.
 
 The campaign engine drives any object with this duck-typed *scheduler*
 protocol — ``next_batch()`` (cases to run now; empty when done),

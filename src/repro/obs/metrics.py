@@ -6,8 +6,8 @@ Naming follows the Prometheus conventions — ``repro_`` prefix,
 drops straight into existing dashboards.  ``snapshot()`` returns a plain
 dict (JSON- and pickle-friendly); ``MetricsRegistry.restore`` rebuilds a
 registry from one and ``merge`` folds one in, which is how campaign
-workers' per-case registries aggregate into the parent's across thread
-*and* process boundaries.
+workers' per-case registries aggregate into the parent's across
+process boundaries.
 
 ``NULL_REGISTRY`` is the no-op default: instruments exist but every
 ``inc``/``set``/``observe`` is a single no-op method call, keeping the

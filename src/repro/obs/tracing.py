@@ -10,9 +10,8 @@ into a parent-child tree.  ``SpanTracer.trace`` is a context manager::
 Parenting is per-thread (a thread-local span stack), so spans opened in
 the main thread nest naturally however deeply calls recurse — e.g. a
 ``Session.campaign`` that lazily profiles gets the profile span as a
-child of the campaign span.  Work fanned out to worker threads passes
-the parent span explicitly (``trace(..., parent=span)``); child-list
-appends are lock-protected.
+child of the campaign span.  A span opened on another thread starts a
+root of its own; child-list appends are lock-protected.
 
 The tree exports as JSON (``to_dicts``) and as a flame-style indented
 text rendering (``render_tree``).  ``NULL_TRACER`` is the no-op default:
@@ -68,6 +67,15 @@ class Span:
         return f"Span({self.name!r}, {state}, children={len(self.children)})"
 
 
+def _reject_parent(attrs: Mapping[str, Any]) -> None:
+    """4.0 removed ``trace(parent=)``; without this check the old
+    spelling would silently become a span attribute."""
+    if "parent" in attrs:
+        raise TypeError("trace() got an unexpected keyword argument "
+                        "'parent': a span's parent is the innermost open "
+                        "span on the calling thread")
+
+
 class SpanTracer:
     """Builds span trees; per-thread stacks decide implicit parents."""
 
@@ -91,10 +99,10 @@ class SpanTracer:
         return stack[-1] if stack else None
 
     @contextmanager
-    def trace(self, name: str, *, parent: Optional[Span] = None,
-              **attrs: Any) -> Iterator[Span]:
+    def trace(self, name: str, **attrs: Any) -> Iterator[Span]:
+        _reject_parent(attrs)
         span = Span(name, self.clock.now(), attrs)
-        owner = parent if parent is not None else self.current()
+        owner = self.current()
         with self._lock:
             if owner is not None:
                 owner.children.append(span)
@@ -189,8 +197,8 @@ class NullTracer(SpanTracer):
 
     enabled = False
 
-    def trace(self, name: str, *, parent: Optional[Span] = None,
-              **attrs: Any):
+    def trace(self, name: str, **attrs: Any):
+        _reject_parent(attrs)
         return _NULL_CONTEXT
 
     def current(self) -> Optional[Span]:

@@ -150,7 +150,7 @@ class Cpu:
     """One virtual CPU bound to a process."""
 
     #: Class-wide default for the block-compiled fast path.  Campaign
-    #: workers inherit it across fork/thread boundaries; tests flip it
+    #: workers inherit it across fork; tests flip it
     #: (or the per-instance attribute) to force the step path.
     use_blocks: bool = True
 

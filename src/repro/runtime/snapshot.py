@@ -232,8 +232,7 @@ class SnapshotCache:
     """A per-worker pool of live checkpoint instances.
 
     One worker process shares one cache: the serial backend uses it
-    directly, thread-backend workers check instances out and back in
-    under the lock, and the process backend builds instances *before*
+    directly, and the process backend builds instances *before*
     forking its workers (the campaign engine primes it in the parent)
     so each worker inherits them at the snapshot point.  The campaign
     runner rewinds an instance right after its case and only then

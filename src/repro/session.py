@@ -30,7 +30,6 @@ from .core.campaign import (CampaignReport, FaultCase, enumerate_cases,
                             run_campaign)
 from .core.controller import Controller
 from .core.exec.engine import RunSummary
-from .core.exec.pool import resolve_jobs
 from .core.profiler import HeuristicConfig, Profiler
 from .core.profiles import LibraryProfile
 from .core.scenario.model import Plan
@@ -66,9 +65,11 @@ class Session:
         orders of magnitude faster.
     jobs, timeout, backend:
         Worker-pool configuration for campaigns only: ``campaign()``
-        fans cases out with per-case timeouts and, on the process
-        backend, crash isolation.  ``backend=None`` auto-selects.
-        ``profile()`` always runs on the calling thread.
+        fans cases out over ``jobs`` forked workers (``0`` = one per
+        CPU) with per-case timeouts and crash isolation.
+        ``backend=None`` runs serially for one job and no timeout,
+        otherwise on the process backend.  ``profile()`` always runs
+        on the calling thread.
     heuristics:
         §3.1 profile filters; part of the store's cache key.
     kernel_image:
@@ -391,14 +392,16 @@ class Session:
         for stage in self.summaries:
             if stage.outcome != "ok":
                 outcome = stage.outcome
+        # the pool the last campaign ran on; profiling runs serially
+        campaigns = [s for s in self.summaries if s.kind == "campaign"]
         return {
             "schema": "repro.run-summary/1",
             "app": self.app,
             "outcome": outcome,
             "duration": round(sum(s.duration for s in self.summaries), 6),
             "platform": self.platform.name,
-            "jobs": resolve_jobs(self.jobs, self.backend or "thread"),
-            "backend": self.backend,
+            "jobs": campaigns[-1].jobs if campaigns else 1,
+            "backend": campaigns[-1].backend if campaigns else "serial",
             "timeout": self.timeout,
             "stages": [s.to_dict() for s in self.summaries],
         }

@@ -5,7 +5,7 @@ contract: registers, memory, flags, ``instructions_executed``, faults,
 shadow stacks and emitted telemetry must be indistinguishable from the
 per-instruction interpreter on every workload.  These tests pin that
 contract — from single handwritten blocks through §5.1 stub mechanics
-up to full differential campaigns across all three pool backends.
+up to full differential campaigns across both pool backends.
 """
 
 from __future__ import annotations
@@ -337,8 +337,7 @@ class TestDifferentialCampaign:
         assert _signature(fast_sink) == _signature(slow_sink)
         assert all(r.instructions > 0 for r in fast_report.results)
 
-    @pytest.mark.parametrize("jobs,backend", [(3, "thread"),
-                                              (2, "process")])
+    @pytest.mark.parametrize("jobs,backend", [(2, "process")])
     def test_backends_identical_with_blocks_on(self, libc_linux,
                                                libc_profiles_linux,
                                                jobs, backend):
@@ -500,9 +499,10 @@ class TestSharedCodeCache:
         assert cache.stats()["module_misses"] == 4
 
     def test_concurrent_processes_share_templates(self):
-        """Thread-backend shape: one process per thread, all hammering
-        the shared cache.  Every thread must get the right result and
-        the same ModuleCode instance; counters stay coherent."""
+        """A library caller may run guest processes on threads: one
+        process per thread, all hammering the shared cache.  Every
+        thread must get the right result and the same ModuleCode
+        instance; counters stay coherent."""
         import threading
 
         CODE_CACHE.clear()
@@ -536,11 +536,12 @@ class TestSharedCodeCache:
         assert stats["blocks_compiled"] >= 1
         assert stats["template_hits"] > 0
 
-    def test_stats_coherent_under_thread_backend_campaign(
+    def test_stats_coherent_under_serial_campaign(
             self, libc_profiles_linux):
-        """A jobs=4 thread-backend campaign over minidb: the shared
-        cache serves every worker; afterwards the counters must show
-        cross-worker reuse, not per-worker re-translation."""
+        """A serial campaign over minidb: afterwards the shared cache's
+        counters must show reuse across cases, not per-case
+        re-translation.  (A forked worker's counters never reach the
+        parent, so the parallel shape cannot be checked this way.)"""
         from repro.cli import _campaign_factory
 
         CODE_CACHE.clear()
@@ -549,24 +550,21 @@ class TestSharedCodeCache:
                                 functions=["open", "read", "close"],
                                 max_codes_per_function=2,
                                 call_ordinals=(1, 2, 3))
-        jobs = 4
         report = run_campaign("minidb", factory, LINUX_X86,
-                              libc_profiles_linux, cases,
-                              jobs=jobs, backend="thread")
+                              libc_profiles_linux, cases)
         assert len(report.results) == len(cases)
 
         stats = CODE_CACHE.stats()
-        # images decode at most once per racing worker — not once per
-        # case
-        assert 1 <= stats["decode_misses"] <= 4 * stats["module_hits"] + 4
+        # images decode once, not once per case
+        assert 1 <= stats["decode_misses"] < len(cases)
         assert stats["module_hits"] >= 1
         assert stats["blocks_compiled"] >= 1
         # a CPU binds each template it reaches once, and cases recycle
-        # parked processes: only the golden run's and at most one per
-        # worker ever bind, however many cases run (a fresh process per
+        # one parked process: only the golden run's process and that
+        # one ever bind, however many cases run (a fresh process per
         # case would bind about len(cases) times over)
         binds = stats["template_hits"] + stats["blocks_compiled"]
-        assert binds <= (jobs + 1) * stats["blocks_compiled"]
+        assert binds <= 2 * stats["blocks_compiled"]
 
 
 def _parent_plan_recorder(app, seen):

@@ -1,6 +1,7 @@
 """The command-line interface: the paper's two-command workflow on disk."""
 
 import json
+import os
 
 import pytest
 
@@ -179,10 +180,37 @@ class TestCampaign:
         assert "cases/sec" in out
         summary = json.loads(summary_path.read_text())
         assert summary["schema"] == "repro.run-summary/1"
-        assert summary["jobs"] == 2
+        # the pool the campaign ran on: two workers, clamped to the CPUs
+        assert summary["jobs"] == min(2, os.cpu_count() or 1)
+        assert summary["backend"] == "process"
         assert [s["kind"] for s in summary["stages"]] \
             == ["profile", "campaign"]
         assert summary["stages"][1]["cases"] == 4
+
+    def test_jobs_zero_runs_one_worker_per_cpu(self, store_dir, capsys):
+        cpus = os.cpu_count() or 1
+        code = main(["campaign", "minidb", "--function", "close",
+                     "--max-codes", "1", "--jobs", "0",
+                     "--store", str(store_dir)])
+        assert code in (0, 1)
+        backend = "process" if cpus > 1 else "serial"
+        assert f"jobs={cpus}, backend={backend}," \
+            in capsys.readouterr().out
+
+    def test_backend_thread_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "minidb", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--timeout", "5"]])
+    def test_serial_backend_refuses_jobs_and_timeout(self, flag, store_dir,
+                                                     capsys):
+        code = main(["campaign", "minidb", "--function", "close",
+                     "--max-codes", "1", "--backend", "serial",
+                     "--store", str(store_dir)] + flag)
+        assert code == 2
+        assert f"'{flag[0][2:]}'" in capsys.readouterr().err
 
     def test_campaign_json_is_machine_readable(self, store_dir, capsys):
         code = main(["campaign", "minidb", "--function", "close",

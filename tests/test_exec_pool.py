@@ -9,10 +9,9 @@ import time
 
 import pytest
 
-from repro.core.exec.pool import (MAX_THREAD_JOBS, PROCESS, SERIAL, THREAD,
-                                  TASK_CRASHED, TASK_ERROR, TASK_HUNG,
-                                  TASK_OK, RemoteTaskError, WorkerPool,
-                                  resolve_jobs)
+from repro.core.exec.pool import (PROCESS, SERIAL, TASK_CRASHED,
+                                  TASK_ERROR, TASK_HUNG, TASK_OK,
+                                  RemoteTaskError, WorkerPool, resolve_jobs)
 
 
 class TestResolveJobs:
@@ -21,11 +20,8 @@ class TestResolveJobs:
         assert resolve_jobs(0) == (os.cpu_count() or 1)
         assert resolve_jobs("auto") == (os.cpu_count() or 1)
 
-    def test_thread_clamp(self):
-        assert resolve_jobs(10_000, THREAD) == MAX_THREAD_JOBS
-
     def test_process_clamp_to_cpus(self):
-        assert resolve_jobs(10_000, PROCESS) == (os.cpu_count() or 1)
+        assert resolve_jobs(10_000) == (os.cpu_count() or 1)
 
     def test_minimum_one(self):
         assert resolve_jobs(-3) == 1
@@ -33,14 +29,32 @@ class TestResolveJobs:
 
 class TestBackendSelection:
     def test_serial_by_default(self):
-        assert WorkerPool(jobs=1).backend == SERIAL
+        pool = WorkerPool(jobs=1)
+        assert (pool.backend, pool.jobs) == (SERIAL, 1)
 
-    def test_thread_when_parallel(self):
-        assert WorkerPool(jobs=4).backend == THREAD
+    def test_process_when_parallel(self):
+        assert WorkerPool(jobs=4).backend == PROCESS
 
-    def test_thread_when_timeout_requested(self):
-        # serial cannot enforce timeouts, so jobs=1 + timeout -> thread
-        assert WorkerPool(jobs=1, timeout=1.0).backend == THREAD
+    def test_process_when_timeout_requested(self):
+        # serial cannot enforce timeouts, so jobs=1 + timeout -> process
+        assert WorkerPool(jobs=1, timeout=1.0).backend == PROCESS
+
+    def test_jobs_zero_means_one_worker_per_cpu(self):
+        """The count resolves before the backend is picked: ``jobs=0``
+        on a multi-core host is a process pool, not a serial pool that
+        claims several workers."""
+        cpus = os.cpu_count() or 1
+        pool = WorkerPool(jobs=0)
+        assert pool.jobs == cpus
+        assert pool.backend == (PROCESS if cpus > 1 else SERIAL)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(jobs=4), "jobs"), (dict(jobs=1, timeout=1.0), "timeout")])
+    def test_serial_backend_refuses_what_it_cannot_run(self, kwargs, name):
+        """A serial pool is one worker without a timeout; asking it for
+        more fails by name instead of reporting workers that never ran."""
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            WorkerPool(backend=SERIAL, **kwargs)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -68,67 +82,6 @@ class TestSerialBackend:
 
     def test_empty_input(self):
         assert WorkerPool(jobs=4).map(lambda x: x, []) == []
-
-
-class TestThreadBackend:
-    def test_results_in_input_order_despite_finish_order(self):
-        def slow_then_fast(x):
-            # earlier items sleep longer, so completion order reverses
-            time.sleep(0.05 * (4 - x))
-            return x * 2
-
-        results = WorkerPool(jobs=4, backend=THREAD).map(
-            slow_then_fast, [0, 1, 2, 3])
-        assert [r.value for r in results] == [0, 2, 4, 6]
-        assert [r.index for r in results] == [0, 1, 2, 3]
-
-    def test_hung_task_reaped_without_stalling(self):
-        release = threading.Event()
-        try:
-            def work(x):
-                if x == "hang":
-                    release.wait(30)
-                    return "late"
-                return x
-
-            started = time.monotonic()
-            results = WorkerPool(jobs=2, backend=THREAD, timeout=0.2).map(
-                work, ["a", "hang", "b"])
-            elapsed = time.monotonic() - started
-            assert [r.status for r in results] \
-                == [TASK_OK, TASK_HUNG, TASK_OK]
-            assert results[1].value is None
-            assert elapsed < 5          # nowhere near the worker's 30s
-        finally:
-            release.set()               # unblock the leaked daemon thread
-
-    def test_reaped_task_releases_its_worker_slot(self):
-        release = threading.Event()
-        try:
-            def work(x):
-                if x == "hang":
-                    release.wait(30)
-                return x
-
-            # jobs=1: the follow-up item can only run if the hung
-            # task's slot was released by the reaper
-            results = WorkerPool(jobs=1, backend=THREAD, timeout=0.2).map(
-                work, ["hang", "after"])
-            assert results[0].status == TASK_HUNG
-            assert results[1].status == TASK_OK
-            assert results[1].value == "after"
-        finally:
-            release.set()
-
-    def test_unwrap_hung_raises_remote_error(self):
-        release = threading.Event()
-        try:
-            results = WorkerPool(jobs=1, backend=THREAD, timeout=0.1).map(
-                lambda _x: release.wait(30), [None])
-            with pytest.raises(RemoteTaskError):
-                results[0].unwrap()
-        finally:
-            release.set()
 
 
 def _within(call, deadline):
@@ -198,6 +151,27 @@ class TestProcessBackend:
                               [1, 2, 3])
         assert [r.value for r in results] == [2, 3, 4]
 
+    def test_results_in_input_order_despite_finish_order(self,
+                                                         process_pool):
+        def slow_then_fast(x):
+            # earlier items sleep longer, so completion order reverses
+            time.sleep(0.1 * (2 - x))
+            return x * 2
+
+        reported = []
+        results = _map_within(process_pool(jobs=2), slow_then_fast,
+                              [0, 1, 2], progress=reported.append)
+        assert [r.value for r in results] == [0, 2, 4]
+        assert [r.index for r in results] == [0, 1, 2]
+        assert [r.index for r in reported] == [0, 1, 2]
+
+    def test_unwrap_hung_raises_remote_error(self, process_pool):
+        (result,) = _map_within(process_pool(jobs=1, timeout=0.2),
+                                time.sleep, [30])
+        assert result.status == TASK_HUNG
+        with pytest.raises(RemoteTaskError):
+            result.unwrap()
+
     def test_worker_exception_travels_back(self, process_pool):
         def boom(_x):
             raise RuntimeError("inside the child")
@@ -257,7 +231,10 @@ class TestProcessBackend:
                             lambda: ["spawn"])
         with pytest.raises(ValueError, match="'fork'"):
             WorkerPool(jobs=1, backend=PROCESS)
-        assert WorkerPool(jobs=2, backend=THREAD).backend == THREAD
+        for kwargs in (dict(jobs=2), dict(jobs=1, timeout=1.0)):
+            with pytest.raises(ValueError, match="jobs=1 and no timeout"):
+                WorkerPool(**kwargs)
+        assert WorkerPool(jobs=1).backend == SERIAL
 
     def test_worker_reaped_out_from_under_the_pool_is_ok(
             self, monkeypatch, process_pool, fork_starts):
@@ -409,5 +386,5 @@ class TestPersistentWorkers:
         assert len(maps) == 3, maps
         assert all(r.outcome.status not in (TASK_CRASHED, TASK_HUNG)
                    for r in report.results)
-        assert len(fork_starts) == resolve_jobs(jobs, PROCESS)
+        assert len(fork_starts) == resolve_jobs(jobs)
         assert _no_new_children(before)

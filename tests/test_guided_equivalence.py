@@ -4,8 +4,8 @@ Guided scheduling is adaptive, but it must not be *nondeterministic*:
 the frontier applies coverage feedback only between fixed-width
 batches, so the schedule is a pure function of the case list and the
 per-case coverage.  These tests pin that contract down — the same seed
-case list produces the identical schedule on the serial, thread and
-process backends, and resuming an interrupted guided campaign replays
+case list produces the identical schedule on the serial and process
+backends, and resuming an interrupted guided campaign replays
 the scheduler decision-for-decision, converging on a byte-identical
 failure-mode matrix.
 
@@ -95,8 +95,7 @@ class TestGuidedScheduleDeterminism:
                                                 libc_linux,
                                                 libc_profiles_linux):
         runs = {}
-        for backend, jobs in (("serial", 1), ("thread", 3),
-                              ("process", 2)):
+        for backend, jobs in (("serial", 1), ("process", 2)):
             store = ResultStore(tmp_path / backend)
             report, _ = _run(libc_linux, libc_profiles_linux, store,
                              backend=backend, jobs=jobs)
@@ -105,12 +104,10 @@ class TestGuidedScheduleDeterminism:
         # the scheduler actually schedules (pruning happened)
         assert 0 < len(serial.results) < len(_CASES)
         reference_matrix = matrix_from_store(serial_store).to_json()
-        for backend in ("thread", "process"):
-            report, store = runs[backend]
-            assert _schedule(report) == _schedule(serial), backend
-            _assert_identical(serial, report)
-            assert matrix_from_store(store).to_json() \
-                == reference_matrix, backend
+        report, store = runs["process"]
+        assert _schedule(report) == _schedule(serial)
+        _assert_identical(serial, report)
+        assert matrix_from_store(store).to_json() == reference_matrix
 
     def test_guided_schedule_is_repeatable(self, tmp_path, libc_linux,
                                            libc_profiles_linux):
@@ -127,7 +124,7 @@ class TestGuidedScheduleDeterminism:
 
 class TestGuidedResume:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 3), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     def test_interrupted_resume_converges(self, backend, jobs, tmp_path,
                                           libc_linux,
                                           libc_profiles_linux):

@@ -1,9 +1,9 @@
 """Failure-mode matrix: classification, aggregation, gates, novelty.
 
 The acceptance bar for the observatory is differential: the same
-campaign journaled under serial, thread and process backends — and
-with snapshot replay on — must serialize to **bit-identical**
-``repro.matrix/1`` JSON.  The end-to-end test here runs all four arms
+campaign journaled under the serial and process backends — and with
+snapshot replay on — must serialize to **bit-identical**
+``repro.matrix/1`` JSON.  The end-to-end test here runs all three arms
 of a small libc workload whose cases land in four different taxonomy
 buckets (detected-error, silent-corruption, survived, not-reached) and
 compares the bytes.
@@ -403,10 +403,9 @@ def _observatory_factory(libc_linux) -> PrefixFactory:
 
 @pytest.fixture(scope="module")
 def observatory_runs(libc_linux, libc_profiles_linux, tmp_path_factory):
-    """The same campaign journaled under all four execution modes."""
+    """The same campaign journaled under all three execution modes."""
     arms = {
         "serial": dict(jobs=1),
-        "thread": dict(jobs=2, backend="thread"),
         "process": dict(jobs=2, backend="process"),
         "snapshot": dict(jobs=1, snapshot=True),
     }

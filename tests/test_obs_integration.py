@@ -62,7 +62,6 @@ def _event_signature(sink):
 
 class TestDeterministicOrdering:
     @pytest.mark.parametrize("jobs,backend", [(1, "serial"),
-                                              (3, "thread"),
                                               (2, "process")])
     def test_backends_emit_identical_event_sequences(
             self, libc_linux, libc_profiles_linux, jobs, backend):
@@ -77,7 +76,7 @@ class TestDeterministicOrdering:
     def test_injection_events_carry_audit_fields(self, libc_linux,
                                                  libc_profiles_linux):
         _, _, sink = _run_instrumented(libc_linux, libc_profiles_linux,
-                                       jobs=2, backend="thread")
+                                       jobs=2, backend="process")
         injections = [e for e in sink.events if e.kind == "injection"]
         assert injections
         for event in injections:
@@ -90,7 +89,7 @@ class TestDeterministicOrdering:
     def test_worker_metrics_merge_into_parent(self, libc_linux,
                                               libc_profiles_linux):
         report, telemetry, _ = _run_instrumented(
-            libc_linux, libc_profiles_linux, jobs=2, backend="thread")
+            libc_linux, libc_profiles_linux, jobs=2, backend="process")
         counter = telemetry.metrics.counter(
             "repro_injections_total", labelnames=("function", "errno"))
         assert counter.total() == len(report.fired())
@@ -103,7 +102,7 @@ class TestRunSummaryFromMetrics:
     def test_summary_counts_come_from_the_registry(self, libc_linux,
                                                    libc_profiles_linux):
         report, _, _ = _run_instrumented(libc_linux, libc_profiles_linux,
-                                         jobs=2, backend="thread")
+                                         jobs=2, backend="process")
         summary = report.summary
         assert isinstance(summary, RunSummary)
         assert summary.cases == len(report.results)

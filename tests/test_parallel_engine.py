@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.controller import STATUS_HUNG
+from repro.core.exec import resolve_jobs
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.platform import LINUX_X86
 
@@ -41,7 +42,7 @@ class TestDeterministicOrdering:
                               libc_profiles_linux, cases)
         parallel = run_campaign("copytool", factory, LINUX_X86,
                                 libc_profiles_linux, cases,
-                                jobs=4, backend="thread")
+                                jobs=4, backend="process")
 
         def fingerprint(report):
             return [(r.case.case_id(), r.outcome.status, r.fired)
@@ -118,7 +119,7 @@ class TestRunSummary:
         cases = enumerate_cases(libc_profiles_linux, functions=["close"])
         report = run_campaign("copytool", factory, LINUX_X86,
                               libc_profiles_linux, cases,
-                              jobs=2, backend="thread")
+                              jobs=2, backend="process")
         summary = report.summary
         assert summary.kind == "campaign"
         assert summary.app == "copytool"
@@ -126,7 +127,8 @@ class TestRunSummary:
         assert summary.ok == len(cases)
         assert summary.cases_per_second > 0
         assert 0.0 <= summary.worker_utilization <= 1.0
-        assert summary.jobs == 2 and summary.backend == "thread"
+        assert summary.jobs == resolve_jobs(2)
+        assert summary.backend == "process"
 
     def test_summary_serializes_with_shared_keys(self, libc_linux,
                                                  libc_profiles_linux):

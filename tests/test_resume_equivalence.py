@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.core.campaign import FaultCase, run_campaign
 from repro.core.results import ResultStore
 from repro.core.scenario import ErrorCode
@@ -138,7 +144,7 @@ def _assert_stores_identical(reference_store, resumed_store):
 
 class TestResumeEquivalence:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 3), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     def test_interrupted_resume_bit_identical(self, backend, jobs,
                                               tmp_path, libc_linux,
                                               libc_profiles_linux):
@@ -242,3 +248,108 @@ class TestCrashedWorkerJournaled:
         assert len(lines) == 2
         for line in lines:
             json.loads(line)
+
+
+# -- a SIGKILLed parent ------------------------------------------------------
+
+#: every profiled libc function x error code x call ordinals 1-3: 585
+#: minidb cases
+_EXHAUSTIVE = ["campaign", "minidb", "--call-ordinal", "1",
+               "--call-ordinal", "2", "--call-ordinal", "3"]
+
+
+def _proc_stat(pid):
+    """``(state, ppid, starttime)`` of ``pid`` from ``/proc``, or
+    ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1]), int(fields[19])
+
+
+def _children(pid):
+    """The processes ``pid`` started, by pid, with their start times."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid:
+            children[int(entry)] = stat[2]
+    return children
+
+
+def _exited(pid, started):
+    """Gone, a zombie, or its pid reused by a later process."""
+    stat = _proc_stat(pid)
+    return stat is None or stat[0] == "Z" or stat[2] != started
+
+
+def _wait_for_records(proc, results, count, deadline=120.0):
+    """Poll the campaign journal under ``results`` until it holds
+    ``count`` records; fails if the campaign exits first."""
+    seen, offset = 0, 0
+    stop = time.monotonic() + deadline
+    while seen < count:
+        assert proc.poll() is None, \
+            f"the campaign finished after {seen} of {count} records"
+        assert time.monotonic() < stop, f"{seen} of {count} records"
+        for journal in results.glob("*/journal.jsonl"):
+            with open(journal, "rb") as fh:
+                fh.seek(offset)
+                chunk = fh.read()
+            offset += len(chunk)
+            seen += chunk.count(b"\n")
+        time.sleep(0.002)
+
+
+@pytest.fixture(scope="module")
+def serial_exhaustive(tmp_path_factory):
+    """The profile store the runs share, and the matrix an
+    uninterrupted serial run of the exhaustive list reports."""
+    root = tmp_path_factory.mktemp("sigkill-reference")
+    profiles = root / "profiles"
+    assert main(_EXHAUSTIVE + ["--store", str(profiles), "--results-dir",
+                               str(root / "results")]) in (0, 1)
+    assert main(["report", str(root / "results"),
+                 "--out", str(root / "matrix.json")]) == 0
+    return profiles, (root / "matrix.json").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads the worker processes from /proc")
+@pytest.mark.parametrize("records", [5, 400])
+def test_sigkilled_campaign_leaves_no_worker_and_resumes(
+        records, tmp_path, serial_exhaustive):
+    """SIGKILL the parent of a two-worker process campaign after
+    ``records`` journal records: its workers see their pipes close and
+    exit, and ``--resume`` converges on the serial run's matrix."""
+    profiles, reference = serial_exhaustive
+    results = tmp_path / "results"
+    argv = _EXHAUSTIVE + ["--store", str(profiles), "--results-dir",
+                          str(results), "--backend", "process",
+                          "--jobs", "2"]
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "repro"] + argv,
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        _wait_for_records(proc, results, records)
+        workers = _children(proc.pid)
+        proc.kill()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(10)
+    assert workers, "no forked worker was running"
+    deadline = time.monotonic() + 10.0
+    while not all(_exited(pid, started) for pid, started in workers.items()):
+        assert time.monotonic() < deadline, \
+            f"workers outlived their parent: {sorted(workers)}"
+        time.sleep(0.01)
+
+    assert main(argv + ["--resume"]) in (0, 1)
+    assert main(["report", str(results),
+                 "--out", str(tmp_path / "matrix.json")]) == 0
+    assert (tmp_path / "matrix.json").read_bytes() == reference

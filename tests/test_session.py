@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import warnings
 
 import pytest
@@ -11,12 +12,13 @@ from repro import Session
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.controller import TestOutcome, TestReport
 from repro.core.exec.engine import execute_campaign
-from repro.core.exec.pool import WorkerPool
+from repro.core.exec.pool import WorkerPool, resolve_jobs
 from repro.core.profiler import Profiler, profile_application
 from repro.core.scenario import FunctionTrigger, ReturnFault
 from repro.core.store import ProfileStore
 from repro.errors import ReproError
 from repro.kernel import Kernel, O_CREAT, O_RDWR
+from repro.obs.tracing import NULL_TRACER, SpanTracer
 from repro.platform import LINUX_X86
 
 
@@ -126,6 +128,22 @@ class TestRunSummaryJson:
         assert campaign_stage["cases_per_second"] > 0
         assert "cache" in campaign_stage
 
+    def test_summary_reports_the_pool_the_campaign_ran_on(
+            self, libc_linux, kernel_image_linux):
+        """``jobs=0`` asks for one worker per CPU; the summary and the
+        campaign stage report the pool that ran, not the request."""
+        cpus = os.cpu_count() or 1
+        session = Session(LINUX_X86, app="copytool", jobs=0,
+                          kernel_image=kernel_image_linux)
+        session.load(libc_linux)
+        session.campaign(_copytool_factory(libc_linux.image),
+                         functions=["close"], max_codes_per_function=2)
+        data = session.summary()
+        ran = (cpus, "process" if cpus > 1 else "serial")
+        assert (data["jobs"], data["backend"]) == ran
+        stage = data["stages"][-1]
+        assert (stage["jobs"], stage["backend"]) == ran
+
     def test_shared_key_triple_across_report_types(self, libc_linux,
                                                    kernel_image_linux):
         """Satellite: CampaignReport, TestReport and RunSummary all
@@ -166,8 +184,8 @@ class TestStoreIntegration:
         assert stage.cache_memory_hits == 1 and stage.cache_misses == 0
 
 
-#: Spellings that 2.0 and 3.0 removed, each with the error that must
-#: name it.
+#: Spellings that 2.0, 3.0 and 4.0 removed, each with the error that
+#: must name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
         TypeError, "libraries",
@@ -220,12 +238,34 @@ _REMOVED_SPELLINGS = {
     "WorkerPool-mp_context": (
         TypeError, "mp_context",
         lambda images, tmp: WorkerPool(jobs=1, mp_context="fork")),
+    "WorkerPool-thread": (
+        ValueError, "thread",
+        lambda images, tmp: WorkerPool(jobs=2, backend="thread")),
+    "exec.THREAD": (
+        AttributeError, "THREAD",
+        lambda images, tmp: importlib.import_module(
+            "repro.core.exec").THREAD),
+    "exec.pool.MAX_THREAD_JOBS": (
+        AttributeError, "MAX_THREAD_JOBS",
+        lambda images, tmp: importlib.import_module(
+            "repro.core.exec.pool").MAX_THREAD_JOBS),
+    "resolve_jobs-backend": (
+        TypeError, "backend",
+        lambda images, tmp: resolve_jobs(2, backend="process")),
+    "trace-parent": (
+        TypeError, "parent",
+        lambda images, tmp: SpanTracer().trace(
+            "span", parent=None).__enter__()),
+    "NULL_TRACER.trace-parent": (
+        TypeError, "parent",
+        lambda images, tmp: NULL_TRACER.trace("span", parent=None)),
 }
 
 
 class TestDeprecationShims:
-    """2.0 removed the shims and 3.0 the profiler's pool parameters: old
-    spellings fail by name, new ones are silent."""
+    """2.0 removed the shims, 3.0 the profiler's pool parameters and 4.0
+    the thread backend: old spellings fail by name, new ones are
+    silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,

@@ -144,10 +144,6 @@ class TestDifferentialEquivalence:
             else:
                 assert result.snapshot is None, case.case_id()
 
-    def test_thread_backend_bit_identical(self, campaign_space):
-        fresh, snap = _run_pair(campaign_space, "thread", 3)
-        _assert_identical(fresh, snap)
-
     def test_process_backend_bit_identical(self, campaign_space):
         fresh, snap = _run_pair(campaign_space, "process", 3)
         _assert_identical(fresh, snap)
@@ -236,7 +232,7 @@ def backend_snapshot_records(campaign_space):
 
     factory, profiles, cases, _prefix = campaign_space
     out = {}
-    for backend, jobs in (("serial", 1), ("thread", 2), ("process", 2)):
+    for backend, jobs in (("serial", 1), ("process", 2)):
         sink = MemorySink()
         report = run_campaign("equiv", factory, LINUX_X86, profiles, cases,
                               jobs=jobs, backend=backend, snapshot=True,
@@ -258,8 +254,7 @@ class TestRestoreStatsAcrossBackends:
     def test_per_case_records_identical_on_every_backend(
             self, backend_snapshot_records):
         serial, _ = backend_snapshot_records["serial"]
-        for backend in ("thread", "process"):
-            assert backend_snapshot_records[backend][0] == serial, backend
+        assert backend_snapshot_records["process"][0] == serial
 
     def test_a_case_that_writes_reports_dirty_pages(
             self, backend_snapshot_records):
@@ -274,8 +269,7 @@ class TestRestoreStatsAcrossBackends:
             self, backend_snapshot_records):
         _records, serial = backend_snapshot_records["serial"]
         assert serial > 0       # in-prefix cases that finished
-        for backend in ("thread", "process"):
-            assert backend_snapshot_records[backend][1] == serial, backend
+        assert backend_snapshot_records["process"][1] == serial
 
 
 class TestSessionSurface:
