@@ -157,6 +157,19 @@ class CaseResult:
     #: exported block-coverage summary (``runtime.blocks
     #: .export_coverage``): digest, block/dispatch counts, hex-addr map
     coverage: Optional[Dict[str, Any]] = None
+    #: calls the case's function received in this run; below
+    #: ``call_ordinal`` means the injection point was never reached
+    #: (None = unknown: a crashed, hung or pre-``calls`` journal record)
+    calls: Optional[int] = None
+    #: trigger firings in this run (``TriggerEngine.firings``); the
+    #: not-reached memo only keeps runs where it is 0.  Not journaled
+    #: (None on restored results)
+    firings: Optional[int] = None
+    #: copied from an earlier not-reached run of the same function
+    #: instead of executed (see ``core.exec.engine.NotReachedMemo``).
+    #: Counted into the run summary; never journaled or emitted, since
+    #: which cases a run derives depends on scheduling
+    derived: bool = False
 
     @property
     def tolerated(self) -> bool:

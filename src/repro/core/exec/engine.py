@@ -17,15 +17,20 @@ With a telemetry context attached, workers capture their controllers'
 injection events and metrics in-memory and ship them back with each
 :class:`CaseResult`; the engine re-emits them *in case order*, so the
 JSONL event stream is deterministic whatever the backend or job count.
+
+Most cells of an exhaustive campaign never reach their injection point,
+and all of one function's such cells run the same workload to the same
+end: :class:`NotReachedMemo` runs the first and derives the rest.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from ...obs.metrics import MetricsRegistry
@@ -33,10 +38,13 @@ from ...obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
 from ...platform import Platform
 from ..controller import (REPORT_SCHEMA, STATUS_CRASHED, STATUS_HUNG,
                           Controller, TestOutcome)
+from ..controller.replay import replay_script
 from ...runtime import CODE_CACHE, SnapshotCache
 from ..profiles import LibraryProfile
-from .pool import (PROCESS, TASK_CRASHED, TASK_HUNG, TASK_OK, TaskResult,
-                   WorkerPool)
+from .pool import (PROCESS, TASK_CRASHED, TASK_HUNG, TASK_OK,
+                   RemoteTaskError, TaskResult, WorkerPool, exception_line)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -67,6 +75,9 @@ class RunSummary:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_memory_hits: int = 0
+    #: cases that took an earlier not-reached run's result instead of
+    #: running (see :class:`NotReachedMemo`)
+    derived: int = 0
 
     @classmethod
     def from_metrics(cls, kind: str, app: str, outcome: str,
@@ -85,6 +96,7 @@ class RunSummary:
                                  labelnames=("status",))
         seconds = registry.histogram("repro_case_seconds")
         utilization = registry.gauge("repro_worker_utilization")
+        derived = registry.counter("repro_cases_derived_total")
         n = int(cases.total())
         return cls(
             kind=kind, app=app, outcome=outcome, duration=duration,
@@ -98,7 +110,8 @@ class RunSummary:
             busy_seconds=seconds.total_sum(),
             worker_utilization=utilization.value(),
             cache_hits=cache_hits, cache_misses=cache_misses,
-            cache_memory_hits=cache_memory_hits)
+            cache_memory_hits=cache_memory_hits,
+            derived=int(derived.total()))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -112,6 +125,7 @@ class RunSummary:
             "errors": self.errors,
             "hung": self.hung,
             "crashed": self.crashed,
+            "derived": self.derived,
             "jobs": self.jobs,
             "backend": self.backend,
             "timeout": self.timeout,
@@ -138,9 +152,15 @@ def record_tasks(registry: MetricsRegistry, tasks: List[TaskResult],
                                "Per-case queue wait")
     utilization = registry.gauge("repro_worker_utilization",
                                  "busy / (duration * jobs) of this run")
+    derived = registry.counter(
+        "repro_cases_derived_total",
+        "Campaign cases that took an earlier not-reached run's result "
+        "instead of running")
     busy = 0.0
     for task in tasks:
         cases.inc(status=task.status)
+        if getattr(task.value, "derived", False):
+            derived.inc()
         seconds.observe(task.seconds)
         waits.observe(task.waited)
         busy += task.seconds
@@ -198,36 +218,47 @@ def _case_runner(factory, platform: Platform,
     A case that raises outside the monitored run returns nothing: its
     processes' state is suspect, so later cases build new ones.
     """
-    from ..campaign import CaseResult
-
-    case_telemetry = None
-    case_events = None
-    if capture:
-        from ...obs.events import BufferedEventLog
-        from ...obs.metrics import BufferedMetricsRegistry
-        from ...obs.tracing import NULL_TRACER
-        case_events = BufferedEventLog()
-        case_telemetry = Telemetry(events=case_events,
-                                   metrics=BufferedMetricsRegistry(),
-                                   tracer=NULL_TRACER)
+    case_telemetry = _case_telemetry() if capture else None
     lfi = Controller(platform, dict(profiles), case.plan(),
                      telemetry=case_telemetry, coverage=observe)
     lfi._parked = parked
     session = factory(lfi)
     outcome = lfi.run_test(session, test_id=case.case_id())
-    from ..campaign import injection_sites
-    result = CaseResult(case=case, outcome=outcome,
-                        fired=lfi.injections > 0,
+    result = _case_result(lfi, case, outcome, lfi.injections > 0,
+                          case_telemetry, observe)
+    lfi._return_parked()
+    return result
+
+
+def _case_telemetry() -> Telemetry:
+    """A private in-memory telemetry context for one case: its events
+    and metrics travel back on the result (they pickle, so this works
+    across the process backend too)."""
+    from ...obs.events import BufferedEventLog
+    from ...obs.metrics import BufferedMetricsRegistry
+    from ...obs.tracing import NULL_TRACER
+    return Telemetry(events=BufferedEventLog(),
+                     metrics=BufferedMetricsRegistry(), tracer=NULL_TRACER)
+
+
+def _case_result(lfi: Controller, case, outcome: TestOutcome, fired: bool,
+                 case_telemetry: Optional[Telemetry], observe: bool):
+    """The :class:`CaseResult` of a monitored run that just finished on
+    ``lfi`` — fresh or replayed from a snapshot."""
+    from ..campaign import CaseResult, injection_sites
+
+    result = CaseResult(case=case, outcome=outcome, fired=fired,
                         instructions=lfi.instructions_executed,
                         sites=injection_sites(
-                            lfi.logbook.for_test(case.case_id())))
-    if capture:
-        result.events = case_events.drain_dicts()
+                            lfi.logbook.for_test(case.case_id())),
+                        calls=lfi.engine.call_counts.get(case.function, 0),
+                        firings=lfi.engine.firings)
+    if case_telemetry is not None:
+        result.events = case_telemetry.events.drain_dicts()
         result.metrics = case_telemetry.metrics.snapshot()
         result.worker = _worker_label()
     if observe:
         _observe_result(result, lfi)
-    lfi._return_parked()
     return result
 
 
@@ -238,6 +269,97 @@ def _observe_result(result, lfi: Controller) -> None:
 
     result.output = output_digest(lfi)
     result.coverage = export_coverage(lfi.coverage_map())
+
+
+class NotReachedMemo:
+    """One result per trigger function from a run whose trigger never
+    fired; later cases of that function past the run's calls take it
+    instead of running.
+
+    Most cells of an exhaustive campaign never reach their injection
+    point, and all such cells of one function run the same workload to
+    the same end.  The first one that runs is remembered with ``c``,
+    its function's final call count; a later case whose ordinal lies
+    past ``c`` gets that result, relabelled, without building a
+    controller or running the workload.
+
+    Soundness rule.  Case B = (f, action_b, ordinal k_b, probability 0)
+    may take the result of an earlier case A of the same campaign and
+    function when all of these hold:
+
+    * A is also non-probabilistic;
+    * A's run returned a result (it did not raise);
+    * A's ``TriggerEngine.firings`` is 0 (firings, not ``fired``:
+      ``fired`` counts injections only);
+    * k_b > c, where c is A's final ``call_counts[f]``.
+
+    Both plans are one INJECT_NTH trigger on f.  So both runs load the
+    same shim text, evaluate one trigger per call of f, never consult
+    the RNG and never go dormant, and the two runs stay identical until
+    one fires.  B fires only at its k_b-th call of f; A's identical run
+    never made that call, so B never fires, and B's run is A's run.
+
+    A derived result differs from what running B gives only in what
+    names the case: ``case``, ``outcome.test_id``, ``outcome.replay_xml``
+    (the empty replay script named ``replay-<case id>``), the ``test``
+    field of its captured ``test`` event, and the wall-clock
+    ``seconds`` the engine fills in.  Everything else — snapshot record
+    included — is A's, and it shares no mutable container with A.
+
+    A memo lives in one process: a serial campaign keeps one, and each
+    forked worker starts from the parent's empty memo and keeps its own.
+    Results restored on resume do not seed it.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Dict[str, Any] = {}
+
+    def derive(self, case):
+        """``case``'s result taken from a remembered run, or None."""
+        if case.probability > 0:
+            return None
+        run = self._runs.get(case.function)
+        if run is None or case.call_ordinal <= run.calls:
+            return None
+        case_id = case.case_id()
+        result = _copy_result(run, case=case, derived=True)
+        result.outcome.test_id = case_id
+        result.outcome.replay_xml = replay_script(
+            (), name=f"replay-{case_id}")
+        for event in result.events:
+            if event.get("kind") == "test":
+                event["fields"]["test"] = case_id
+        return result
+
+    def remember(self, case, result) -> None:
+        """Keep a copy of ``result`` for later cases of its function
+        when it is the first non-probabilistic run of it that never
+        fired."""
+        if case.probability > 0 or result.firings != 0 \
+                or case.function in self._runs:
+            return
+        self._runs[case.function] = _copy_result(result)
+
+
+def _copy_result(result, **changes):
+    """A copy of ``result`` sharing no mutable container with it.
+
+    Every container a result holds is JSON-shaped (it is journaled as
+    JSON), so a walk over dicts and lists copies it; this is several
+    times cheaper than ``copy.deepcopy`` on the dataclasses.
+    """
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        return value
+
+    fields = {name: plain(getattr(result, name))
+              for name in ("events", "metrics", "snapshot", "sites",
+                           "coverage")}
+    fields.update(changes)
+    return replace(result, outcome=replace(result.outcome), **fields)
 
 
 def _golden_run(factory, platform: Platform,
@@ -303,12 +425,21 @@ def _finish_case(case, task: TaskResult, pool: WorkerPool):
             outcome=TestOutcome(test_id=case.case_id(),
                                 status=STATUS_HUNG, detail=detail),
             fired=True, seconds=task.seconds)
-    # crashed worker, or the harness itself raised
+    # crashed worker, or the harness itself raised: the detail is one
+    # line, the same on every backend (see ``exception_line``)
+    error = task.error
+    if error is None:
+        detail = "worker died"
+    elif isinstance(error, RemoteTaskError):
+        detail = str(error)
+    else:
+        _log.debug("case %s raised outside the monitored run",
+                   case.case_id(), exc_info=error)
+        detail = exception_line(error)
     return CaseResult(
         case=case,
         outcome=TestOutcome(test_id=case.case_id(),
-                            status=STATUS_CRASHED,
-                            detail=str(task.error or "worker died")),
+                            status=STATUS_CRASHED, detail=detail),
         fired=True, seconds=task.seconds)
 
 
@@ -455,16 +586,24 @@ def execute_campaign(app: str,
             runner = None
     # processes parked right after loading: each case takes them over
     # instead of loading its own (the snapshot runner keeps its own pool
-    # for its fallbacks).  A forked worker inherits the parent's, which
-    # is empty because the parent runs no case from the start (the
-    # golden run keeps its own).
+    # for its fallbacks).  Next to them, the runs that never reached
+    # their injection point, which later cases of the same function
+    # take instead of running.  A forked worker inherits both from the
+    # parent, where they are empty because the parent runs no case
+    # from the start (the golden run keeps its own pool).
     parked = SnapshotCache()
+    memo = NotReachedMemo()
 
     def run_one(case):
-        if runner is not None:
-            return runner.run_case(case)
-        return _case_runner(factory, platform, profiles, case, capture,
-                            observe, parked)
+        result = memo.derive(case)
+        if result is None:
+            if runner is not None:
+                result = runner.run_case(case)
+            else:
+                result = _case_runner(factory, platform, profiles, case,
+                                      capture, observe, parked)
+            memo.remember(case, result)
+        return result
 
     if tele.enabled:
         tele.events.emit("campaign.start", app=app, cases=len(case_list),
@@ -615,7 +754,8 @@ def _record_execution_metrics(tele: Telemetry, results,
     for result in results:
         if result.instructions:
             instructions.inc(result.instructions)
-            if result.seconds > 0:
+            # a derived case's seconds are a copy's, not its guest's
+            if result.seconds > 0 and not result.derived:
                 mips.set(result.instructions / result.seconds / 1e6,
                          case=result.case.case_id())
     cache_now = CODE_CACHE.stats()

@@ -39,6 +39,7 @@ single-core runner.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import signal
@@ -62,6 +63,19 @@ BACKENDS = (SERIAL, PROCESS)
 
 #: How long a stopping worker gets to exit before it is killed (seconds).
 _GRACE = 1.0
+
+_log = logging.getLogger(__name__)
+
+
+def exception_line(exc: BaseException) -> str:
+    """The last line of ``exc``'s report, e.g. ``repro.errors.KernelError:
+    write produced undeclared error ECONNRESET``.
+
+    What a task's failure records, on every backend: unlike a traceback
+    it names no file path or line number, so it does not depend on
+    where the code is checked out or which backend ran the task.
+    """
+    return traceback.format_exception_only(type(exc), exc)[-1].strip()
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -154,8 +168,10 @@ def _worker_main(conn, fn, inherited) -> None:
             return                      # the parent closed the pipe or died
         try:
             payload: Tuple[str, Any] = ("ok", fn(item))
-        except BaseException:
-            payload = ("error", traceback.format_exc())
+        except BaseException as exc:
+            _log.debug("task raised in worker %d", os.getpid(),
+                       exc_info=True)
+            payload = ("error", exception_line(exc))
         try:
             conn.send(payload)
         except OSError:

@@ -40,14 +40,14 @@ import random
 import time
 from typing import Any, Dict, Iterable, List, Mapping
 
-from ...obs.telemetry import Telemetry, as_telemetry
+from ...obs.telemetry import as_telemetry
 from ...platform import Platform
 from ...runtime.snapshot import MachineSnapshot, SnapshotCache, SnapshotKey
 from ..controller import Controller
 from ..controller.triggers import NEVER_ORDINAL, TriggerEngine
 from ..profiles import LibraryProfile
 from ..scenario.model import INJECT_NTH, FunctionTrigger, Plan
-from .engine import _worker_label
+from .engine import _case_result, _case_telemetry, _worker_label
 
 #: A call ordinal no workload reaches: the prefix runs under a real plan
 #: for the trigger function without the trigger ever firing.  Defined as
@@ -261,19 +261,8 @@ class SnapshotRunner:
     # -- replay -------------------------------------------------------------
 
     def _replay(self, instance: _Instance, case):
-        from ..campaign import CaseResult
-
         lfi = instance.controller
-        case_telemetry = None
-        case_events = None
-        if self.capture:
-            from ...obs.events import BufferedEventLog
-            from ...obs.metrics import BufferedMetricsRegistry
-            from ...obs.tracing import NULL_TRACER
-            case_events = BufferedEventLog()
-            case_telemetry = Telemetry(events=case_events,
-                                       metrics=BufferedMetricsRegistry(),
-                                       tracer=NULL_TRACER)
+        case_telemetry = _case_telemetry() if self.capture else None
         plan = case.plan()
         if plan.functions() != instance.functions:
             raise RuntimeError(
@@ -312,17 +301,6 @@ class SnapshotRunner:
         before = injector.injection_count
         outcome = lfi.run_test(lambda: self.factory.run(lfi, ctx),
                                test_id=case.case_id())
-        from ..campaign import injection_sites
-        result = CaseResult(case=case, outcome=outcome,
-                            fired=injector.injection_count - before > 0,
-                            instructions=lfi.instructions_executed,
-                            sites=injection_sites(
-                                lfi.logbook.for_test(case.case_id())))
-        if self.capture:
-            result.events = case_events.drain_dicts()
-            result.metrics = case_telemetry.metrics.snapshot()
-            result.worker = _worker_label()
-        if self.observe:
-            from .engine import _observe_result
-            _observe_result(result, lfi)
-        return result
+        return _case_result(lfi, case, outcome,
+                            injector.injection_count - before > 0,
+                            case_telemetry, self.observe)

@@ -165,6 +165,7 @@ def result_record(campaign_key: str, case_key: str, case, result,
         "seconds": result.seconds,
         "worker": result.worker,
         "instructions": result.instructions,
+        "calls": result.calls,
         "snapshot": result.snapshot,
         "events": result.events,
         "metrics": result.metrics,
@@ -188,6 +189,7 @@ def restore_result(case, record: Mapping[str, Any]):
         metrics=dict(record.get("metrics") or {}),
         worker=record.get("worker", ""),
         instructions=record.get("instructions", 0),
+        calls=record.get("calls"),
         snapshot=record.get("snapshot"),
         sites=list(record.get("sites") or ()),
         outcome_class=record.get("outcome_class"),

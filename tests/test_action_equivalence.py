@@ -93,23 +93,13 @@ def _event_fingerprint(events):
     return out
 
 
-def _exception_line(detail: str) -> str:
-    lines = [line for line in (detail or "").splitlines() if line.strip()]
-    return lines[-1] if lines else ""
-
-
 def _assert_identical(first, second):
     assert len(first.results) == len(second.results)
     for f, s in zip(first.results, second.results):
         cid = f.case.case_id()
         assert f.case == s.case, cid
         assert f.outcome.status == s.outcome.status, cid
-        if f.outcome.status == "crashed":
-            a = _exception_line(f.outcome.detail)
-            b = _exception_line(s.outcome.detail)
-            assert a.endswith(b) or b.endswith(a), cid
-        else:
-            assert f.outcome.detail == s.outcome.detail, cid
+        assert f.outcome.detail == s.outcome.detail, cid
         assert f.fired == s.fired, cid
         assert f.instructions == s.instructions, cid
         assert _event_fingerprint(f.events) == \

@@ -19,15 +19,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.cli import main
-from repro.core.campaign import FaultCase, run_campaign
-from repro.core.results import ResultStore
+from repro.cli import _campaign_factory, main
+from repro.core.campaign import FaultCase, enumerate_cases, run_campaign
+from repro.core.results import ResultStore, matrix_from_store
 from repro.core.scenario import ErrorCode
 from repro.kernel import Kernel, O_CREAT, O_RDWR
 from repro.obs import MemorySink, Telemetry
@@ -187,6 +190,65 @@ class TestResumeEquivalence:
         report, _ = _run(libc_linux, libc_profiles_linux, store,
                          backend="serial", jobs=1, resume=False)
         assert report.resumed == {"skipped": 0, "replayed": len(_CASES)}
+
+
+# -- a crash at any byte of the journal ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def derived_reference(tmp_path_factory, libc_profiles_linux):
+    """An uninterrupted journaled minidb campaign whose list has derived
+    cases (ordinals past every call of their function): its campaign
+    key, meta and journal bytes, its records, and its matrix."""
+    root = tmp_path_factory.mktemp("byte-reference")
+    factory = _campaign_factory("minidb", LINUX_X86)
+    cases = enumerate_cases(libc_profiles_linux,
+                            functions=["open", "close", "rename"],
+                            max_codes_per_function=2,
+                            call_ordinals=(1, 2, 4))
+    store = ResultStore(root)
+    report = run_campaign("minidb", factory, LINUX_X86,
+                          libc_profiles_linux, cases,
+                          telemetry=Telemetry(), results=store)
+    assert report.summary.derived > 0
+    (key_dir,) = [p for p in store.root.iterdir() if p.is_dir()]
+    return dict(factory=factory, cases=cases, key=key_dir.name,
+                meta=(key_dir / "meta.json").read_bytes(),
+                journal=(key_dir / "journal.jsonl").read_bytes(),
+                records=store.load(key_dir.name),
+                matrix=matrix_from_store(store).to_json())
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_crash_at_any_byte_of_the_journal_resumes(derived_reference,
+                                                  libc_profiles_linux,
+                                                  data):
+    """Cut the journal at any byte — between records, inside one, inside
+    a multi-byte character — and ``--resume`` on either backend ends
+    with the uninterrupted run's records and ``repro report`` matrix."""
+    ref = derived_reference
+    cut = data.draw(st.integers(0, len(ref["journal"])), label="cut")
+    backend, jobs = data.draw(st.sampled_from([("serial", 1),
+                                               ("process", 2)]),
+                              label="backend")
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        key_dir = store.root / ref["key"]
+        key_dir.mkdir()
+        (key_dir / "meta.json").write_bytes(ref["meta"])
+        (key_dir / "journal.jsonl").write_bytes(ref["journal"][:cut])
+        run_campaign("minidb", ref["factory"], LINUX_X86,
+                     libc_profiles_linux, ref["cases"], jobs=jobs,
+                     backend=backend, telemetry=Telemetry(),
+                     results=store, resume=True)
+        records = store.load(ref["key"])
+        assert set(records) == set(ref["records"])
+        for case_key, record in ref["records"].items():
+            assert _normalize_record(records[case_key]) == \
+                _normalize_record(record), record["case"]
+        assert matrix_from_store(store).to_json() == ref["matrix"]
 
 
 class TestCrashedWorkerJournaled:

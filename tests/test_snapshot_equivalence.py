@@ -91,28 +91,13 @@ def _event_fingerprint(events):
     return out
 
 
-def _exception_line(detail: str) -> str:
-    lines = [line for line in (detail or "").splitlines() if line.strip()]
-    return lines[-1] if lines else ""
-
-
 def _assert_identical(fresh, snap):
     assert len(fresh.results) == len(snap.results)
     for f, s in zip(fresh.results, snap.results):
         cid = f.case.case_id()
         assert f.case == s.case, cid
         assert f.outcome.status == s.outcome.status, cid
-        if f.outcome.status == "crashed":
-            # a crash's detail is harness diagnostics: the traceback
-            # frames name the dispatch path (snapshot fallback vs
-            # direct) and backends format the error differently (inline
-            # message vs remote traceback).  The guest-visible failure
-            # — the final exception message — must still match.
-            a = _exception_line(f.outcome.detail)
-            b = _exception_line(s.outcome.detail)
-            assert a.endswith(b) or b.endswith(a), cid
-        else:
-            assert f.outcome.detail == s.outcome.detail, cid
+        assert f.outcome.detail == s.outcome.detail, cid
         assert f.fired == s.fired, cid
         assert f.instructions == s.instructions, cid
         assert _event_fingerprint(f.events) == _event_fingerprint(s.events), \
