@@ -161,14 +161,14 @@ class CaseResult:
     #: ``call_ordinal`` means the injection point was never reached
     #: (None = unknown: a crashed, hung or pre-``calls`` journal record)
     calls: Optional[int] = None
-    #: trigger firings in this run (``TriggerEngine.firings``); the
-    #: not-reached memo only keeps runs where it is 0.  Not journaled
-    #: (None on restored results)
+    #: trigger firings in this run (``TriggerEngine.firings``); a run
+    #: stands in for its function's not-reached cases only when it is 0
+    #: (None = unknown: a crashed, hung or pre-``firings`` record)
     firings: Optional[int] = None
-    #: copied from an earlier not-reached run of the same function
-    #: instead of executed (see ``core.exec.engine.NotReachedMemo``).
-    #: Counted into the run summary; never journaled or emitted, since
-    #: which cases a run derives depends on scheduling
+    #: copied from its function's not-reached representative instead of
+    #: executed (see ``core.exec.engine.NotReachedCases``).  Counted
+    #: into the run summary; never journaled or emitted — the golden
+    #: counts decide it again on every run, backend and resume
     derived: bool = False
 
     @property

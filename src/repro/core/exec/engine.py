@@ -20,7 +20,10 @@ JSONL event stream is deterministic whatever the backend or job count.
 
 Most cells of an exhaustive campaign never reach their injection point,
 and all of one function's such cells run the same workload to the same
-end: :class:`NotReachedMemo` runs the first and derives the rest.
+end.  The golden run's call counts say which cells those are before any
+case is sent, so :class:`NotReachedCases` runs the first of each
+function and the parent derives the rest: no derived result crosses a
+worker's pipe, and every backend derives the same cases.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import logging
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from ...obs.metrics import MetricsRegistry
 from ...obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
@@ -76,7 +81,8 @@ class RunSummary:
     cache_misses: int = 0
     cache_memory_hits: int = 0
     #: cases that took an earlier not-reached run's result instead of
-    #: running (see :class:`NotReachedMemo`)
+    #: running (see :class:`NotReachedCases`); the same on every backend
+    #: and on resume, where restored cases count as they were journaled
     derived: int = 0
 
     @classmethod
@@ -271,17 +277,25 @@ def _observe_result(result, lfi: Controller) -> None:
     result.coverage = export_coverage(lfi.coverage_map())
 
 
-class NotReachedMemo:
-    """One result per trigger function from a run whose trigger never
-    fired; later cases of that function past the run's calls take it
-    instead of running.
+class NotReachedCases:
+    """The campaign parent's record of which cases cannot fire, and the
+    one run per function that stands in for them.
 
     Most cells of an exhaustive campaign never reach their injection
     point, and all such cells of one function run the same workload to
-    the same end.  The first one that runs is remembered with ``c``,
-    its function's final call count; a later case whose ordinal lies
-    past ``c`` gets that result, relabelled, without building a
-    controller or running the workload.
+    the same end.  The golden run already says which ones they are
+    (:meth:`~repro.core.search.GoldenBound.cannot_fire`), so the parent
+    marks them before a batch goes to the pool.  The first one of each
+    function in schedule order is that function's *representative* and
+    runs; the others are held back and settled as the in-order drain
+    reaches them.  The representative comes first, so its result is
+    known by then: when it has ``firings == 0`` and ``calls == c_f``
+    (the golden count), a held case takes a copy of it, relabelled,
+    without building a controller or running the workload; otherwise
+    the held case runs after all.  A restored record serves as its
+    function's representative when it was journaled with ``firings``;
+    one journaled before that field existed cannot, and the next case
+    that cannot fire takes the role.
 
     Soundness rule.  Case B = (f, action_b, ordinal k_b, probability 0)
     may take the result of an earlier case A of the same campaign and
@@ -298,28 +312,68 @@ class NotReachedMemo:
     the RNG and never go dormant, and the two runs stay identical until
     one fires.  B fires only at its k_b-th call of f; A's identical run
     never made that call, so B never fires, and B's run is A's run.
+    Here c is the golden count c_f, checked against A's own ``calls``,
+    and k_b > c_f because B cannot fire.
 
     A derived result differs from what running B gives only in what
     names the case: ``case``, ``outcome.test_id``, ``outcome.replay_xml``
     (the empty replay script named ``replay-<case id>``), the ``test``
     field of its captured ``test`` event, and the wall-clock
-    ``seconds`` the engine fills in.  Everything else — snapshot record
-    included — is A's, and it shares no mutable container with A.
-
-    A memo lives in one process: a serial campaign keeps one, and each
-    forked worker starts from the parent's empty memo and keeps its own.
-    Results restored on resume do not seed it.
+    ``seconds``, which the parent sets to the time the copy took.
+    Everything else — ``worker`` and snapshot record included — is
+    A's, and it shares no mutable container with A.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, golden) -> None:
+        #: the :class:`~repro.core.search.GoldenBound` of the campaign
+        self.golden = golden
+        #: function -> its representative's result once it qualified;
+        #: None while it runs, or for good when it did not qualify
         self._runs: Dict[str, Any] = {}
 
+    def plan(self, batch: List[Any], done: Mapping[int, Any]):
+        """Mark a batch before it goes to the pool.
+
+        ``done`` maps the batch positions restored from the journal to
+        their ``(result, task)``.  Returns ``(representatives, held)``:
+        the positions to run whose result :meth:`remember` must see, and
+        the positions that cannot fire behind an earlier representative
+        (restored ones included; the engine relabels those, see
+        :meth:`stands_in`).
+        """
+        representatives, held = set(), set()
+        for pos, case in enumerate(batch):
+            if not self.golden.cannot_fire(case):
+                continue
+            if case.function in self._runs:
+                held.add(pos)
+            elif pos not in done:
+                self._runs[case.function] = None
+                representatives.add(pos)
+            else:
+                # a completed run journaled without ``firings`` cannot
+                # tell whether it fired: the next such case takes over
+                result, task = done[pos]
+                if result.firings is not None or task.status != TASK_OK:
+                    self.remember(case, result)
+        return representatives, held
+
+    def remember(self, case, result) -> None:
+        """Settle ``case``'s function on its representative's result."""
+        qualified = (result.firings == 0 and result.calls
+                     == (self.golden.calls(case.function) or 0))
+        self._runs[case.function] = (_copy_result(result) if qualified
+                                     else None)
+
+    def stands_in(self, case) -> bool:
+        """Whether a held ``case`` takes its representative's result."""
+        return self._runs.get(case.function) is not None
+
     def derive(self, case):
-        """``case``'s result taken from a remembered run, or None."""
-        if case.probability > 0:
-            return None
+        """A held ``case``'s result, copied from its representative's,
+        or None when that did not qualify and the case must run."""
         run = self._runs.get(case.function)
-        if run is None or case.call_ordinal <= run.calls:
+        if run is None:
             return None
         case_id = case.case_id()
         result = _copy_result(run, case=case, derived=True)
@@ -330,15 +384,6 @@ class NotReachedMemo:
             if event.get("kind") == "test":
                 event["fields"]["test"] = case_id
         return result
-
-    def remember(self, case, result) -> None:
-        """Keep a copy of ``result`` for later cases of its function
-        when it is the first non-probabilistic run of it that never
-        fired."""
-        if case.probability > 0 or result.firings != 0 \
-                or case.function in self._runs:
-            return
-        self._runs[case.function] = _copy_result(result)
 
 
 def _copy_result(result, **changes):
@@ -383,7 +428,9 @@ def _golden_run(factory, platform: Platform,
     and yields ``(None, counts, blocks)`` (both are still true of the
     un-injected execution, so they remain sound) — classification then
     degrades gracefully (no silent-corruption verdicts) rather than
-    guessing; a workload that raises yields ``(None, {}, set())``.
+    guessing.  A workload that raises yields ``(None, None, set())``:
+    its counts are unknown, not zero, so no case is predicted not to
+    fire.
     """
     from ..controller.triggers import NEVER_ORDINAL
     from ..results.matrix import output_digest
@@ -406,7 +453,8 @@ def _golden_run(factory, platform: Platform,
             return None, counts, blocks
         return output_digest(lfi), counts, blocks
     except Exception:
-        return None, {}, set()
+        _log.debug("the golden run raised", exc_info=True)
+        return None, None, set()
 
 
 def _finish_case(case, task: TaskResult, pool: WorkerPool):
@@ -511,7 +559,7 @@ def execute_campaign(app: str,
     from ..campaign import CampaignReport
     from ..results import case_digest, restore_result
     from ..results.matrix import classify_result
-    from ..search import ExhaustiveSchedule, GuidedFrontier
+    from ..search import ExhaustiveSchedule, GoldenBound, GuidedFrontier
 
     if budget_cases is not None and not guided:
         raise ValueError("budget_cases only caps guided campaigns; set "
@@ -552,7 +600,7 @@ def execute_campaign(app: str,
     # re-running it on resume reproduces the identical search space.
     cache_before = CODE_CACHE.stats()
     golden: Optional[str] = None
-    call_counts: Dict[str, int] = {}
+    call_counts: Optional[Dict[str, int]] = None
     golden_blocks: set = set()
     if case_list:
         golden, call_counts, golden_blocks = _golden_run(
@@ -565,12 +613,16 @@ def execute_campaign(app: str,
                          cases_expected=(min(budget_cases, len(case_list))
                                          if budget_cases is not None
                                          else len(case_list)),
-                         **({"call_counts": call_counts, "guided": True}
-                            if guided else {}))
+                         call_counts=call_counts,
+                         **({"guided": True} if guided else {}))
 
+    # what the golden counts prove: which cases cannot fire, for the
+    # frontier's pruning and for deriving those cases in this process
+    bound = GoldenBound(call_counts)
+    not_reached = NotReachedCases(bound)
     if guided:
         schedule = GuidedFrontier(case_list, budget_cases=budget_cases,
-                                  call_counts=call_counts,
+                                  call_counts=bound,
                                   baseline_blocks=golden_blocks,
                                   telemetry=tele)
     else:
@@ -586,24 +638,16 @@ def execute_campaign(app: str,
             runner = None
     # processes parked right after loading: each case takes them over
     # instead of loading its own (the snapshot runner keeps its own pool
-    # for its fallbacks).  Next to them, the runs that never reached
-    # their injection point, which later cases of the same function
-    # take instead of running.  A forked worker inherits both from the
-    # parent, where they are empty because the parent runs no case
-    # from the start (the golden run keeps its own pool).
+    # for its fallbacks).  A forked worker inherits the pool from the
+    # parent, where it is empty because the parent runs no case from
+    # the start (the golden run keeps its own pool).
     parked = SnapshotCache()
-    memo = NotReachedMemo()
 
     def run_one(case):
-        result = memo.derive(case)
-        if result is None:
-            if runner is not None:
-                result = runner.run_case(case)
-            else:
-                result = _case_runner(factory, platform, profiles, case,
-                                      capture, observe, parked)
-            memo.remember(case, result)
-        return result
+        if runner is not None:
+            return runner.run_case(case)
+        return _case_runner(factory, platform, profiles, case, capture,
+                            observe, parked)
 
     if tele.enabled:
         tele.events.emit("campaign.start", app=app, cases=len(case_list),
@@ -632,48 +676,93 @@ def execute_campaign(app: str,
                 break
             keys = ([case_digest(case) for case in batch]
                     if journal is not None else [""] * len(batch))
-            records = [finished.get(key) for key in keys]
-            to_run = [pos for pos, record in enumerate(records)
-                      if record is None]
-            ran: Dict[int, Any] = {}
+            # (result, task) by batch position: restored from the
+            # journal here, drained from the pool or derived below
+            done: Dict[int, Tuple[Any, TaskResult]] = {}
+            for pos, key in enumerate(keys):
+                record = finished.get(key)
+                if record is None:
+                    continue
+                result = restore_result(batch[pos], record)
+                if result.outcome_class is None:
+                    # a legacy record: same inputs, same class
+                    result.outcome_class = classify_result(result, golden)
+                done[pos] = (result, TaskResult(
+                    index=pos, status=record.get("task_status", TASK_OK),
+                    value=result, seconds=record.get("seconds", 0.0)))
+            restored = set(done)
+            representatives, held = not_reached.plan(batch, done)
+            to_run = [pos for pos in range(len(batch))
+                      if pos not in done and pos not in held]
+            waiting = deque(sorted(held - restored))
+            rerun: List[int] = []
+            cursor = 0              # the next batch position to journal
 
-            def journal_progress(task: TaskResult) -> None:
-                # runs in the parent as each case (in batch order)
-                # drains; the flush-per-record journal is what --resume
-                # picks up after a crash, so this must not wait for the
-                # pool to finish.  The failure-mode class is assigned
-                # here — in the parent — from the worker's raw signals,
-                # so it is backend-independent.
-                pos = to_run[task.index]
-                result = ran[pos] = _finish_case(batch[pos], task, pool)
+            def finish(pos: int, result, task: TaskResult) -> None:
+                # the failure-mode class is assigned here, in the
+                # parent, from the worker's raw signals, so it is
+                # backend-independent
                 if observe:
                     result.outcome_class = classify_result(result, golden)
-                if journal is not None:
-                    journal.record(keys[pos], batch[pos], result,
-                                   task.status)
+                done[pos] = (result, task)
 
-            tasks = pool.map(run_one, [batch[pos] for pos in to_run],
-                             progress=journal_progress)
-            task_at = dict(zip(to_run, tasks))
+            def settle(upto: int) -> None:
+                # Derive the held cases before ``upto``, the next case
+                # still at the pool: each one's representative came
+                # earlier, so its result is known.  Then journal every
+                # finished case in batch order; the flush-per-record
+                # journal is what --resume picks up after a crash, so
+                # this must not wait for the pool to finish.
+                nonlocal cursor
+                while waiting and waiting[0] < upto:
+                    pos = waiting.popleft()
+                    began = time.perf_counter()
+                    result = not_reached.derive(batch[pos])
+                    if result is None:
+                        rerun.append(pos)
+                        continue
+                    result.seconds = time.perf_counter() - began
+                    finish(pos, result, TaskResult(
+                        index=pos, value=result, seconds=result.seconds))
+                while cursor in done:
+                    if journal is not None and cursor not in restored:
+                        result, task = done[cursor]
+                        journal.record(keys[cursor], batch[cursor], result,
+                                       task.status)
+                    cursor += 1
+
+            def drain(sent: List[int]):
+                def progress(task: TaskResult) -> None:
+                    # runs in the parent as each sent case drains, in
+                    # order
+                    pos = sent[task.index]
+                    result = _finish_case(batch[pos], task, pool)
+                    if pos in representatives:
+                        not_reached.remember(batch[pos], result)
+                    finish(pos, result, task)
+                    settle(sent[task.index + 1]
+                           if task.index + 1 < len(sent) else len(batch))
+                return progress
+
+            settle(to_run[0] if to_run else len(batch))
+            pool.map(run_one, [batch[pos] for pos in to_run],
+                     progress=drain(to_run))
+            if rerun:
+                # held cases whose representative fired, raised or
+                # counted other calls than the golden run: they run
+                # after all (still journaled in batch order)
+                pool.map(run_one, [batch[pos] for pos in rerun],
+                         progress=drain(rerun))
 
             for pos, case in enumerate(batch):
-                record = records[pos]
-                if record is None:
-                    result, task = ran[pos], task_at[pos]
-                else:
-                    result = restore_result(case, record)
-                    task = TaskResult(
-                        index=len(all_tasks),
-                        status=record.get("task_status", TASK_OK),
-                        seconds=record.get("seconds", 0.0), waited=0.0)
+                result, task = done[pos]
+                if pos in restored:
                     restored_n += 1
-                    if result.outcome_class is None:
-                        # a legacy record: same inputs, same class
-                        result.outcome_class = classify_result(result,
-                                                               golden)
+                    if pos in held and not_reached.stands_in(case):
+                        result.derived = True
                 # feed back in batch order — scheduling, events and the
                 # journal all share this one deterministic order
-                schedule.observe(case, result, restored=record is not None)
+                schedule.observe(case, result, restored=pos in restored)
                 if tele.enabled:
                     _replay_case_telemetry(tele, case, result)
                 results_list.append(result)

@@ -166,6 +166,7 @@ def result_record(campaign_key: str, case_key: str, case, result,
         "worker": result.worker,
         "instructions": result.instructions,
         "calls": result.calls,
+        "firings": result.firings,
         "snapshot": result.snapshot,
         "events": result.events,
         "metrics": result.metrics,
@@ -190,11 +191,19 @@ def restore_result(case, record: Mapping[str, Any]):
         worker=record.get("worker", ""),
         instructions=record.get("instructions", 0),
         calls=record.get("calls"),
+        firings=record.get("firings"),
         snapshot=record.get("snapshot"),
         sites=list(record.get("sites") or ()),
         outcome_class=record.get("outcome_class"),
         output=record.get("output"),
         coverage=record.get("coverage"))
+
+
+def _index_entry(rec: Mapping[str, Any]) -> Dict[str, Any]:
+    """What ``index.json`` keeps of one journaled record."""
+    return {"case": rec.get("case", ""),
+            "status": rec.get("status", "?"),
+            "task_status": rec.get("task_status", "?")}
 
 
 class CampaignJournal:
@@ -205,6 +214,10 @@ class CampaignJournal:
     listings avoid re-parsing every record.  A torn final line — the
     signature of a crashed writer — is skipped on read, never repaired
     in place: the next ``record()`` appends after it on a fresh line.
+
+    A writer keeps the index entries in memory as it appends, starting
+    from one fold of the journal it opened, so :meth:`close` writes the
+    index without reading the journal again.
     """
 
     def __init__(self, root: Path, key: str, *, app: str = "") -> None:
@@ -214,6 +227,8 @@ class CampaignJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self._fh = None
         self.written = 0
+        #: index entries by case key, once the journal has been folded
+        self._entries: Optional[Dict[str, Dict[str, Any]]] = None
         meta = self.root / _META
         if meta.exists():
             if not self.app:
@@ -260,11 +275,13 @@ class CampaignJournal:
         """Append one finished case; flushed so a crash of this process
         loses nothing (an OS crash may — there is no fsync)."""
         rec = result_record(self.key, case_key, case, result, task_status)
+        entries = self._index_entries()
         if self._fh is None:
             self._start_line_clean()
             self._fh = open(self.journal_path, "a", encoding="utf-8")
         self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
         self._fh.flush()
+        entries[case_key] = _index_entry(rec)
         self.written += 1
         return rec
 
@@ -272,16 +289,18 @@ class CampaignJournal:
         """If a crashed writer left a torn last line, terminate it so
         the next append starts on its own line (the torn fragment is
         skipped by the reader either way)."""
-        path = self.journal_path
-        if not path.exists():
-            return
-        data = path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            with open(path, "ab") as fh:
-                fh.write(b"\n")
+        try:
+            with open(self.journal_path, "rb+") as fh:
+                if fh.seek(0, os.SEEK_END) == 0:
+                    return
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+        except FileNotFoundError:
+            pass
 
     def close(self) -> None:
-        """Close the append handle and refresh the index cache."""
+        """Close the append handle and write the index cache."""
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
         self._fh = None
@@ -295,6 +314,8 @@ class CampaignJournal:
         path = self.journal_path
         if path.exists():
             fold_records(path.read_bytes().splitlines(), self.key, out)
+        self._entries = {case_key: _index_entry(rec)
+                         for case_key, rec in out.items()}
         return out
 
     def summary(self) -> Dict[str, Any]:
@@ -317,15 +338,16 @@ class CampaignJournal:
         except OSError:
             return 0
 
+    def _index_entries(self) -> Dict[str, Dict[str, Any]]:
+        """The index entries, folding the journal the first time."""
+        if self._entries is None:
+            self.finished()
+        return self._entries
+
     def _build_index(self) -> Dict[str, Any]:
-        cases = {
-            case_key: {"case": rec.get("case", ""),
-                       "status": rec.get("status", "?"),
-                       "task_status": rec.get("task_status", "?")}
-            for case_key, rec in self.finished().items()}
         return {"schema": INDEX_SCHEMA, "campaign": self.key,
                 "app": self.app, "journal_bytes": self._journal_bytes(),
-                "cases": cases}
+                "cases": self._index_entries()}
 
     def _load_index(self) -> Optional[Dict[str, Any]]:
         try:

@@ -44,7 +44,8 @@ plain campaign; :class:`GuidedFrontier` is the adaptive one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Set,
+                    Tuple, Union)
 
 from ..obs.telemetry import as_telemetry
 from .results.matrix import NOVELTY_DECAY, novelty_score, record_blocks
@@ -68,6 +69,42 @@ def case_identity(case) -> Tuple[str, str, int]:
     :class:`GuidedFrontier`).
     """
     return (case.function, case.code.token(), case.call_ordinal)
+
+
+class GoldenBound:
+    """What the golden (fault-free) run proves about which cases can fire.
+
+    A campaign case's plan holds a single trigger on its function, so
+    its run is identical to the golden run until the trigger fires: a
+    non-probabilistic case whose ordinal exceeds c_f, the golden run's
+    calls of f, never fires.  The engine derives such cases instead of
+    running them (``core.exec.engine.NotReachedCases``) and the guided
+    frontier prunes them, both from this one object.
+
+    ``call_counts`` is None when the golden run raised: its counts are
+    unknown, so no case is predicted not to fire.
+    """
+
+    def __init__(self, call_counts: Optional[Mapping[str, int]]) -> None:
+        self.call_counts = (None if call_counts is None
+                            else dict(call_counts))
+
+    def calls(self, function: str) -> Optional[int]:
+        """The golden run's calls of ``function``; None when the golden
+        run raised or never called it.  The frontier bounds such a
+        function by observed cases alone, as it always has, which keeps
+        guided schedules unchanged."""
+        if self.call_counts is None:
+            return None
+        return self.call_counts.get(function)
+
+    def cannot_fire(self, case) -> bool:
+        """Whether ``case`` provably never fires: non-probabilistic, with
+        an ordinal past c_f (0 for a function the golden run never
+        called)."""
+        if self.call_counts is None or case.probability > 0:
+            return False
+        return case.call_ordinal > self.call_counts.get(case.function, 0)
 
 
 class ExhaustiveSchedule:
@@ -117,13 +154,14 @@ class GuidedFrontier:
     list.
 
     ``call_counts`` — the golden (no-fault) run's per-function call
-    counts — bounds the ordinal axis in both directions: a case plan
-    holds a single trigger, so execution is identical to the golden
-    run until the trigger's ordinal is reached, and an ordinal past
-    the golden call count provably never fires.  Enumerated cases
-    beyond it are pruned (except each pair's protected witness) and
-    expansion never crosses it.  Without the counts the frontier still
-    works; bounds then come only from observed not-fired completions.
+    counts, as a mapping or the campaign's :class:`GoldenBound` —
+    bounds the ordinal axis in both directions: a case plan holds a
+    single trigger, so execution is identical to the golden run until
+    the trigger's ordinal is reached, and an ordinal past the golden
+    call count provably never fires.  Enumerated cases beyond it are
+    pruned (except each pair's protected witness) and expansion never
+    crosses it.  Without the counts the frontier still works; bounds
+    then come only from observed not-fired completions.
     ``baseline_blocks`` seeds the seen-block set (the engine passes the
     golden run's coverage), so novelty measures discovery *beyond* the
     fault-free path.  ``budget_cases`` caps the total number of cases
@@ -136,7 +174,8 @@ class GuidedFrontier:
     def __init__(self, cases: Iterable[Any], *,
                  budget_cases: Optional[int] = None,
                  batch_size: int = GUIDED_BATCH,
-                 call_counts: Optional[Mapping[str, int]] = None,
+                 call_counts: Union[Mapping[str, int], GoldenBound,
+                                    None] = None,
                  baseline_blocks: Optional[Iterable[int]] = None,
                  dry_after: int = DRY_AFTER,
                  decay: Optional[float] = None,
@@ -145,7 +184,8 @@ class GuidedFrontier:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
         self.budget_cases = budget_cases
-        self.call_counts = dict(call_counts or {})
+        self.golden = (call_counts if isinstance(call_counts, GoldenBound)
+                       else GoldenBound(call_counts or {}))
         self.dry_after = dry_after
         self.decay = NOVELTY_DECAY if decay is None else decay
         self.telemetry = as_telemetry(telemetry)
@@ -233,7 +273,7 @@ class GuidedFrontier:
         never arrive) and any observed not-fired bound.
         """
         bounds = [b for b in (self._pair_bounds.get((function, token)),
-                              self.call_counts.get(function))
+                              self.golden.calls(function))
                   if b is not None]
         return min(bounds) if bounds else None
 

@@ -1,15 +1,16 @@
 """Differential equivalence: derived not-reached cases == executed ones.
 
-A case whose trigger function is never called often enough to reach its
-ordinal is not run: the campaign's :class:`NotReachedMemo` hands it the
-result of an earlier not-reached run of the same function, relabelled.
-The contract is the one every fast path here keeps: a derived result is
+A case whose ordinal lies past its function's golden call count is not
+run: the campaign parent (:class:`NotReachedCases`) runs the first such
+case of the function and hands the others its result, relabelled.  The
+contract is the one every fast path here keeps: a derived result is
 what running the case gives — status, exit code, detail, injections,
 replay script, guest instructions, injection sites, output digest,
 coverage, call count, the captured event stream and metrics — on every
-backend, fresh or replayed from a snapshot, exhaustive or guided.
-These tests compare each campaign result with the case run alone by
-``_case_runner`` (no memo, no recycled process).
+backend, fresh or replayed from a snapshot, exhaustive or guided, and
+every backend derives the same cases.  These tests compare each
+campaign result with the case run alone by ``_case_runner`` (no
+derivation, no recycled process).
 
 CI runs this file with ``-rs`` and fails the job if any test here is
 skipped.
@@ -18,6 +19,7 @@ skipped.
 from __future__ import annotations
 
 import dataclasses
+import json
 import tempfile
 
 import pytest
@@ -27,10 +29,11 @@ from hypothesis import strategies as st
 from repro.cli import _campaign_factory
 from repro.core.campaign import FaultCase
 from repro.core.exec import engine as engine_mod
-from repro.core.exec.engine import (NotReachedMemo, _case_runner,
+from repro.core.exec.engine import (NotReachedCases, _case_runner,
                                     _golden_run, execute_campaign)
 from repro.core.results import ResultStore
 from repro.core.scenario import DelayFault
+from repro.core.search import GoldenBound
 from repro.core.scenario.generate import error_codes_from_profile
 from repro.obs import Telemetry
 from repro.platform import LINUX_X86
@@ -42,10 +45,10 @@ _NEVER = ["accept", "socket", "rename"]
 
 @pytest.fixture(scope="module")
 def space(libc_profiles_linux):
-    """The minidb factory, the profiles, and a case list around each
-    function's golden call count c: ordinal c fires, c+1 and c+2 are
-    never reached.  Fired ordinal-1 cases lead the list, so a fired
-    run is the first thing the memo sees for those functions."""
+    """The minidb factory, the profiles, a case list around each
+    function's golden call count c (ordinal c fires, c+1 and c+2 are
+    never reached; fired ordinal-1 cases lead the list) and the golden
+    counts."""
     factory = _campaign_factory("minidb", LINUX_X86)
     profiles = libc_profiles_linux
     _digest, counts, _blocks = _golden_run(factory, LINUX_X86, profiles,
@@ -72,13 +75,13 @@ def space(libc_profiles_linux):
     # it may take an error-code run's result
     cases += [FaultCase("close", DelayFault(1_000_000), counts["close"] + 1),
               FaultCase("accept", DelayFault(1_000_000), 3)]
-    return factory, profiles, cases
+    return factory, profiles, cases, counts
 
 
 @pytest.fixture(scope="module")
 def reference(space):
     """Each case run alone: the result derivation must reproduce."""
-    factory, profiles, _cases = space
+    factory, profiles = space[:2]
     done = {}
 
     def run(case):
@@ -112,33 +115,46 @@ def _row(result):
     }
 
 
-def _expected_derived(cases, reference):
-    """Which positions of a serial run the memo derives: a later
-    non-probabilistic case past the calls of an earlier run of its
-    function that never fired."""
-    seen = {}
+def _expected_derived(cases, reference, counts):
+    """Which positions any campaign derives: a non-probabilistic case
+    past its function's golden count c (0 if never called) behind the
+    first such case of the function, when that one ran without firing
+    and made c calls."""
+    representative = {}
     flags = []
     for case in cases:
-        calls = seen.get(case.function)
-        flags.append(case.probability == 0 and calls is not None
-                     and case.call_ordinal > calls)
-        ref = reference(case)
-        if case.probability == 0 and ref.firings == 0:
-            seen.setdefault(case.function, ref.calls)
+        c = counts.get(case.function, 0)
+        if case.probability > 0 or case.call_ordinal <= c:
+            flags.append(False)
+        elif case.function in representative:
+            flags.append(representative[case.function])
+        else:
+            ref = reference(case)
+            representative[case.function] = (ref.firings == 0
+                                              and ref.calls == c)
+            flags.append(False)
     return flags
 
 
-def _campaign(space, *, cases=None, results=None, **options):
-    factory, profiles, all_cases = space
+def _campaign(space, *, cases=None, results=None, telemetry=None,
+              **options):
+    factory, profiles, all_cases = space[:3]
     return execute_campaign("derive-equiv", factory, LINUX_X86, profiles,
                             all_cases if cases is None else cases,
-                            telemetry=Telemetry(), results=results,
-                            **options)
+                            telemetry=telemetry or Telemetry(),
+                            results=results, **options)
 
 
-def _without_memo(monkeypatch):
-    """Every case runs: the reference schedule and snapshot records."""
-    monkeypatch.setattr(engine_mod.NotReachedMemo, "derive",
+def _pool_tasks(telemetry):
+    """How many tasks the campaign's worker pool ran."""
+    return int(telemetry.metrics.counter(
+        "repro_pool_tasks_total", labelnames=("backend", "status")).total())
+
+
+def _without_derivation(monkeypatch):
+    """Every case runs — a held case whose representative cannot stand
+    in runs on the pool: the reference schedule and snapshot records."""
+    monkeypatch.setattr(engine_mod.NotReachedCases, "derive",
                         lambda self, case: None)
 
 
@@ -155,9 +171,10 @@ class TestDerivedEqualsExecuted:
     def test_campaign_matches_cases_run_alone(self, mode, space, reference,
                                               tmp_path):
         options = _MODES[mode]
+        telemetry = Telemetry()
         report = _campaign(space, results=ResultStore(tmp_path / "s"),
-                           **options)
-        cases = space[2]
+                           telemetry=telemetry, **options)
+        cases, counts = space[2:]
         assert [r.case for r in report.results] == cases
         assert report.summary.derived > 0
         assert report.summary.derived == sum(r.derived
@@ -165,19 +182,22 @@ class TestDerivedEqualsExecuted:
         for result in report.results:
             assert _row(result) == _row(reference(result.case)), \
                 result.case.case_id()
-        if options["jobs"] == 1:
-            assert [r.derived for r in report.results] == \
-                _expected_derived(cases, reference)
-            assert {r.worker for r in report.results} == {"main"}
-        else:
-            # a derived result carries the label of the worker that ran
-            # its representative, which is the worker that derived it
-            ran = {(r.case.function, r.worker) for r in report.results
-                   if not r.derived}
-            for result in report.results:
+        # every backend derives the same cases, in the parent: only the
+        # executed ones reach the pool
+        assert [r.derived for r in report.results] == \
+            _expected_derived(cases, reference, counts)
+        assert _pool_tasks(telemetry) == len(cases) - report.summary.derived
+        # a derived result carries the label of the worker that ran its
+        # representative
+        ran = {(r.case.function, r.worker) for r in report.results
+               if not r.derived}
+        for result in report.results:
+            if options["jobs"] == 1:
+                assert result.worker == "main"
+            else:
                 assert result.worker.startswith("proc-")
-                if result.derived:
-                    assert (result.case.function, result.worker) in ran
+            if result.derived:
+                assert (result.case.function, result.worker) in ran
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_snapshot_records_match_executed_replays(
@@ -189,7 +209,7 @@ class TestDerivedEqualsExecuted:
                        **({"backend": "process"} if jobs > 1 else {}))
         derived = _campaign(space, results=ResultStore(tmp_path / "d"),
                             **options)
-        _without_memo(monkeypatch)
+        _without_derivation(monkeypatch)
         executed = _campaign(space, results=ResultStore(tmp_path / "e"),
                              **options)
         assert executed.summary.derived == 0
@@ -213,17 +233,102 @@ class TestDerivedEqualsExecuted:
         for result in report.results:
             assert _row(result) == _row(reference(result.case)), \
                 result.case.case_id()
-        _without_memo(monkeypatch)
+        _without_derivation(monkeypatch)
         executed = _campaign(space, **options)
         assert [r.case for r in report.results] == \
             [r.case for r in executed.results]
+
+
+def _full_row(result):
+    """Every field of a result but the wall clock, the worker label and
+    the snapshot record (whose restore seconds are wall clock too)."""
+    row = {f.name: getattr(result, f.name)
+           for f in dataclasses.fields(result)
+           if f.name not in ("seconds", "worker", "snapshot", "events")}
+    row["events"] = _fingerprint(result.events)
+    return row
+
+
+def test_every_backend_derives_the_same_cases(space, tmp_path):
+    """Serial, two workers and two workers replaying snapshots give the
+    same results field for field, ``derived`` included; so do guided
+    serial and guided two-worker runs."""
+    exhaustive = [_campaign(space, results=ResultStore(tmp_path / name),
+                            **_MODES[name])
+                  for name in ("serial-fresh", "process-2",
+                               "process-2-snapshot")]
+    guided = [_campaign(space, guided=True, **options)
+              for options in (dict(jobs=1),
+                              dict(jobs=2, backend="process"))]
+    for runs in (exhaustive, guided):
+        rows = [[_full_row(r) for r in report.results] for report in runs]
+        assert any(row["derived"] for row in rows[0])
+        for other in rows[1:]:
+            assert other == rows[0]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_golden_counts_make_the_cases_run(space, reference, delta,
+                                                monkeypatch, tmp_path):
+    """A golden count one off the truth marks the wrong cases: one below
+    it, the representative fires; one above, it makes fewer calls than
+    predicted.  Either way its held cases run, with unchanged results,
+    and only the never-called functions still derive."""
+    real = engine_mod._golden_run
+    patched = {fn: count + delta for fn, count in space[3].items()}
+
+    def off_by_one(*args):
+        digest, _counts, blocks = real(*args)
+        return digest, patched, blocks
+    monkeypatch.setattr(engine_mod, "_golden_run", off_by_one)
+    cases = space[2]
+    for options in (dict(jobs=1), dict(jobs=2, backend="process")):
+        report = _campaign(space, results=ResultStore(
+            tmp_path / str(options["jobs"])), **options)
+        flags = [r.derived for r in report.results]
+        assert flags == _expected_derived(cases, reference, patched)
+        assert {c.function for c, derived in zip(cases, flags)
+                if derived} == set(_NEVER)
+        for result in report.results:
+            assert _row(result) == _row(reference(result.case)), \
+                result.case.case_id()
+
+
+def test_a_golden_run_that_raises_derives_nothing(space, reference,
+                                                  tmp_path, caplog):
+    """The golden counts are then unknown, not zero: every case runs,
+    and meta records no counts; a campaign whose golden run completes
+    records them."""
+    factory, profiles = space[:2]
+
+    def golden_raises(lfi):
+        if lfi.plan.name == "golden":
+            raise RuntimeError("no golden run")
+        return factory(lfi)
+
+    store = ResultStore(tmp_path / "s")
+    with caplog.at_level("DEBUG", logger=engine_mod.__name__):
+        report = execute_campaign("derive-golden", golden_raises,
+                                  LINUX_X86, profiles, space[2],
+                                  results=store)
+    assert "the golden run raised" in caplog.text
+    assert report.summary.derived == 0
+    for result in report.results:
+        assert _row(result)["status"] == \
+            _row(reference(result.case))["status"]
+        assert result.calls == reference(result.case).calls
+    assert _campaign(space, results=store).summary.derived > 0
+    metas = [json.loads(path.read_text())
+             for path in store.root.glob("*/meta.json")]
+    assert {meta["app"]: meta["call_counts"] for meta in metas} == \
+        {"derive-golden": None, "derive-equiv": space[3]}
 
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_order_with_repeats(space, reference, data):
-    """Whatever the order, and however often a case repeats, a serial
+    """Whatever the order, and however often a case repeats, a
     campaign derives exactly what the rule allows and every result
     equals the case run alone."""
     pool = [case for case in space[2]
@@ -233,7 +338,7 @@ def test_any_order_with_repeats(space, reference, data):
     with tempfile.TemporaryDirectory() as root:
         report = _campaign(space, cases=cases, results=ResultStore(root))
     assert [r.derived for r in report.results] == \
-        _expected_derived(cases, reference)
+        _expected_derived(cases, reference, space[3])
     assert report.summary.derived == sum(r.derived for r in report.results)
     for result in report.results:
         assert _row(result) == _row(reference(result.case)), \
@@ -243,7 +348,8 @@ def test_any_order_with_repeats(space, reference, data):
 class TestWhatIsNeverDerived:
     def test_probabilistic_cases_always_run(self, space):
         """A fail-rate case rolls its RNG on every call: it neither
-        takes nor gives a memo entry, even when it never fires."""
+        takes another run's result nor stands in for one, even when it
+        never fires."""
         code = error_codes_from_profile(
             space[1]["libc.so.6"].functions["accept"])[0]
         rolled = FaultCase("accept", code, 1, probability=0.5)
@@ -258,9 +364,10 @@ class TestWhatIsNeverDerived:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_case_raising_outside_the_run_leaves_no_entry(self, space,
                                                           jobs):
-        """A case whose harness raises is ``crashed`` and seeds nothing:
-        the next case of its function runs, the one after derives."""
-        factory, profiles, _cases = space
+        """A representative whose harness raises is ``crashed`` and
+        stands in for nothing: every later case of its function runs,
+        on every backend."""
+        factory, profiles = space[:2]
         bad, good = error_codes_from_profile(
             profiles["libc.so.6"].functions["accept"])[:2]
 
@@ -280,10 +387,8 @@ class TestWhatIsNeverDerived:
         # one line, the same on every backend and in every checkout
         assert report.results[0].outcome.detail == \
             "RuntimeError: harness failure"
-        if jobs == 1:
-            # (two workers split the cases, so each keeps its own memo)
-            assert [r.derived for r in report.results] == \
-                [False, False, True]
+        assert [r.derived for r in report.results] == [False] * 3
+        assert report.summary.derived == 0
 
 
 def test_derived_results_share_no_container(space, reference):
@@ -292,9 +397,9 @@ def test_derived_results_share_no_container(space, reference):
     never = [c for c in space[2] if c.function == "accept"]
     first, later = never[0], never[1:]
     executed = reference(first)
-    memo = NotReachedMemo()
-    memo.remember(first, executed)
-    derived = [memo.derive(case) for case in later]
+    not_reached = NotReachedCases(GoldenBound(space[3]))
+    not_reached.remember(first, executed)
+    derived = [not_reached.derive(case) for case in later]
     assert all(d is not None and d.derived for d in derived)
 
     def containers(result):

@@ -79,6 +79,7 @@ class TestJournal:
                                    "calloriginal": False,
                                    "modifications": [],
                                    "stack": ["0x10", "main"]}])
+        original.calls, original.firings = 3, 0
         journal = CampaignJournal(tmp_path / "c", "k1", app="demo")
         journal.record(case_digest(case), case, original, "ok")
         journal.close()
@@ -95,6 +96,10 @@ class TestJournal:
         assert restored.events == original.events
         assert restored.metrics == original.metrics
         assert restored.sites == original.sites
+        assert (restored.calls, restored.firings) == (3, 0)
+        # a record journaled before ``firings`` existed reads back None
+        del rec["firings"]
+        assert restore_result(case, rec).firings is None
 
     def test_last_record_wins_per_case(self, tmp_path):
         case = _case()
@@ -150,6 +155,52 @@ class TestJournal:
         summary = journal2.summary()
         assert summary["cases"] == 2
         assert summary["outcomes"] == {"normal": 1, "SIGSEGV": 1}
+
+    @pytest.mark.parametrize("history", ["fresh", "resumed", "torn",
+                                         "twice"])
+    def test_written_index_equals_one_rebuilt_from_the_journal(
+            self, tmp_path, monkeypatch, history):
+        """The writer keeps the index in memory — folding the journal it
+        opened once, then adding what it appends — and close() writes it
+        without reading the journal again."""
+        a, b, c = _case(), _case(errno="EBADF"), _case(errno="EINTR")
+        root = tmp_path / "c"
+        if history != "fresh":
+            earlier = CampaignJournal(root, "k1", app="demo")
+            earlier.record(case_digest(a), a, _result(a), "ok")
+            earlier.close()
+        if history == "torn":
+            with open(root / "journal.jsonl", "a", encoding="utf-8") as fh:
+                fh.write('{"schema": "repro.case-result/1", "case_key": "')
+        journal = CampaignJournal(root, "k1", app="demo")
+        if history == "resumed":
+            assert list(journal.finished()) == [case_digest(a)]
+        journal.record(case_digest(b), b, _result(b), "ok")
+        journal.record(case_digest(c), c, _result(c), "ok")
+        if history == "twice":
+            journal.record(case_digest(a), a, _result(a, status="hung"),
+                           "hung")
+            journal.record(case_digest(b), b, _result(b, status="SIGSEGV"),
+                           "ok")
+
+        def no_reread(self):
+            raise AssertionError("close() re-read the journal")
+        monkeypatch.setattr(CampaignJournal, "finished", no_reread)
+        journal.close()
+        monkeypatch.undo()
+
+        written = json.loads((root / "index.json").read_text())
+        assert written == CampaignJournal(root, "k1")._build_index()
+        assert written["journal_bytes"] == \
+            (root / "journal.jsonl").stat().st_size
+        statuses = {entry["case"]: entry["status"]
+                    for entry in written["cases"].values()}
+        expected = {"fresh": {b.case_id(): "normal", c.case_id(): "normal"},
+                    "twice": {a.case_id(): "hung", b.case_id(): "SIGSEGV",
+                              c.case_id(): "normal"}}
+        assert statuses == expected.get(history, {
+            a.case_id(): "normal", b.case_id(): "normal",
+            c.case_id(): "normal"})
 
     def test_meta_remembers_the_app(self, tmp_path):
         CampaignJournal(tmp_path / "c", "k1", app="pidgin")

@@ -15,6 +15,7 @@ skipped — the guarantee must actually be exercised, not waved through.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -195,11 +196,24 @@ class TestResumeEquivalence:
 # -- a crash at any byte of the journal ----------------------------------------
 
 
+def _result_rows(report):
+    """Every result field but the wall clock and the worker label."""
+    rows = []
+    for result in report.results:
+        row = {f.name: getattr(result, f.name)
+               for f in dataclasses.fields(result)
+               if f.name not in ("seconds", "worker", "events")}
+        row["events"] = _event_fingerprint(result.events)
+        rows.append(row)
+    return rows
+
+
 @pytest.fixture(scope="module")
 def derived_reference(tmp_path_factory, libc_profiles_linux):
     """An uninterrupted journaled minidb campaign whose list has derived
     cases (ordinals past every call of their function): its campaign
-    key, meta and journal bytes, its records, and its matrix."""
+    key, meta and journal bytes, its records, its matrix and its
+    results."""
     root = tmp_path_factory.mktemp("byte-reference")
     factory = _campaign_factory("minidb", LINUX_X86)
     cases = enumerate_cases(libc_profiles_linux,
@@ -216,7 +230,25 @@ def derived_reference(tmp_path_factory, libc_profiles_linux):
                 meta=(key_dir / "meta.json").read_bytes(),
                 journal=(key_dir / "journal.jsonl").read_bytes(),
                 records=store.load(key_dir.name),
-                matrix=matrix_from_store(store).to_json())
+                matrix=matrix_from_store(store).to_json(),
+                rows=_result_rows(report))
+
+
+def _resume_cut(ref, journal, profiles, root, *, backend, jobs,
+                telemetry=None):
+    """Resume the reference campaign in a store under ``root`` from
+    ``journal``, a cut copy of its journal; returns the report and the
+    store."""
+    store = ResultStore(root)
+    key_dir = store.root / ref["key"]
+    key_dir.mkdir()
+    (key_dir / "meta.json").write_bytes(ref["meta"])
+    (key_dir / "journal.jsonl").write_bytes(journal)
+    report = run_campaign("minidb", ref["factory"], LINUX_X86, profiles,
+                          ref["cases"], jobs=jobs, backend=backend,
+                          telemetry=telemetry or Telemetry(),
+                          results=store, resume=True)
+    return report, store
 
 
 @settings(max_examples=12, deadline=None,
@@ -234,21 +266,76 @@ def test_crash_at_any_byte_of_the_journal_resumes(derived_reference,
                                                ("process", 2)]),
                               label="backend")
     with tempfile.TemporaryDirectory() as root:
-        store = ResultStore(root)
-        key_dir = store.root / ref["key"]
-        key_dir.mkdir()
-        (key_dir / "meta.json").write_bytes(ref["meta"])
-        (key_dir / "journal.jsonl").write_bytes(ref["journal"][:cut])
-        run_campaign("minidb", ref["factory"], LINUX_X86,
-                     libc_profiles_linux, ref["cases"], jobs=jobs,
-                     backend=backend, telemetry=Telemetry(),
-                     results=store, resume=True)
+        _report, store = _resume_cut(ref, ref["journal"][:cut],
+                                     libc_profiles_linux, root,
+                                     backend=backend, jobs=jobs)
         records = store.load(ref["key"])
         assert set(records) == set(ref["records"])
         for case_key, record in ref["records"].items():
             assert _normalize_record(records[case_key]) == \
                 _normalize_record(record), record["case"]
         assert matrix_from_store(store).to_json() == ref["matrix"]
+
+
+def test_resume_after_any_record_derives_the_same_cases(
+        derived_reference, libc_profiles_linux):
+    """Cut the journal after each of its records in turn: the resumed
+    run's results — ``derived`` included — equal the uninterrupted
+    run's, and its pool runs only what was neither restored nor
+    derived."""
+    ref = derived_reference
+    lines = ref["journal"].splitlines(keepends=True)
+    for kept in range(len(lines) + 1):
+        backend, jobs = (("serial", 1), ("process", 2))[kept % 2]
+        telemetry = Telemetry()
+        with tempfile.TemporaryDirectory() as root:
+            report, _store = _resume_cut(ref, b"".join(lines[:kept]),
+                                         libc_profiles_linux, root,
+                                         backend=backend, jobs=jobs,
+                                         telemetry=telemetry)
+        assert _result_rows(report) == ref["rows"], kept
+        assert report.resumed["skipped"] == kept
+        ran = telemetry.metrics.counter(
+            "repro_pool_tasks_total", labelnames=("backend", "status"))
+        assert ran.total() == sum(
+            1 for pos, row in enumerate(ref["rows"])
+            if pos >= kept and not row["derived"]), kept
+
+
+def test_restored_representative_stands_in_unless_it_lacks_firings(
+        derived_reference, libc_profiles_linux):
+    """A restored record journaled with ``firings`` is its function's
+    representative: the cases behind it derive without a new run.  One
+    journaled before ``firings`` existed cannot serve, so the next case
+    that cannot fire runs in its place."""
+    ref = derived_reference
+    lines = ref["journal"].splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    rename = [pos for pos, rec in enumerate(records)
+              if rec["function"] == "rename"]
+    first = rename[0]
+    assert ref["rows"][first]["derived"] is False
+    assert all(ref["rows"][pos]["derived"] for pos in rename[1:])
+    kept = lines[:first + 1]
+    legacy = kept[:-1] + [json.dumps(
+        {k: v for k, v in records[first].items() if k != "firings"},
+        sort_keys=True).encode() + b"\n"]
+    runs = []
+    for journal in (kept, legacy):
+        telemetry = Telemetry()
+        with tempfile.TemporaryDirectory() as root:
+            report, _store = _resume_cut(ref, b"".join(journal),
+                                         libc_profiles_linux, root,
+                                         backend="serial", jobs=1,
+                                         telemetry=telemetry)
+        runs.append(([pos for pos in rename if report.results[pos].derived],
+                     telemetry.metrics.counter(
+                         "repro_pool_tasks_total",
+                         labelnames=("backend", "status")).total()))
+    (derived, ran), (derived_legacy, ran_legacy) = runs
+    assert derived == rename[1:]
+    assert derived_legacy == rename[2:]
+    assert ran_legacy == ran + 1
 
 
 class TestCrashedWorkerJournaled:
