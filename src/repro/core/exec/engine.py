@@ -240,11 +240,9 @@ def _case_telemetry() -> Telemetry:
     """A private in-memory telemetry context for one case: its events
     and metrics travel back on the result (they pickle, so this works
     across the process backend too)."""
-    from ...obs.events import BufferedEventLog
-    from ...obs.metrics import BufferedMetricsRegistry
+    from ...obs.events import MemorySink
     from ...obs.tracing import NULL_TRACER
-    return Telemetry(events=BufferedEventLog(),
-                     metrics=BufferedMetricsRegistry(), tracer=NULL_TRACER)
+    return Telemetry(sinks=[MemorySink()], tracer=NULL_TRACER)
 
 
 def _case_result(lfi: Controller, case, outcome: TestOutcome, fired: bool,
@@ -260,7 +258,8 @@ def _case_result(lfi: Controller, case, outcome: TestOutcome, fired: bool,
                         calls=lfi.engine.call_counts.get(case.function, 0),
                         firings=lfi.engine.firings)
     if case_telemetry is not None:
-        result.events = case_telemetry.events.drain_dicts()
+        (sink,) = case_telemetry.events.sinks
+        result.events = [event.to_dict() for event in sink.events]
         result.metrics = case_telemetry.metrics.snapshot()
         result.worker = _worker_label()
     if observe:
@@ -526,7 +525,8 @@ def execute_campaign(app: str,
     With ``telemetry`` attached, every case's injection events are
     re-emitted into the shared event log in case order (tagged with the
     case id and the worker that ran it), worker-side metrics are merged
-    into the shared registry, and pool/queue statistics are recorded.
+    into the shared registry, and the ``repro_case*`` status, time and
+    queue-wait metrics are recorded over every case.
 
     ``results`` attaches a durable
     :class:`~repro.core.results.ResultStore`: every finished case is
@@ -565,8 +565,7 @@ def execute_campaign(app: str,
         raise ValueError("budget_cases only caps guided campaigns; set "
                          "guided as well, or drop budget_cases")
     tele = as_telemetry(telemetry)
-    pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout,
-                      metrics=tele.metrics)
+    pool = WorkerPool(jobs=jobs, backend=backend, timeout=timeout)
     case_list = list(cases)
     profiles = dict(profiles)
     capture = tele.enabled

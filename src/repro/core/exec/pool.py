@@ -105,18 +105,6 @@ class TaskResult:
     seconds: float = 0.0
     waited: float = 0.0         # queue wait: map() start -> task start
 
-    @property
-    def ok(self) -> bool:
-        return self.status == TASK_OK
-
-    def unwrap(self) -> Any:
-        """Return the value, re-raising whatever went wrong instead."""
-        if self.status == TASK_OK:
-            return self.value
-        if self.error is not None:
-            raise self.error
-        raise RemoteTaskError(f"task {self.index} {self.status}")
-
 
 class _Task:
     """Internal per-item bookkeeping for the process dispatcher."""
@@ -154,7 +142,12 @@ class _Worker:
 
 def _worker_main(conn, fn, inherited) -> None:
     """Entry point of a process-backend worker: run ``fn`` on each item
-    the parent sends, until the parent closes its end of the pipe."""
+    the parent sends, until the parent closes its end of the pipe.
+
+    Each reply carries the seconds ``fn`` took, timed here: a reply can
+    wait in the pipe while the parent is busy, and that wait is not the
+    task's.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent owns ^C
     for other in inherited:
         # the parent's ends of this and earlier workers' pipes: only the
@@ -166,18 +159,21 @@ def _worker_main(conn, fn, inherited) -> None:
             item = conn.recv()
         except (EOFError, OSError):
             return                      # the parent closed the pipe or died
+        started = time.monotonic()
         try:
-            payload: Tuple[str, Any] = ("ok", fn(item))
+            kind, value = "ok", fn(item)
         except BaseException as exc:
             _log.debug("task raised in worker %d", os.getpid(),
                        exc_info=True)
-            payload = ("error", exception_line(exc))
+            kind, value = "error", exception_line(exc)
+        seconds = time.monotonic() - started
         try:
-            conn.send(payload)
+            conn.send((kind, value, seconds))
         except OSError:
             return                      # the parent is gone
         except Exception as exc:        # e.g. unpicklable result
-            conn.send(("error", f"could not serialize task result: {exc!r}"))
+            conn.send(("error", f"could not serialize task result: {exc!r}",
+                       seconds))
 
 
 class WorkerPool:
@@ -191,8 +187,7 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int = 1, backend: Optional[str] = None,
-                 timeout: Optional[float] = None,
-                 metrics=None) -> None:
+                 timeout: Optional[float] = None) -> None:
         if jobs in (None, 0, "auto"):
             jobs = resolve_jobs(jobs)
         if backend is None:
@@ -216,10 +211,6 @@ class WorkerPool:
         self.backend = backend
         self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
-        if metrics is None:
-            from ...obs.metrics import NULL_REGISTRY
-            metrics = NULL_REGISTRY
-        self.metrics = metrics
         # the process backend's live workers and the function they run
         self._fn: Optional[Callable[[Any], Any]] = None
         self._workers: List[_Worker] = []
@@ -244,14 +235,9 @@ class WorkerPool:
         items = list(items)
         if not items:
             return []
-        started = time.monotonic()
         if self.backend == SERIAL:
-            results = self._map_serial(fn, items, progress)
-        else:
-            results = self._map_process(fn, items, progress)
-        if self.metrics.enabled:
-            self._record_metrics(results, time.monotonic() - started)
-        return results
+            return self._map_serial(fn, items, progress)
+        return self._map_process(fn, items, progress)
 
     def close(self) -> None:
         """Stop the process backend's workers.
@@ -262,33 +248,6 @@ class WorkerPool:
         self._fn = None
         while self._workers:
             self._retire(self._workers[-1])
-
-    def _record_metrics(self, results: List[TaskResult],
-                        elapsed: float) -> None:
-        """Pool-level telemetry: status counters, wait/duration
-        histograms, a utilization gauge."""
-        tasks_total = self.metrics.counter(
-            "repro_pool_tasks_total", "Pooled tasks by final status",
-            ("backend", "status"))
-        task_seconds = self.metrics.histogram(
-            "repro_pool_task_seconds", "Per-task execution time",
-            ("backend",))
-        queue_wait = self.metrics.histogram(
-            "repro_pool_queue_wait_seconds",
-            "Time tasks waited for a worker slot", ("backend",))
-        utilization = self.metrics.gauge(
-            "repro_pool_worker_utilization",
-            "busy-seconds / (elapsed * jobs) of the last map()",
-            ("backend",))
-        busy = 0.0
-        for result in results:
-            tasks_total.inc(backend=self.backend, status=result.status)
-            task_seconds.observe(result.seconds, backend=self.backend)
-            queue_wait.observe(result.waited, backend=self.backend)
-            busy += result.seconds
-        if elapsed > 0 and self.jobs > 0:
-            utilization.set(min(1.0, busy / (elapsed * self.jobs)),
-                            backend=self.backend)
 
     # -- serial backend ----------------------------------------------------
 
@@ -393,7 +352,9 @@ class WorkerPool:
         The outcome is read off the pipe, never off the exit status: a
         payload decides, even from a worker that has exited since (its
         status may already be reaped by someone else); a worker gone
-        without one is a crash; neither by the deadline is a hang.
+        without one is a crash; neither by the deadline is a hang.  A
+        payload brings the worker's own time for the task; a crash or a
+        hang is timed here, from the send.
         """
         busy = [w for w in self._workers if w.task is not None]
         timeout = None
@@ -421,13 +382,13 @@ class WorkerPool:
                 continue
             else:
                 continue                # still running
-            task.seconds = now - task.started_at
             worker.task = None
             if payload is None:
+                task.seconds = now - task.started_at
                 _finish(task, TASK_CRASHED, RemoteTaskError(
                     f"worker died with exit code {self._retire(worker)}"))
                 continue
-            kind, value = payload
+            kind, value, task.seconds = payload
             if kind == "ok":
                 _finish(task, TASK_OK, value)
             else:

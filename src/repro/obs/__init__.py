@@ -17,13 +17,13 @@ instrumented code paths cost one method call when telemetry is off.
 """
 
 from .clock import Clock, ManualClock, MonotonicClock
-from .events import (BufferedEventLog, EVENT_SCHEMA, Event, EventLog,
-                     EventLogHandler, FileSink, MemorySink, NULL_EVENT_LOG,
-                     NullEventLog, SEVERITIES, Sink, StderrSink, read_events,
+from .events import (EVENT_SCHEMA, Event, EventLog, EventLogHandler,
+                     FileSink, MemorySink, NULL_EVENT_LOG, NullEventLog,
+                     SEVERITIES, Sink, StderrSink, read_events,
                      summarize_events)
-from .metrics import (BufferedMetricsRegistry, Counter, DEFAULT_BUCKETS,
-                      Gauge, Histogram, MetricsRegistry, NULL_REGISTRY,
-                      NullRegistry, aggregate_histogram, histogram_quantile,
+from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
+                      MetricsRegistry, NULL_REGISTRY, NullRegistry,
+                      aggregate_histogram, histogram_quantile,
                       quantiles_from_snapshot)
 from .report import (CampaignWatch, JournalTailer, WATCH_SCHEMA,
                      render_html_report, resolve_journal, watch_journal)
@@ -35,11 +35,11 @@ from .tracing import (NULL_TRACER, NullTracer, Span, SpanTracer,
 __all__ = [
     "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "as_telemetry",
     "TELEMETRY_SCHEMA",
-    "Event", "EventLog", "BufferedEventLog", "NullEventLog",
+    "Event", "EventLog", "NullEventLog",
     "NULL_EVENT_LOG", "EventLogHandler", "EVENT_SCHEMA", "SEVERITIES",
     "Sink", "FileSink", "MemorySink", "StderrSink",
     "read_events", "summarize_events",
-    "MetricsRegistry", "BufferedMetricsRegistry", "NullRegistry",
+    "MetricsRegistry", "NullRegistry",
     "NULL_REGISTRY", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
     "Span", "SpanTracer", "NullTracer", "NULL_TRACER", "TRACE_SCHEMA",
     "render_span_dicts",

@@ -187,68 +187,6 @@ class EventLog:
             sink.close()
 
 
-class BufferedEventLog(EventLog):
-    """A single-writer log that batches per-case telemetry.
-
-    ``emit`` appends one flat ``(kind, severity, fields, ts)`` tuple —
-    no lock, no sequence assignment, no :class:`Event` construction, no
-    sink fan-out — and the whole case's records are materialized in one
-    pass at case end by :meth:`drain` (Events) or :meth:`drain_dicts`
-    (the ``to_dict`` wire shape, skipping Event objects entirely).
-    Sequence numbers and timestamps come out exactly as the unbatched
-    log would have assigned them: seq continues from the last drain,
-    ts is read from the clock at emit time.
-
-    Single-writer by construction — one case, one worker thread — so
-    dropping the lock is safe; the campaign engine swaps this in for
-    the per-case ``EventLog``+``MemorySink`` pair so the observability
-    layer stops taxing the interpreter.
-    """
-
-    def __init__(self, *, clock: Optional[Clock] = None) -> None:
-        super().__init__(clock=clock, sinks=())
-        self._buffer: List[tuple] = []
-
-    @property
-    def emitted(self) -> int:
-        return self._seq + len(self._buffer)
-
-    def attach(self, sink: Sink) -> None:
-        raise TypeError("BufferedEventLog has no sinks; call drain() "
-                        "or drain_dicts() at batch boundaries instead")
-
-    def emit(self, kind: str, *, severity: str = "info",
-             **fields: Any) -> Optional[Event]:
-        severity_rank(severity)         # validate early
-        self._buffer.append((kind, severity, fields, self.clock.now()))
-        return None
-
-    def drain(self) -> List[Event]:
-        """Materialize and clear the buffer as :class:`Event` records."""
-        base = self._seq
-        events = [Event(seq=base + index, ts=ts, kind=kind,
-                        severity=severity, fields=fields)
-                  for index, (kind, severity, fields, ts)
-                  in enumerate(self._buffer, 1)]
-        self._seq = base + len(events)
-        self._buffer.clear()
-        return events
-
-    def drain_dicts(self) -> List[Dict[str, Any]]:
-        """Materialize and clear the buffer straight to the
-        ``Event.to_dict`` wire shape (what rides back on a
-        ``CaseResult``) without building Event objects at all."""
-        base = self._seq
-        records = [{"schema": EVENT_SCHEMA, "seq": base + index,
-                    "ts": round(ts, 6), "kind": kind,
-                    "severity": severity, "fields": dict(fields)}
-                   for index, (kind, severity, fields, ts)
-                   in enumerate(self._buffer, 1)]
-        self._seq = base + len(records)
-        self._buffer.clear()
-        return records
-
-
 class NullEventLog(EventLog):
     """The no-op default; ``emit`` costs one method call."""
 

@@ -445,82 +445,6 @@ def quantiles_from_snapshot(snapshot: Mapping[str, Any], name: str,
     return out
 
 
-# -- single-writer (per-case) instruments ------------------------------------
-
-class BufferedCounter(Counter):
-    """Counter with a lock-free write path for single-writer registries.
-
-    Per-case registries live and die inside one worker thread, so the
-    per-``inc`` lock and unknown-label check are pure tax; deltas
-    accumulate in the plain ``_values`` dict (the flat per-case buffer)
-    and flush once at case end through ``snapshot()``/``merge``.
-    Snapshot readers still take the lock, so the cross-thread read at
-    case end stays safe.
-    """
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError(f"{self.name}: counters only go up")
-        key = tuple(str(labels.get(name, ""))
-                    for name in self.labelnames)
-        values = self._values
-        values[key] = values.get(key, 0.0) + amount
-
-
-class BufferedGauge(Gauge):
-    """Gauge with lock-free writes (see :class:`BufferedCounter`)."""
-
-    def set(self, value: float, **labels: Any) -> None:
-        self._values[tuple(str(labels.get(name, ""))
-                           for name in self.labelnames)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = tuple(str(labels.get(name, ""))
-                    for name in self.labelnames)
-        values = self._values
-        values[key] = values.get(key, 0.0) + amount
-
-
-class BufferedHistogram(Histogram):
-    """Histogram with lock-free observes (see :class:`BufferedCounter`)."""
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = tuple(str(labels.get(name, ""))
-                    for name in self.labelnames)
-        data = self._data.get(key)
-        if data is None:
-            data = self._data[key] = _HistogramData(len(self.buckets) + 1)
-        value = float(value)
-        data.counts[bisect.bisect_left(self.buckets, value)] += 1
-        data.sum += value
-        data.count += 1
-
-
-class BufferedMetricsRegistry(MetricsRegistry):
-    """A per-case registry whose instruments batch single-writer style.
-
-    Identical snapshot/merge/render shape to :class:`MetricsRegistry`;
-    only the write paths differ.  The campaign engine hands one of
-    these to each captured case so metric bookkeeping stays off the
-    interpreter's hot path, then folds its ``snapshot()`` into the
-    parent registry — that fold is the "flush once at case end".
-    """
-
-    def counter(self, name: str, help: str = "",
-                labelnames: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(BufferedCounter, name, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(BufferedGauge, name, help, labelnames)
-
-    def histogram(self, name: str, help: str = "",
-                  labelnames: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get_or_create(BufferedHistogram, name, help,
-                                   labelnames, buckets=buckets)
-
-
 # -- the no-op default -------------------------------------------------------
 
 class _NullInstrument:

@@ -1,10 +1,10 @@
 """The telemetry facade: one object bundling events + metrics + spans.
 
 Everything instrumentable (``Session``, ``Profiler``, ``ProfileStore``,
-``Controller``, ``WorkerPool``, the campaign engine) takes a
-``telemetry`` argument and defaults to :data:`NULL_TELEMETRY`, whose
-event log, registry and tracer are all single-method-call no-ops — the
-<5% overhead guarantee is that default.
+``Controller``, the campaign engine) takes a ``telemetry`` argument and
+defaults to :data:`NULL_TELEMETRY`, whose event log, registry and
+tracer are all single-method-call no-ops — the <5% overhead guarantee
+is that default.
 
 Enable it by passing a real :class:`Telemetry`::
 

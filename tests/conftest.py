@@ -89,3 +89,22 @@ def web_stack_linux(libc_linux, kernel_image_linux):
 @pytest.fixture()
 def kernel():
     return Kernel()
+
+
+@pytest.fixture()
+def pool_items(monkeypatch):
+    """The number of items of each ``WorkerPool.map`` call, in order:
+    what a campaign hands its pool, counted in the parent, so the same
+    on every backend."""
+    from repro.core.exec import WorkerPool
+
+    sizes = []
+    pool_map = WorkerPool.map
+
+    def counting_map(pool, fn, items, progress=None):
+        items = list(items)
+        sizes.append(len(items))
+        return pool_map(pool, fn, items, progress=progress)
+
+    monkeypatch.setattr(WorkerPool, "map", counting_map)
+    return sizes

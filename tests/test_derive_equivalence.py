@@ -145,12 +145,6 @@ def _campaign(space, *, cases=None, results=None, telemetry=None,
                             results=results, **options)
 
 
-def _pool_tasks(telemetry):
-    """How many tasks the campaign's worker pool ran."""
-    return int(telemetry.metrics.counter(
-        "repro_pool_tasks_total", labelnames=("backend", "status")).total())
-
-
 def _without_derivation(monkeypatch):
     """Every case runs — a held case whose representative cannot stand
     in runs on the pool: the reference schedule and snapshot records."""
@@ -169,11 +163,10 @@ _MODES = {
 class TestDerivedEqualsExecuted:
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_campaign_matches_cases_run_alone(self, mode, space, reference,
-                                              tmp_path):
+                                              tmp_path, pool_items):
         options = _MODES[mode]
-        telemetry = Telemetry()
         report = _campaign(space, results=ResultStore(tmp_path / "s"),
-                           telemetry=telemetry, **options)
+                           **options)
         cases, counts = space[2:]
         assert [r.case for r in report.results] == cases
         assert report.summary.derived > 0
@@ -186,7 +179,7 @@ class TestDerivedEqualsExecuted:
         # executed ones reach the pool
         assert [r.derived for r in report.results] == \
             _expected_derived(cases, reference, counts)
-        assert _pool_tasks(telemetry) == len(cases) - report.summary.derived
+        assert sum(pool_items) == len(cases) - report.summary.derived
         # a derived result carries the label of the worker that ran its
         # representative
         ran = {(r.case.function, r.worker) for r in report.results

@@ -66,7 +66,7 @@ class TestSerialBackend:
         results = WorkerPool(jobs=1).map(lambda x: x * 10, [3, 1, 2])
         assert [r.value for r in results] == [30, 10, 20]
         assert [r.index for r in results] == [0, 1, 2]
-        assert all(r.ok for r in results)
+        assert all(r.status == TASK_OK for r in results)
 
     def test_error_captured_not_raised(self):
         def boom(x):
@@ -76,9 +76,9 @@ class TestSerialBackend:
 
         results = WorkerPool(jobs=1).map(boom, [0, 1, 2])
         assert [r.status for r in results] == [TASK_OK, TASK_ERROR, TASK_OK]
-        with pytest.raises(ValueError):
-            results[1].unwrap()
-        assert results[2].unwrap() == 2
+        assert isinstance(results[1].error, ValueError)
+        assert results[1].value is None
+        assert results[2].value == 2
 
     def test_empty_input(self):
         assert WorkerPool(jobs=4).map(lambda x: x, []) == []
@@ -165,12 +165,32 @@ class TestProcessBackend:
         assert [r.index for r in results] == [0, 1, 2]
         assert [r.index for r in reported] == [0, 1, 2]
 
-    def test_unwrap_hung_raises_remote_error(self, process_pool):
+    def test_hung_task_is_timed_by_the_dispatcher(self, process_pool):
+        """A hung task sends nothing back: it has no value and no
+        error, and its seconds run from the send to the kill."""
         (result,) = _map_within(process_pool(jobs=1, timeout=0.2),
                                 time.sleep, [30])
         assert result.status == TASK_HUNG
-        with pytest.raises(RemoteTaskError):
-            result.unwrap()
+        assert (result.value, result.error) == (None, None)
+        assert result.seconds >= 0.2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_task_seconds_are_the_workers_own(self, process_pool, jobs):
+        """A finished task's seconds are what the worker spent on it,
+        not the time its reply waited while the parent ran a slow
+        ``progress`` callback."""
+        def work(x):
+            time.sleep(0.02)
+            if x == 3:
+                raise RuntimeError("the error path is timed too")
+            return x
+
+        results = _map_within(process_pool(jobs=jobs), work, [0, 1, 2, 3],
+                              progress=lambda _result: time.sleep(0.2))
+        assert [r.status for r in results] \
+            == [TASK_OK, TASK_OK, TASK_OK, TASK_ERROR]
+        assert all(0.02 <= r.seconds < 0.1 for r in results), \
+            [r.seconds for r in results]
 
     def test_worker_exception_travels_back(self, process_pool):
         def boom(_x):
@@ -178,6 +198,7 @@ class TestProcessBackend:
 
         (result,) = _map_within(process_pool(jobs=1), boom, [0])
         assert result.status == TASK_ERROR
+        assert isinstance(result.error, RemoteTaskError)
         assert "inside the child" in str(result.error)
 
     def test_dead_worker_is_crashed_not_fatal(self, process_pool):
@@ -353,7 +374,7 @@ class TestPersistentWorkers:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_guided_campaign_forks_jobs_workers(
-            self, jobs, monkeypatch, fork_starts, libc_linux,
+            self, jobs, pool_items, fork_starts, libc_linux,
             libc_profiles_linux):
         """Three guided batches (three ``map`` calls) share ``jobs``
         workers, and none outlives ``execute_campaign``."""
@@ -370,20 +391,12 @@ class TestPersistentWorkers:
                  for errno in ("EIO", "EACCES", "ENOSPC", "EINTR",
                                "EBADF", "EFBIG")
                  for ordinal in (1, 2, 3)]
-        maps = []
-        pool_map = WorkerPool.map
-
-        def counting_map(pool, fn, items, progress=None):
-            maps.append(len(items))
-            return pool_map(pool, fn, items, progress=progress)
-
-        monkeypatch.setattr(WorkerPool, "map", counting_map)
         before = set(multiprocessing.active_children())
         factory = _factory(libc_linux)
         report = _within(lambda: execute_campaign(
             "guided-pool", factory, LINUX_X86, libc_profiles_linux, cases,
             jobs=jobs, backend=PROCESS, guided=True), 60.0)
-        assert len(maps) == 3, maps
+        assert len(pool_items) == 3, pool_items
         assert all(r.outcome.status not in (TASK_CRASHED, TASK_HUNG)
                    for r in report.results)
         assert len(fork_starts) == resolve_jobs(jobs)

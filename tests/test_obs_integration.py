@@ -60,18 +60,47 @@ def _event_signature(sink):
     return signature
 
 
+def _case_events(sink):
+    """The per-case events, every field but the two that say which
+    worker ran the case and for how long."""
+    return [(event.kind, event.severity,
+             {key: value for key, value in event.fields.items()
+              if key not in ("worker", "seconds")})
+            for event in sink.events
+            if event.kind in ("case", "test", "injection")]
+
+
+#: the metric families that depend on neither the backend, the worker
+#: count nor the host's speed
+_DETERMINISTIC_METRICS = (
+    "repro_cases_total", "repro_cases_derived_total",
+    "repro_injections_total", "repro_instructions_total",
+    "repro_trigger_evaluations_total", "repro_passthrough_firings_total",
+    "repro_virtual_delay_ns_total", "repro_partial_io_bytes_total")
+
+
+def _deterministic_metrics(telemetry):
+    snapshot = telemetry.metrics.snapshot()
+    return {name: snapshot.get(name) for name in _DETERMINISTIC_METRICS}
+
+
 class TestDeterministicOrdering:
     @pytest.mark.parametrize("jobs,backend", [(1, "serial"),
                                               (2, "process")])
     def test_backends_emit_identical_event_sequences(
             self, libc_linux, libc_profiles_linux, jobs, backend):
-        serial_report, _, serial_sink = _run_instrumented(
+        serial_report, serial_telemetry, serial_sink = _run_instrumented(
             libc_linux, libc_profiles_linux, jobs=1, backend="serial")
-        report, _, sink = _run_instrumented(
+        report, telemetry, sink = _run_instrumented(
             libc_linux, libc_profiles_linux, jobs=jobs, backend=backend)
         assert _event_signature(sink) == _event_signature(serial_sink)
         assert [r.case.case_id() for r in report.results] \
             == [r.case.case_id() for r in serial_report.results]
+        assert _case_events(serial_sink)
+        assert _case_events(sink) == _case_events(serial_sink)
+        metrics = _deterministic_metrics(serial_telemetry)
+        assert None not in metrics.values(), metrics
+        assert _deterministic_metrics(telemetry) == metrics
 
     def test_injection_events_carry_audit_fields(self, libc_linux,
                                                  libc_profiles_linux):

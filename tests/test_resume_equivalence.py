@@ -234,8 +234,7 @@ def derived_reference(tmp_path_factory, libc_profiles_linux):
                 rows=_result_rows(report))
 
 
-def _resume_cut(ref, journal, profiles, root, *, backend, jobs,
-                telemetry=None):
+def _resume_cut(ref, journal, profiles, root, *, backend, jobs):
     """Resume the reference campaign in a store under ``root`` from
     ``journal``, a cut copy of its journal; returns the report and the
     store."""
@@ -246,8 +245,8 @@ def _resume_cut(ref, journal, profiles, root, *, backend, jobs,
     (key_dir / "journal.jsonl").write_bytes(journal)
     report = run_campaign("minidb", ref["factory"], LINUX_X86, profiles,
                           ref["cases"], jobs=jobs, backend=backend,
-                          telemetry=telemetry or Telemetry(),
-                          results=store, resume=True)
+                          telemetry=Telemetry(), results=store,
+                          resume=True)
     return report, store
 
 
@@ -278,7 +277,7 @@ def test_crash_at_any_byte_of_the_journal_resumes(derived_reference,
 
 
 def test_resume_after_any_record_derives_the_same_cases(
-        derived_reference, libc_profiles_linux):
+        derived_reference, libc_profiles_linux, pool_items):
     """Cut the journal after each of its records in turn: the resumed
     run's results — ``derived`` included — equal the uninterrupted
     run's, and its pool runs only what was neither restored nor
@@ -287,23 +286,20 @@ def test_resume_after_any_record_derives_the_same_cases(
     lines = ref["journal"].splitlines(keepends=True)
     for kept in range(len(lines) + 1):
         backend, jobs = (("serial", 1), ("process", 2))[kept % 2]
-        telemetry = Telemetry()
+        pool_items.clear()
         with tempfile.TemporaryDirectory() as root:
             report, _store = _resume_cut(ref, b"".join(lines[:kept]),
                                          libc_profiles_linux, root,
-                                         backend=backend, jobs=jobs,
-                                         telemetry=telemetry)
+                                         backend=backend, jobs=jobs)
         assert _result_rows(report) == ref["rows"], kept
         assert report.resumed["skipped"] == kept
-        ran = telemetry.metrics.counter(
-            "repro_pool_tasks_total", labelnames=("backend", "status"))
-        assert ran.total() == sum(
+        assert sum(pool_items) == sum(
             1 for pos, row in enumerate(ref["rows"])
             if pos >= kept and not row["derived"]), kept
 
 
 def test_restored_representative_stands_in_unless_it_lacks_firings(
-        derived_reference, libc_profiles_linux):
+        derived_reference, libc_profiles_linux, pool_items):
     """A restored record journaled with ``firings`` is its function's
     representative: the cases behind it derive without a new run.  One
     journaled before ``firings`` existed cannot serve, so the next case
@@ -322,16 +318,13 @@ def test_restored_representative_stands_in_unless_it_lacks_firings(
         sort_keys=True).encode() + b"\n"]
     runs = []
     for journal in (kept, legacy):
-        telemetry = Telemetry()
+        pool_items.clear()
         with tempfile.TemporaryDirectory() as root:
             report, _store = _resume_cut(ref, b"".join(journal),
                                          libc_profiles_linux, root,
-                                         backend="serial", jobs=1,
-                                         telemetry=telemetry)
+                                         backend="serial", jobs=1)
         runs.append(([pos for pos in rename if report.results[pos].derived],
-                     telemetry.metrics.counter(
-                         "repro_pool_tasks_total",
-                         labelnames=("backend", "status")).total()))
+                     sum(pool_items)))
     (derived, ran), (derived_legacy, ran_legacy) = runs
     assert derived == rename[1:]
     assert derived_legacy == rename[2:]

@@ -12,12 +12,13 @@ from repro import Session
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.controller import TestOutcome, TestReport
 from repro.core.exec.engine import execute_campaign
-from repro.core.exec.pool import WorkerPool, resolve_jobs
+from repro.core.exec.pool import TaskResult, WorkerPool, resolve_jobs
 from repro.core.profiler import Profiler, profile_application
 from repro.core.scenario import FunctionTrigger, ReturnFault
 from repro.core.store import ProfileStore
 from repro.errors import ReproError
 from repro.kernel import Kernel, O_CREAT, O_RDWR
+from repro.obs import Telemetry
 from repro.obs.tracing import NULL_TRACER, SpanTracer
 from repro.platform import LINUX_X86
 
@@ -184,8 +185,19 @@ class TestStoreIntegration:
         assert stage.cache_memory_hits == 1 and stage.cache_misses == 0
 
 
-#: Spellings that 2.0, 3.0 and 4.0 removed, each with the error that
-#: must name it.
+def _campaign_metric(images, name):
+    """Metric ``name`` of a one-case campaign run with telemetry on."""
+    telemetry = Telemetry()
+    profiles = Profiler(LINUX_X86, images).profile_all()
+    cases = enumerate_cases(profiles, functions=["close"],
+                            max_codes_per_function=1)
+    run_campaign("copytool", _copytool_factory(images["libc.so.6"]),
+                 LINUX_X86, profiles, cases, telemetry=telemetry)
+    return telemetry.metrics.snapshot()[name]
+
+
+#: Spellings that 2.0, 3.0, 4.0 and 5.0 removed, each with the error
+#: that must name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
         TypeError, "libraries",
@@ -259,13 +271,45 @@ _REMOVED_SPELLINGS = {
     "NULL_TRACER.trace-parent": (
         TypeError, "parent",
         lambda images, tmp: NULL_TRACER.trace("span", parent=None)),
+    "WorkerPool-metrics": (
+        TypeError, "metrics",
+        lambda images, tmp: WorkerPool(jobs=1, metrics=None)),
+    "WorkerPool._record_metrics": (
+        AttributeError, "_record_metrics",
+        lambda images, tmp: WorkerPool._record_metrics),
+    "TaskResult.ok": (
+        AttributeError, "ok", lambda images, tmp: TaskResult(index=0).ok),
+    "TaskResult.unwrap": (
+        AttributeError, "unwrap",
+        lambda images, tmp: TaskResult(index=0).unwrap()),
 }
+# the buffered per-case copies of the event log and the instruments
+_REMOVED_SPELLINGS.update({
+    f"{module[len('repro.'):]}.{name}": (
+        AttributeError, name,
+        lambda images, tmp, module=module, name=name: getattr(
+            importlib.import_module(module), name))
+    for module, name in (
+        ("repro.obs", "BufferedEventLog"),
+        ("repro.obs", "BufferedMetricsRegistry"),
+        ("repro.obs.events", "BufferedEventLog"),
+        ("repro.obs.metrics", "BufferedMetricsRegistry"),
+        ("repro.obs.metrics", "BufferedCounter"),
+        ("repro.obs.metrics", "BufferedGauge"),
+        ("repro.obs.metrics", "BufferedHistogram"))})
+# the pool's own metrics: the engine's repro_case* family counts its tasks
+_REMOVED_SPELLINGS.update({
+    name: (KeyError, name,
+           lambda images, tmp, name=name: _campaign_metric(images, name))
+    for name in ("repro_pool_tasks_total", "repro_pool_task_seconds",
+                 "repro_pool_queue_wait_seconds",
+                 "repro_pool_worker_utilization")})
 
 
 class TestDeprecationShims:
-    """2.0 removed the shims, 3.0 the profiler's pool parameters and 4.0
-    the thread backend: old spellings fail by name, new ones are
-    silent."""
+    """2.0 removed the shims, 3.0 the profiler's pool parameters, 4.0
+    the thread backend and 5.0 the buffered telemetry copies and the
+    pool's metrics: old spellings fail by name, new ones are silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
