@@ -54,8 +54,7 @@ and EXPERIMENTS.md for the paper-vs-measured results of every table and
 figure.
 """
 
-from .core.controller import (REPORT_SCHEMA, Controller, TestOutcome,
-                              TestReport)
+from .core.controller import REPORT_SCHEMA, Controller, TestOutcome
 from .core.exec import RunSummary, WorkerPool
 from .core.profiler import HeuristicConfig, Profiler, profile_application
 from .core.profiles import LibraryProfile
@@ -74,12 +73,12 @@ from .platform import (ALL_PLATFORMS, LINUX_X86, SOLARIS_SPARC, WINDOWS_X86,
 from .runtime import Process
 from .session import Session
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Session",
     "Profiler", "profile_application", "HeuristicConfig", "LibraryProfile",
-    "Controller", "TestOutcome", "TestReport", "REPORT_SCHEMA",
+    "Controller", "TestOutcome", "REPORT_SCHEMA",
     "ProfileStore", "WorkerPool", "RunSummary",
     "Telemetry", "NULL_TELEMETRY", "EventLog", "MetricsRegistry",
     "SpanTracer",

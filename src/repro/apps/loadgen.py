@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..corpus.libc import libc
 from ..obs.telemetry import as_telemetry
-from ..platform import Platform
 from ..runtime import Process
 from .miniweb import STATIC_PAGE, MiniWeb
 
@@ -273,25 +272,3 @@ class LoadGenerator:
                 result.failures += 1
             self._latency_metric.observe(latency, page=page)
 
-
-def loadgen_factory(platform: Platform, *, n_clients: int = 48,
-                    window: int = 8, page: str = STATIC_PAGE,
-                    telemetry=None):
-    """A campaign :class:`~repro.core.campaign.PrefixFactory` whose
-    monitored suffix is a load-generator run (setup boots the server,
-    so snapshot campaigns checkpoint a listening miniweb)."""
-    from ..kernel import Kernel
-    from ..core.campaign import PrefixFactory
-
-    def setup(lfi):
-        return MiniWeb(Kernel(os_name=platform.os), platform,
-                       controller=lfi)
-
-    def run(lfi, server):
-        gen = LoadGenerator(server, window=window, telemetry=telemetry)
-        outcome = gen.run(n_clients, page=page)
-        return 1 if outcome.failures else 0
-
-    return PrefixFactory(setup=setup, run=run,
-                         workload_id=f"miniweb-loadgen-{n_clients}"
-                                     f"w{window}")

@@ -36,10 +36,6 @@ class AbResult:
     seconds: float
     failures: int = 0
 
-    @property
-    def requests_per_second(self) -> float:
-        return self.requests / self.seconds if self.seconds else 0.0
-
 
 class ApacheBenchDriver:
     """A loopback HTTP client issuing sequential requests."""

@@ -82,9 +82,6 @@ class SharedObject:
 
     # -- symbol lookup -------------------------------------------------
 
-    def export_map(self) -> Dict[str, Symbol]:
-        return {s.name: s for s in self.exports}
-
     def find_export(self, name: str) -> Symbol:
         for sym in self.exports:
             if sym.name == name:

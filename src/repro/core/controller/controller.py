@@ -1,4 +1,4 @@
-"""The LFI controller (§5): shim synthesis, attachment, test campaigns.
+"""The LFI controller (§5): shim synthesis, attachment, monitored tests.
 
 Usage mirrors the paper's two-command flow::
 
@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...binfmt import SharedObject, image_digest, text_digest
@@ -47,7 +46,7 @@ STATUS_HUNG = "hung"
 STATUS_CRASHED = "crashed"
 
 #: Schema tag shared by every ``to_dict()``/``to_json()`` report shape
-#: (TestOutcome, TestReport, CampaignReport, RunSummary).
+#: (TestOutcome, CampaignReport, RunSummary).
 REPORT_SCHEMA = "repro.report/1"
 
 
@@ -79,36 +78,6 @@ class TestOutcome:
             "detail": self.detail,
             "injections": self.injections,
             "crashed": self.crashed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-@dataclass
-class TestReport:
-    """Aggregated campaign results (the §5.2 test log)."""
-
-    __test__ = False           # "Test" prefix is domain, not pytest
-
-    outcomes: List[TestOutcome] = field(default_factory=list)
-    log_text: str = ""
-    app: str = ""
-    duration: float = 0.0
-
-    def crashes(self) -> List[TestOutcome]:
-        return [o for o in self.outcomes if o.crashed]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": "test-report",
-            "app": self.app,
-            "outcome": "crashes" if self.crashes() else "ok",
-            "duration": round(self.duration, 6),
-            "tests": len(self.outcomes),
-            "crashes": len(self.crashes()),
-            "outcomes": [o.to_dict() for o in self.outcomes],
         }
 
     def to_json(self) -> str:
@@ -281,17 +250,6 @@ class Controller:
                 evaluations=self.engine.evaluations,
                 seed=self.plan.seed)
         return outcome
-
-    def run_campaign(self, test_fns: Sequence[Callable[[], Optional[int]]],
-                     *, app: str = "") -> TestReport:
-        """Run a series of monitored tests and aggregate the report."""
-        started = time.perf_counter()
-        report = TestReport(app=app)
-        for fn in test_fns:
-            report.outcomes.append(self.run_test(fn))
-        report.log_text = self.logbook.render()
-        report.duration = time.perf_counter() - started
-        return report
 
     # -- statistics -------------------------------------------------------
 

@@ -1,7 +1,6 @@
 """Parallel execution: worker pools, the campaign engine, run summaries."""
 
-from .engine import (RunSummary, execute_campaign, record_tasks,
-                     summarize_tasks)
+from .engine import RunSummary, execute_campaign
 from .pool import (BACKENDS, PROCESS, SERIAL, TASK_CRASHED, TASK_ERROR,
                    TASK_HUNG, TASK_OK, RemoteTaskError, TaskResult,
                    WorkerPool, resolve_jobs)
@@ -11,6 +10,6 @@ __all__ = [
     "WorkerPool", "TaskResult", "RemoteTaskError", "resolve_jobs",
     "SERIAL", "PROCESS", "BACKENDS",
     "TASK_OK", "TASK_ERROR", "TASK_HUNG", "TASK_CRASHED",
-    "RunSummary", "execute_campaign", "summarize_tasks", "record_tasks",
+    "RunSummary", "execute_campaign",
     "SnapshotRunner", "PREFIX_SENTINEL",
 ]

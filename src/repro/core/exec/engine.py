@@ -8,10 +8,10 @@ result ordering of a serial run, and distills each run into a
 :class:`RunSummary` (cases/sec, cache hits, worker utilization) that
 downstream tooling can parse as JSON.
 
-Counters live in a :class:`~repro.obs.metrics.MetricsRegistry` — the
-summary is *derived* from the registry (``RunSummary.from_metrics``)
-rather than hand-maintained, so the JSON summary, the Prometheus
-exposition and ``repro stats`` all read the same numbers.
+A finished case has one status, its outcome's: the summary counts the
+campaign's results by it, the journal records it, and with telemetry on
+the same loop records ``repro_cases_total`` by it, so the JSON summary,
+the journal and ``repro stats`` read the same numbers.
 
 With a telemetry context attached, workers capture their controllers'
 injection events and metrics in-memory and ship them back with each
@@ -34,20 +34,18 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ...obs.metrics import MetricsRegistry
-from ...obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
+from ...obs.telemetry import Telemetry, as_telemetry
 from ...platform import Platform
 from ..controller import (REPORT_SCHEMA, STATUS_CRASHED, STATUS_HUNG,
                           Controller, TestOutcome)
 from ..controller.replay import replay_script
 from ...runtime import CODE_CACHE, SnapshotCache
 from ..profiles import LibraryProfile
-from .pool import (PROCESS, TASK_CRASHED, TASK_HUNG, TASK_OK,
-                   RemoteTaskError, TaskResult, WorkerPool, exception_line)
+from .pool import (PROCESS, TASK_HUNG, TASK_OK, RemoteTaskError,
+                   TaskResult, WorkerPool, exception_line)
 
 _log = logging.getLogger(__name__)
 
@@ -57,8 +55,7 @@ class RunSummary:
     """One engine run, condensed for dashboards and scripts.
 
     Shares the ``app`` / ``outcome`` / ``duration`` key triple with
-    :class:`~repro.core.campaign.CampaignReport` and
-    :class:`~repro.core.controller.TestReport` so downstream consumers
+    :class:`~repro.core.campaign.CampaignReport` so downstream consumers
     parse a single schema.
     """
 
@@ -67,10 +64,9 @@ class RunSummary:
     outcome: str                # "ok" | "hung" | "crashes"
     duration: float             # wall-clock seconds
     cases: int = 0
-    ok: int = 0
-    errors: int = 0
-    hung: int = 0
-    crashed: int = 0
+    #: a campaign's cases by outcome status (``normal``, ``error-exit``,
+    #: ``SIGABRT``, ``crashed``, ...), as journaled; empty for profiling
+    outcomes: Dict[str, int] = field(default_factory=dict)
     jobs: int = 1
     backend: str = "serial"
     timeout: Optional[float] = None
@@ -85,40 +81,6 @@ class RunSummary:
     #: and on resume, where restored cases count as they were journaled
     derived: int = 0
 
-    @classmethod
-    def from_metrics(cls, kind: str, app: str, outcome: str,
-                     duration: float, registry: MetricsRegistry,
-                     *, jobs: int = 1, backend: str = "serial",
-                     timeout: Optional[float] = None,
-                     cache_hits: int = 0, cache_misses: int = 0,
-                     cache_memory_hits: int = 0) -> "RunSummary":
-        """Derive the summary from a run's metrics registry.
-
-        The registry (see :func:`record_tasks`) is the single source of
-        truth for the per-status counts, busy time and utilization; this
-        constructor only adds run identity and the wall clock.
-        """
-        cases = registry.counter("repro_cases_total",
-                                 labelnames=("status",))
-        seconds = registry.histogram("repro_case_seconds")
-        utilization = registry.gauge("repro_worker_utilization")
-        derived = registry.counter("repro_cases_derived_total")
-        n = int(cases.total())
-        return cls(
-            kind=kind, app=app, outcome=outcome, duration=duration,
-            cases=n,
-            ok=int(cases.value(status=TASK_OK)),
-            errors=int(cases.value(status="error")),
-            hung=int(cases.value(status=TASK_HUNG)),
-            crashed=int(cases.value(status=TASK_CRASHED)),
-            jobs=jobs, backend=backend, timeout=timeout,
-            cases_per_second=(n / duration) if duration > 0 else 0.0,
-            busy_seconds=seconds.total_sum(),
-            worker_utilization=utilization.value(),
-            cache_hits=cache_hits, cache_misses=cache_misses,
-            cache_memory_hits=cache_memory_hits,
-            derived=int(derived.total()))
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schema": REPORT_SCHEMA,
@@ -127,10 +89,7 @@ class RunSummary:
             "outcome": self.outcome,
             "duration": round(self.duration, 6),
             "cases": self.cases,
-            "ok": self.ok,
-            "errors": self.errors,
-            "hung": self.hung,
-            "crashed": self.crashed,
+            "outcomes": dict(self.outcomes),
             "derived": self.derived,
             "jobs": self.jobs,
             "backend": self.backend,
@@ -147,53 +106,49 @@ class RunSummary:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def record_tasks(registry: MetricsRegistry, tasks: List[TaskResult],
-                 pool: WorkerPool, duration: float) -> None:
-    """Record one pool run's task results into a metrics registry."""
-    cases = registry.counter("repro_cases_total",
-                             "Campaign cases by final status", ("status",))
-    seconds = registry.histogram("repro_case_seconds",
-                                 "Per-case wall time")
-    waits = registry.histogram("repro_case_queue_wait_seconds",
-                               "Per-case queue wait")
-    utilization = registry.gauge("repro_worker_utilization",
-                                 "busy / (duration * jobs) of this run")
-    derived = registry.counter(
+def _summarize(app: str, outcome: str, duration: float, results: List[Any],
+               waits: List[float], pool: WorkerPool,
+               tele: Telemetry) -> RunSummary:
+    """Count a campaign's results, in case order, into its summary.
+
+    ``waits`` holds each case's queue wait (0 for a case the pool did
+    not run).  With telemetry on, the same loop records the
+    ``repro_case*`` metrics; off, ``tele.metrics`` discards them.
+    """
+    metrics = tele.metrics
+    cases = metrics.counter("repro_cases_total",
+                            "Campaign cases by outcome status", ("status",))
+    seconds = metrics.histogram("repro_case_seconds", "Per-case wall time")
+    queue = metrics.histogram("repro_case_queue_wait_seconds",
+                              "Per-case queue wait")
+    utilization = metrics.gauge("repro_worker_utilization",
+                                "busy / (duration * jobs) of this run")
+    derived = metrics.counter(
         "repro_cases_derived_total",
         "Campaign cases that took an earlier not-reached run's result "
         "instead of running")
-    busy = 0.0
-    for task in tasks:
-        cases.inc(status=task.status)
-        if getattr(task.value, "derived", False):
+    summary = RunSummary(kind="campaign", app=app, outcome=outcome,
+                         duration=duration, cases=len(results),
+                         jobs=pool.jobs, backend=pool.backend,
+                         timeout=pool.timeout)
+    outcomes = summary.outcomes
+    for result, waited in zip(results, waits):
+        status = result.outcome.status
+        outcomes[status] = outcomes.get(status, 0) + 1
+        cases.inc(status=status)
+        if result.derived:
+            summary.derived += 1
             derived.inc()
-        seconds.observe(task.seconds)
-        waits.observe(task.waited)
-        busy += task.seconds
-    if duration > 0 and pool.jobs > 0:
-        utilization.set(min(1.0, busy / (duration * pool.jobs)))
-
-
-def summarize_tasks(kind: str, app: str, outcome: str, duration: float,
-                    tasks: List[TaskResult], pool: WorkerPool,
-                    *, cache_hits: int = 0, cache_misses: int = 0,
-                    cache_memory_hits: int = 0,
-                    registry: Optional[MetricsRegistry] = None
-                    ) -> RunSummary:
-    """Fold a pool run's task results into a :class:`RunSummary`.
-
-    The tasks are recorded into ``registry`` (a fresh one when not
-    given) and the summary is derived back out of it — one source of
-    truth for counts, busy time and utilization.
-    """
-    if registry is None:
-        registry = MetricsRegistry()
-    record_tasks(registry, tasks, pool, duration)
-    return RunSummary.from_metrics(
-        kind, app, outcome, duration, registry,
-        jobs=pool.jobs, backend=pool.backend, timeout=pool.timeout,
-        cache_hits=cache_hits, cache_misses=cache_misses,
-        cache_memory_hits=cache_memory_hits)
+        summary.busy_seconds += result.seconds
+        seconds.observe(result.seconds)
+        queue.observe(waited)
+    if duration > 0:
+        summary.cases_per_second = len(results) / duration
+        if pool.jobs > 0:
+            summary.worker_utilization = min(
+                1.0, summary.busy_seconds / (duration * pool.jobs))
+            utilization.set(summary.worker_utilization)
+    return summary
 
 
 def _worker_label() -> str:
@@ -334,7 +289,7 @@ class NotReachedCases:
         """Mark a batch before it goes to the pool.
 
         ``done`` maps the batch positions restored from the journal to
-        their ``(result, task)``.  Returns ``(representatives, held)``:
+        their results.  Returns ``(representatives, held)``:
         the positions to run whose result :meth:`remember` must see, and
         the positions that cannot fire behind an earlier representative
         (restored ones included; the engine relabels those, see
@@ -351,9 +306,12 @@ class NotReachedCases:
                 representatives.add(pos)
             else:
                 # a completed run journaled without ``firings`` cannot
-                # tell whether it fired: the next such case takes over
-                result, task = done[pos]
-                if result.firings is not None or task.status != TASK_OK:
+                # tell whether it fired: the next such case takes over.
+                # A failed task's case (crashed or hung) has none
+                # either, and settles its function all the same.
+                result = done[pos]
+                if result.firings is not None or result.outcome.status \
+                        in (STATUS_CRASHED, STATUS_HUNG):
                     self.remember(case, result)
         return representatives, held
 
@@ -457,7 +415,8 @@ def _golden_run(factory, platform: Platform,
 
 
 def _finish_case(case, task: TaskResult, pool: WorkerPool):
-    """One drained pool task → its final :class:`CaseResult`."""
+    """One drained pool task → its final :class:`CaseResult`: the one
+    place a task's status turns into a case's."""
     from ..campaign import CaseResult
 
     if task.status == TASK_OK:
@@ -665,7 +624,7 @@ def execute_campaign(app: str,
                     if finished else case_list)
 
     results_list: List[Any] = []
-    all_tasks: List[TaskResult] = []
+    waits: List[float] = []         # queue wait per result, 0 if not sent
     restored_n = 0
     started = time.perf_counter()
     try:
@@ -675,9 +634,10 @@ def execute_campaign(app: str,
                 break
             keys = ([case_digest(case) for case in batch]
                     if journal is not None else [""] * len(batch))
-            # (result, task) by batch position: restored from the
-            # journal here, drained from the pool or derived below
-            done: Dict[int, Tuple[Any, TaskResult]] = {}
+            # results by batch position: restored from the journal
+            # here, drained from the pool or derived below
+            done: Dict[int, Any] = {}
+            waited: Dict[int, float] = {}   # of the positions sent
             for pos, key in enumerate(keys):
                 record = finished.get(key)
                 if record is None:
@@ -686,9 +646,7 @@ def execute_campaign(app: str,
                 if result.outcome_class is None:
                     # a legacy record: same inputs, same class
                     result.outcome_class = classify_result(result, golden)
-                done[pos] = (result, TaskResult(
-                    index=pos, status=record.get("task_status", TASK_OK),
-                    value=result, seconds=record.get("seconds", 0.0)))
+                done[pos] = result
             restored = set(done)
             representatives, held = not_reached.plan(batch, done)
             to_run = [pos for pos in range(len(batch))
@@ -697,13 +655,13 @@ def execute_campaign(app: str,
             rerun: List[int] = []
             cursor = 0              # the next batch position to journal
 
-            def finish(pos: int, result, task: TaskResult) -> None:
+            def finish(pos: int, result) -> None:
                 # the failure-mode class is assigned here, in the
                 # parent, from the worker's raw signals, so it is
                 # backend-independent
                 if observe:
                     result.outcome_class = classify_result(result, golden)
-                done[pos] = (result, task)
+                done[pos] = result
 
             def settle(upto: int) -> None:
                 # Derive the held cases before ``upto``, the next case
@@ -721,13 +679,11 @@ def execute_campaign(app: str,
                         rerun.append(pos)
                         continue
                     result.seconds = time.perf_counter() - began
-                    finish(pos, result, TaskResult(
-                        index=pos, value=result, seconds=result.seconds))
+                    finish(pos, result)
                 while cursor in done:
                     if journal is not None and cursor not in restored:
-                        result, task = done[cursor]
-                        journal.record(keys[cursor], batch[cursor], result,
-                                       task.status)
+                        journal.record(keys[cursor], batch[cursor],
+                                       done[cursor])
                     cursor += 1
 
             def drain(sent: List[int]):
@@ -736,9 +692,10 @@ def execute_campaign(app: str,
                     # order
                     pos = sent[task.index]
                     result = _finish_case(batch[pos], task, pool)
+                    waited[pos] = task.waited
                     if pos in representatives:
                         not_reached.remember(batch[pos], result)
-                    finish(pos, result, task)
+                    finish(pos, result)
                     settle(sent[task.index + 1]
                            if task.index + 1 < len(sent) else len(batch))
                 return progress
@@ -754,7 +711,7 @@ def execute_campaign(app: str,
                          progress=drain(rerun))
 
             for pos, case in enumerate(batch):
-                result, task = done[pos]
+                result = done[pos]
                 if pos in restored:
                     restored_n += 1
                     if pos in held and not_reached.stands_in(case):
@@ -765,7 +722,7 @@ def execute_campaign(app: str,
                 if tele.enabled:
                     _replay_case_telemetry(tele, case, result)
                 results_list.append(result)
-                all_tasks.append(task)
+                waits.append(waited.get(pos, 0.0))
     finally:
         pool.close()
         if journal is not None:
@@ -777,13 +734,10 @@ def execute_campaign(app: str,
                             duration=duration)
     if journal is not None:
         report.resumed = {"skipped": restored_n, "replayed": replayed}
-    run_registry = MetricsRegistry()
-    report.summary = summarize_tasks("campaign", app, report.outcome(),
-                                     duration, all_tasks, pool,
-                                     registry=run_registry)
+    report.summary = _summarize(app, report.outcome(), duration,
+                                results_list, waits, pool, tele)
     if tele.enabled:
         _record_execution_metrics(tele, results_list, cache_before)
-        tele.metrics.merge(run_registry.snapshot())
         if journal is not None:
             tele.events.emit("campaign.resume", app=app,
                              campaign=journal.key, resume=resume,
@@ -809,14 +763,15 @@ def execute_campaign(app: str,
             stats = runner.cache.stats()
             # replays and fallbacks are counted from the drained results,
             # so they do not depend on which process ran each case: a
-            # fallback finished without raising and has no snapshot record
+            # fallback ran to a result (its firings are known) and has
+            # no snapshot record
             end_fields.update(
                 snapshots_built=stats["built"],
                 snapshot_replays=sum(1 for r in results_list
                                      if getattr(r, "snapshot", None)),
                 snapshot_fallbacks=sum(
-                    1 for r, t in zip(results_list, all_tasks)
-                    if t.status == TASK_OK
+                    1 for r in results_list
+                    if r.firings is not None
                     and not getattr(r, "snapshot", None)))
         tele.events.emit("campaign.end", **end_fields)
     return report

@@ -52,9 +52,6 @@ class Cfg:
 
     _preds: Optional[Dict[int, List[int]]] = None
 
-    def block_at(self, addr: int) -> BasicBlock:
-        return self.blocks[addr]
-
     def exit_blocks(self) -> List[BasicBlock]:
         return [b for b in self.blocks.values() if b.is_exit()]
 

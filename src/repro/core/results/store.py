@@ -5,17 +5,20 @@ LFI-generated replay script for each fault injection test case" so long
 runs can be dissected after the fact.  This module gives campaigns the
 same durability: a :class:`ResultStore` is a directory of campaigns,
 each an **append-only JSONL journal** of finished
-:class:`~repro.core.campaign.CaseResult` records plus a rebuildable
-index.  Records are journaled from the campaign parent as cases drain,
-and every line is flushed on write, so a worker crash, a ``SIGKILL`` or
-a ``^C`` mid-run loses at most the in-flight cases — ``campaign
---resume`` then skips everything already journaled.
+:class:`~repro.core.campaign.CaseResult` records plus a ``meta.json``
+(campaign key, app, golden output digest and call counts, expected
+case count).  Those two files are a campaign's whole durable state:
+listings and resume fold the journal.  Records are journaled from the
+campaign parent as cases drain, and every line is flushed on write, so
+a worker crash, a ``SIGKILL`` or a ``^C`` mid-run loses at most the
+in-flight cases — ``campaign --resume`` then skips everything already
+journaled.
 
 That is the whole guarantee: resume survives the *campaign process*
 dying, not the machine.  A flush hands each line to the operating
 system, but nothing here calls ``fsync`` — neither the journal nor the
-atomically replaced meta and index files — so an OS crash or a power
-loss can drop or tear lines the OS had not yet written to disk.
+atomically replaced meta file — so an OS crash or a power loss can drop
+or tear lines the OS had not yet written to disk.
 
 Content addressing is the same invalidation currency
 :class:`~repro.core.store.ProfileStore` uses:
@@ -34,7 +37,8 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
 from ...errors import ResultsError
 from ...obs.telemetry import as_telemetry
@@ -43,12 +47,10 @@ from ..scenario.xml_io import plan_to_xml
 
 #: Schema tag on every journaled case record.
 RESULT_SCHEMA = "repro.case-result/1"
-#: Schema tag on the per-campaign metadata/index files.
+#: Schema tag on the per-campaign metadata file.
 META_SCHEMA = "repro.results-meta/1"
-INDEX_SCHEMA = "repro.results-index/1"
 
 _JOURNAL = "journal.jsonl"
-_INDEX = "index.json"
 _META = "meta.json"
 
 
@@ -135,8 +137,8 @@ def _case_fault_class(case) -> str:
     return fault_class_of(case.code)
 
 
-def result_record(campaign_key: str, case_key: str, case, result,
-                  task_status: str) -> Dict[str, Any]:
+def result_record(campaign_key: str, case_key: str, case,
+                  result) -> Dict[str, Any]:
     """Serialize one finished case for the journal (plain JSON types)."""
     return {
         "schema": RESULT_SCHEMA,
@@ -149,7 +151,6 @@ def result_record(campaign_key: str, case_key: str, case, result,
         **({} if hasattr(case.code, "retval")
            else {"action": case.code.token()}),
         "ordinal": case.call_ordinal,
-        "task_status": task_status,
         "status": result.outcome.status,
         # classification signals (added by the observatory; readers of
         # older journals tolerate their absence)
@@ -199,25 +200,13 @@ def restore_result(case, record: Mapping[str, Any]):
         coverage=record.get("coverage"))
 
 
-def _index_entry(rec: Mapping[str, Any]) -> Dict[str, Any]:
-    """What ``index.json`` keeps of one journaled record."""
-    return {"case": rec.get("case", ""),
-            "status": rec.get("status", "?"),
-            "task_status": rec.get("task_status", "?")}
-
-
 class CampaignJournal:
     """One campaign's append-only result journal inside a store.
 
-    The journal file is the source of truth; ``index.json`` is a cache
-    (rebuilt whenever it disagrees with the journal's size) that lets
-    listings avoid re-parsing every record.  A torn final line — the
-    signature of a crashed writer — is skipped on read, never repaired
-    in place: the next ``record()`` appends after it on a fresh line.
-
-    A writer keeps the index entries in memory as it appends, starting
-    from one fold of the journal it opened, so :meth:`close` writes the
-    index without reading the journal again.
+    The journal file is the only record of the campaign's cases:
+    resume and listings fold it.  A torn final line — the signature of
+    a crashed writer — is skipped on read, never repaired in place: the
+    next ``record()`` appends after it on a fresh line.
     """
 
     def __init__(self, root: Path, key: str, *, app: str = "") -> None:
@@ -227,8 +216,6 @@ class CampaignJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self._fh = None
         self.written = 0
-        #: index entries by case key, once the journal has been folded
-        self._entries: Optional[Dict[str, Dict[str, Any]]] = None
         meta = self.root / _META
         if meta.exists():
             if not self.app:
@@ -270,18 +257,15 @@ class CampaignJournal:
 
     # -- writing -----------------------------------------------------------
 
-    def record(self, case_key: str, case, result,
-               task_status: str) -> Dict[str, Any]:
+    def record(self, case_key: str, case, result) -> Dict[str, Any]:
         """Append one finished case; flushed so a crash of this process
         loses nothing (an OS crash may — there is no fsync)."""
-        rec = result_record(self.key, case_key, case, result, task_status)
-        entries = self._index_entries()
+        rec = result_record(self.key, case_key, case, result)
         if self._fh is None:
             self._start_line_clean()
             self._fh = open(self.journal_path, "a", encoding="utf-8")
         self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
         self._fh.flush()
-        entries[case_key] = _index_entry(rec)
         self.written += 1
         return rec
 
@@ -300,11 +284,10 @@ class CampaignJournal:
             pass
 
     def close(self) -> None:
-        """Close the append handle and write the index cache."""
+        """Close the append handle."""
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
         self._fh = None
-        self._write_index()
 
     # -- reading -----------------------------------------------------------
 
@@ -314,54 +297,18 @@ class CampaignJournal:
         path = self.journal_path
         if path.exists():
             fold_records(path.read_bytes().splitlines(), self.key, out)
-        self._entries = {case_key: _index_entry(rec)
-                         for case_key, rec in out.items()}
         return out
 
     def summary(self) -> Dict[str, Any]:
-        """Campaign listing entry: key, app, case and outcome counts."""
-        index = self._load_index()
-        if index is None:
-            index = self._build_index()
+        """Campaign listing entry: key, app, and the journal's case
+        count and cases by status."""
+        records = self.finished()
         outcomes: Dict[str, int] = {}
-        for entry in index["cases"].values():
-            status = entry.get("status", "?")
+        for rec in records.values():
+            status = rec.get("status", "?")
             outcomes[status] = outcomes.get(status, 0) + 1
         return {"campaign": self.key, "app": self.app,
-                "cases": len(index["cases"]), "outcomes": outcomes}
-
-    # -- the index cache ---------------------------------------------------
-
-    def _journal_bytes(self) -> int:
-        try:
-            return self.journal_path.stat().st_size
-        except OSError:
-            return 0
-
-    def _index_entries(self) -> Dict[str, Dict[str, Any]]:
-        """The index entries, folding the journal the first time."""
-        if self._entries is None:
-            self.finished()
-        return self._entries
-
-    def _build_index(self) -> Dict[str, Any]:
-        return {"schema": INDEX_SCHEMA, "campaign": self.key,
-                "app": self.app, "journal_bytes": self._journal_bytes(),
-                "cases": self._index_entries()}
-
-    def _load_index(self) -> Optional[Dict[str, Any]]:
-        try:
-            index = json.loads((self.root / _INDEX).read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(index, dict) \
-                or index.get("schema") != INDEX_SCHEMA \
-                or index.get("journal_bytes") != self._journal_bytes():
-            return None         # stale: the journal moved underneath it
-        return index
-
-    def _write_index(self) -> None:
-        _write_atomic(self.root / _INDEX, self._build_index())
+                "cases": len(records), "outcomes": outcomes}
 
 
 class ResultStore:
@@ -385,8 +332,8 @@ class ResultStore:
         journal = self._journal_for(key)
         return journal.finished()
 
-    def campaigns(self) -> List[Dict[str, Any]]:
-        """Every campaign in the store, newest key order not guaranteed."""
+    def _metas(self) -> List[Tuple[Path, Dict[str, Any]]]:
+        """``(directory, meta)`` of every campaign, in directory order."""
         out = []
         for path in sorted(self.root.iterdir()):
             if not (path / _META).exists():
@@ -395,14 +342,21 @@ class ResultStore:
                 meta = json.loads((path / _META).read_text())
             except (OSError, ValueError):
                 continue
-            journal = CampaignJournal(path, meta.get("campaign", path.name),
-                                      app=meta.get("app", ""))
-            out.append(journal.summary())
+            out.append((path, meta))
         return out
 
+    def campaigns(self) -> List[Dict[str, Any]]:
+        """Every campaign's listing entry (see
+        :meth:`CampaignJournal.summary`), in key order."""
+        return [CampaignJournal(path, meta.get("campaign", path.name),
+                                app=meta.get("app", "")).summary()
+                for path, meta in self._metas()]
+
     def resolve(self, prefix: Optional[str] = None) -> str:
-        """The unique campaign key matching ``prefix`` (or the only one)."""
-        keys = [c["campaign"] for c in self.campaigns()]
+        """The unique campaign key matching ``prefix`` (or the only one),
+        read from the meta files: no journal is folded."""
+        keys = [meta.get("campaign", path.name)
+                for path, meta in self._metas()]
         if prefix:
             keys = [k for k in keys if k.startswith(prefix)]
         if not keys:

@@ -341,10 +341,6 @@ class FunctionTrigger:
         return tuple(a for a in self.actions
                      if isinstance(a, ReturnFault))
 
-    def wants_injection(self) -> bool:
-        """Whether firing injects a fault (vs. only modifying arguments)."""
-        return bool(self.actions) or not self.calloriginal
-
 
 @dataclass
 class Plan:

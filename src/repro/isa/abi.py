@@ -66,10 +66,6 @@ class Abi:
             return Reg(self.arg_registers[index])
         return Mem(base=self.frame_pointer, disp=2 * WORD + WORD * index)
 
-    def caller_arg_disp(self, index: int) -> int:
-        """Stack displacement of argument *i* at the call site (pre-call)."""
-        return WORD * index
-
     def param_home(self, index: int) -> Mem:
         """Frame slot where argument *i* lives for the whole function body.
 

@@ -157,17 +157,22 @@ class CampaignWatch:
 
     def snapshot(self) -> Dict[str, Any]:
         """The watch's current state as plain data."""
-        from ..core.results.matrix import OUTCOME_CLASSES, classify_record
+        return self._snapshot(self._matrix())
 
+    def _matrix(self):
+        """The failure-mode matrix of the records tailed so far."""
+        from ..core.results.matrix import FailureMatrix
+
+        return FailureMatrix.from_records(
+            sorted(self.tailer.records.values(),
+                   key=lambda r: r.get("case", "")),
+            campaign=self.meta.get("campaign", ""),
+            app=self.meta.get("app", ""), golden=self.meta.get("golden"))
+
+    def _snapshot(self, matrix) -> Dict[str, Any]:
+        """:meth:`snapshot`, with the class and not-reached counts of
+        ``matrix``."""
         records = self.tailer.records
-        golden = self.meta.get("golden")
-        classes = {cls: 0 for cls in OUTCOME_CLASSES}
-        not_reached = 0
-        for record in records.values():
-            if record.get("fired"):
-                classes[classify_record(record, golden)] += 1
-            else:
-                not_reached += 1
         done = len(records)
         expected = self.meta.get("cases_expected")
         elapsed = max(self.clock() - self.started, 1e-9)
@@ -184,8 +189,8 @@ class CampaignWatch:
             "app": self.meta.get("app", ""),
             "cases": done,
             "expected": expected,
-            "classes": classes,
-            "not_reached": not_reached,
+            "classes": matrix.totals(),
+            "not_reached": matrix.cases - matrix.fired,
             "rate": rate,
             "eta_seconds": eta,
             "reopened": self.tailer.reopened,
@@ -201,9 +206,8 @@ class CampaignWatch:
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        from ..core.results.matrix import FailureMatrix
-
-        snap = self.snapshot()
+        matrix = self._matrix()
+        snap = self._snapshot(matrix)
         done, expected = snap["cases"], snap["expected"]
         progress = f"{done} cases"
         if expected:
@@ -232,12 +236,7 @@ class CampaignWatch:
         if snap["reopened"]:
             lines.append(f"  journal rotated/truncated "
                          f"{snap['reopened']} time(s); re-read from start")
-        records = sorted(self.tailer.records.values(),
-                         key=lambda r: r.get("case", ""))
-        if records:
-            matrix = FailureMatrix.from_records(
-                records, campaign=snap["campaign"], app=snap["app"],
-                golden=self.meta.get("golden"))
+        if matrix.cases:
             lines.append("")
             lines.append(matrix.render())
         return "\n".join(lines)

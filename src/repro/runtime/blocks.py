@@ -852,12 +852,3 @@ def import_coverage(exported: Optional[Dict[str, object]]) -> Dict[int, int]:
         return {}
     raw = exported.get("map") or {}
     return {int(addr, 16): int(count) for addr, count in raw.items()}
-
-
-def merge_coverage(maps) -> Dict[int, int]:
-    """Union coverage maps, summing per-block counts."""
-    merged: Dict[int, int] = {}
-    for cov in maps:
-        for addr, count in cov.items():
-            merged[addr] = merged.get(addr, 0) + count
-    return merged

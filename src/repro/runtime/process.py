@@ -57,10 +57,6 @@ class LoadedModule:
     def data_base(self) -> int:
         return self.base + DATA_REGION_OFFSET
 
-    @property
-    def text_end(self) -> int:
-        return self.base + len(self.image.text)
-
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.base + MODULE_SPACING
 

@@ -206,7 +206,7 @@ class Session:
                      cache_hits=cache[0], cache_misses=cache[1])
         self.summaries.append(RunSummary(
             kind="profile", app=self.app, outcome="ok", duration=duration,
-            cases=exports, ok=exports,
+            cases=exports,
             cases_per_second=(exports / duration) if duration > 0 else 0.0,
             cache_hits=cache[0], cache_misses=cache[1],
             cache_memory_hits=cache[2]))

@@ -266,7 +266,7 @@ class TestLogAndReplay:
     def test_campaign_aggregates(self, ready):
         plan = _plan()
         lfi, proc = ready(plan)
-        report = lfi.run_campaign([lambda: 0, lambda: 1])
-        assert len(report.outcomes) == 2
-        assert report.outcomes[1].status == "error-exit"
-        assert not report.crashes()
+        outcomes = [lfi.run_test(lambda: 0), lfi.run_test(lambda: 1)]
+        assert len(outcomes) == 2
+        assert outcomes[1].status == "error-exit"
+        assert not any(outcome.crashed for outcome in outcomes)

@@ -69,10 +69,10 @@ class TestCampaign:
             result = ApacheBenchDriver(server).run_static(4)
             return 0 if result.failures < 4 else 1
 
-        report = lfi.run_campaign([workload, workload])
-        assert len(report.outcomes) == 2
+        outcomes = [lfi.run_test(workload), lfi.run_test(workload)]
+        assert len(outcomes) == 2
         assert lfi.injections > 0
-        assert report.log_text
+        assert lfi.logbook.render()
 
     def test_scenario_xml_is_the_interchange_format(self,
                                                     discovered_profiles):

@@ -2,12 +2,14 @@
 trip, cross-backend event determinism, nested Session span trees."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _campaign_factory, main
 from repro.core.campaign import enumerate_cases, run_campaign
 from repro.core.exec import RunSummary
+from repro.core.results import ResultStore
 from repro.core.store import ProfileStore
 from repro.kernel import Kernel
 from repro.obs import (EventLog, MemorySink, Telemetry)
@@ -135,10 +137,41 @@ class TestRunSummaryFromMetrics:
         summary = report.summary
         assert isinstance(summary, RunSummary)
         assert summary.cases == len(report.results)
-        assert summary.ok + summary.errors + summary.hung \
-            + summary.crashed == summary.cases
+        assert sum(summary.outcomes.values()) == summary.cases
         assert summary.busy_seconds >= 0.0
         assert 0.0 <= summary.worker_utilization <= 1.0
+
+
+class TestOneStatusPerCase:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_summary_journal_report_and_metrics_count_alike(
+            self, tmp_path, libc_linux, jobs):
+        """A case has one status.  The campaign stage's ``outcomes``,
+        the journal's statuses, the report's results and
+        ``repro_cases_total`` count the same cases by it, the 21
+        ``accept`` cases whose harness raises included."""
+        results = tmp_path / "results"
+        session = Session(LINUX_X86, app="miniweb", jobs=jobs,
+                          telemetry=True, results_dir=results)
+        session.load(libc_linux)
+        report = session.campaign(_campaign_factory("miniweb", LINUX_X86),
+                                  functions=["accept", "listen"],
+                                  call_ordinals=(1, 2, 3))
+        (stage,) = [s for s in session.summary()["stages"]
+                    if s["kind"] == "campaign"]
+        outcomes = stage["outcomes"]
+        assert outcomes["crashed"] == 21
+        assert len(outcomes) > 2
+        assert outcomes == Counter(r.outcome.status
+                                   for r in report.results)
+        store = ResultStore(results)
+        (listed,) = store.campaigns()
+        assert listed["outcomes"] == outcomes
+        journal = store.load(listed["campaign"])
+        assert Counter(r["status"] for r in journal.values()) == outcomes
+        counted = session.obs.metrics.snapshot()["repro_cases_total"]
+        assert {v["labels"]["status"]: v["value"]
+                for v in counted["values"]} == outcomes
 
 
 class TestSessionSpans:

@@ -124,7 +124,10 @@ class TestRunSummary:
         assert summary.kind == "campaign"
         assert summary.app == "copytool"
         assert summary.cases == len(cases)
-        assert summary.ok == len(cases)
+        statuses = [r.outcome.status for r in report.results]
+        assert summary.outcomes == {status: statuses.count(status)
+                                    for status in set(statuses)}
+        assert not {"crashed", "hung"} & set(summary.outcomes)
         assert summary.cases_per_second > 0
         assert 0.0 <= summary.worker_utilization <= 1.0
         assert summary.jobs == resolve_jobs(2)

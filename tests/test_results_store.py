@@ -81,7 +81,7 @@ class TestJournal:
                                    "stack": ["0x10", "main"]}])
         original.calls, original.firings = 3, 0
         journal = CampaignJournal(tmp_path / "c", "k1", app="demo")
-        journal.record(case_digest(case), case, original, "ok")
+        journal.record(case_digest(case), case, original)
         journal.close()
 
         finished = journal.finished()
@@ -104,9 +104,9 @@ class TestJournal:
     def test_last_record_wins_per_case(self, tmp_path):
         case = _case()
         journal = CampaignJournal(tmp_path / "c", "k1")
-        journal.record(case_digest(case), case, _result(case), "ok")
+        journal.record(case_digest(case), case, _result(case))
         journal.record(case_digest(case), case,
-                       _result(case, status="hung"), "hung")
+                       _result(case, status="hung"))
         journal.close()
         finished = journal.finished()
         assert len(finished) == 1
@@ -116,7 +116,7 @@ class TestJournal:
             self, tmp_path):
         case = _case()
         journal = CampaignJournal(tmp_path / "c", "k1")
-        journal.record(case_digest(case), case, _result(case), "ok")
+        journal.record(case_digest(case), case, _result(case))
         journal.close()
         # simulate a writer killed mid-record: a torn trailing fragment
         with open(journal.journal_path, "a", encoding="utf-8") as fh:
@@ -127,7 +127,7 @@ class TestJournal:
         # parseable and the torn fragment is inert forever
         other = _case(errno="EBADF")
         journal2 = CampaignJournal(tmp_path / "c", "k1")
-        journal2.record(case_digest(other), other, _result(other), "ok")
+        journal2.record(case_digest(other), other, _result(other))
         journal2.close()
         finished = journal2.finished()
         assert set(finished) == {case_digest(case), case_digest(other)}
@@ -136,71 +136,27 @@ class TestJournal:
         case = _case()
         journal = CampaignJournal(tmp_path / "c", "k1")
         rec = result_record("OTHER", case_digest(case), case,
-                            _result(case), "ok")
+                            _result(case))
         journal.journal_path.write_text(json.dumps(rec) + "\n")
         assert journal.finished() == {}
 
     def test_index_cache_rebuilt_when_journal_moves(self, tmp_path):
+        """There is no listing cache to go stale: ``summary()`` folds the
+        journal, so it counts the records a second writer appended."""
         case = _case()
         journal = CampaignJournal(tmp_path / "c", "k1", app="demo")
-        journal.record(case_digest(case), case, _result(case), "ok")
+        journal.record(case_digest(case), case, _result(case))
         journal.close()
         assert journal.summary()["cases"] == 1
-        # append behind the index's back: the byte count disagrees, so
-        # the summary must come from the journal, not the stale cache
+        # a second writer appends: both views fold the same journal
         other = _case(errno="EBADF")
         journal2 = CampaignJournal(tmp_path / "c", "k1")
         journal2.record(case_digest(other), other,
-                        _result(other, status="SIGSEGV"), "ok")
-        summary = journal2.summary()
-        assert summary["cases"] == 2
-        assert summary["outcomes"] == {"normal": 1, "SIGSEGV": 1}
-
-    @pytest.mark.parametrize("history", ["fresh", "resumed", "torn",
-                                         "twice"])
-    def test_written_index_equals_one_rebuilt_from_the_journal(
-            self, tmp_path, monkeypatch, history):
-        """The writer keeps the index in memory — folding the journal it
-        opened once, then adding what it appends — and close() writes it
-        without reading the journal again."""
-        a, b, c = _case(), _case(errno="EBADF"), _case(errno="EINTR")
-        root = tmp_path / "c"
-        if history != "fresh":
-            earlier = CampaignJournal(root, "k1", app="demo")
-            earlier.record(case_digest(a), a, _result(a), "ok")
-            earlier.close()
-        if history == "torn":
-            with open(root / "journal.jsonl", "a", encoding="utf-8") as fh:
-                fh.write('{"schema": "repro.case-result/1", "case_key": "')
-        journal = CampaignJournal(root, "k1", app="demo")
-        if history == "resumed":
-            assert list(journal.finished()) == [case_digest(a)]
-        journal.record(case_digest(b), b, _result(b), "ok")
-        journal.record(case_digest(c), c, _result(c), "ok")
-        if history == "twice":
-            journal.record(case_digest(a), a, _result(a, status="hung"),
-                           "hung")
-            journal.record(case_digest(b), b, _result(b, status="SIGSEGV"),
-                           "ok")
-
-        def no_reread(self):
-            raise AssertionError("close() re-read the journal")
-        monkeypatch.setattr(CampaignJournal, "finished", no_reread)
-        journal.close()
-        monkeypatch.undo()
-
-        written = json.loads((root / "index.json").read_text())
-        assert written == CampaignJournal(root, "k1")._build_index()
-        assert written["journal_bytes"] == \
-            (root / "journal.jsonl").stat().st_size
-        statuses = {entry["case"]: entry["status"]
-                    for entry in written["cases"].values()}
-        expected = {"fresh": {b.case_id(): "normal", c.case_id(): "normal"},
-                    "twice": {a.case_id(): "hung", b.case_id(): "SIGSEGV",
-                              c.case_id(): "normal"}}
-        assert statuses == expected.get(history, {
-            a.case_id(): "normal", b.case_id(): "normal",
-            c.case_id(): "normal"})
+                        _result(other, status="SIGSEGV"))
+        for view in (journal, journal2):
+            summary = view.summary()
+            assert summary["cases"] == 2
+            assert summary["outcomes"] == {"normal": 1, "SIGSEGV": 1}
 
     def test_meta_remembers_the_app(self, tmp_path):
         CampaignJournal(tmp_path / "c", "k1", app="pidgin")
@@ -232,22 +188,6 @@ class TestJournal:
         assert meta["golden"] == "abc"
         assert meta["cases_expected"] == 3
 
-    def test_failed_index_write_keeps_the_previous_index(self, tmp_path,
-                                                         monkeypatch):
-        case = _case()
-        journal = CampaignJournal(tmp_path / "c", "k1", app="demo")
-        journal.record(case_digest(case), case, _result(case), "ok")
-        journal.close()
-        before = (tmp_path / "c" / "index.json").read_text()
-        other = _case(errno="EBADF")
-        journal.record(case_digest(other), other, _result(other), "ok")
-        self._fail_writes_halfway(monkeypatch)
-        with pytest.raises(OSError):
-            journal.close()
-        monkeypatch.undo()
-        assert (tmp_path / "c" / "index.json").read_text() == before
-        json.loads(before)
-
 
 class TestResultStore:
     def _store_with(self, tmp_path, *keys):
@@ -255,7 +195,7 @@ class TestResultStore:
         for key in keys:
             journal = store.open_campaign(key, app="demo")
             case = _case()
-            journal.record(case_digest(case), case, _result(case), "ok")
+            journal.record(case_digest(case), case, _result(case))
             journal.close()
         return store
 
@@ -297,7 +237,7 @@ class TestTriage:
                   "stack": list(stack)}]
         return result_record(
             "k1", case_digest(case), case,
-            _result(case, status=status, detail=detail, sites=sites), "ok")
+            _result(case, status=status, detail=detail, sites=sites))
 
     def test_outcome_classes(self):
         assert outcome_class("SIGSEGV") == "crash"
@@ -320,7 +260,7 @@ class TestTriage:
 
     def test_non_failure_has_no_bucket(self):
         rec = result_record("k1", case_digest(_case()), _case(),
-                            _result(_case(), status="normal"), "ok")
+                            _result(_case(), status="normal"))
         assert bucket_key(rec) is None
 
     def test_triage_groups_ranks_and_replays(self):
@@ -329,7 +269,7 @@ class TestTriage:
         hang = self._failing_record(_case("read", errno="EINTR"),
                                     status="hung", stack=("poll_loop",))
         ok = result_record("k1", case_digest(_case("open")), _case("open"),
-                           _result(_case("open")), "ok")
+                           _result(_case("open")))
         report = triage_records("k1", crash_site + [hang, ok], app="demo")
         assert report.cases == 4
         assert [b.count for b in report.buckets] == [3, 1]
@@ -453,6 +393,21 @@ class TestEngineIntegration:
                                            "workload": "other"})
         assert report.resumed == {"skipped": 0, "replayed": 3}
         assert len(store.campaigns()) == 2
+
+    def test_a_campaign_directory_holds_only_journal_and_meta(
+            self, tmp_path, libc_linux, libc_profiles_linux):
+        store = ResultStore(tmp_path)
+        for resume in (False, True):
+            run_campaign("demo", _copytool_factory(libc_linux), LINUX_X86,
+                         libc_profiles_linux, self._cases(), results=store,
+                         results_key={"app": "demo"}, resume=resume)
+        (listed,) = store.campaigns()
+        assert listed["outcomes"] == {"error-exit": 3}
+        files = sorted(path.name for path in
+                       (tmp_path / listed["campaign"]).iterdir())
+        assert files == ["journal.jsonl", "meta.json"]
+        assert all("task_status" not in record
+                   for record in store.load(listed["campaign"]).values())
 
     def test_without_a_store_reports_are_unannotated(
             self, libc_linux, libc_profiles_linux):

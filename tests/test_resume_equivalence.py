@@ -212,8 +212,8 @@ def _result_rows(report):
 def derived_reference(tmp_path_factory, libc_profiles_linux):
     """An uninterrupted journaled minidb campaign whose list has derived
     cases (ordinals past every call of their function): its campaign
-    key, meta and journal bytes, its records, its matrix and its
-    results."""
+    key, meta and journal bytes, its records, its matrix, its results
+    and its summary's cases by status."""
     root = tmp_path_factory.mktemp("byte-reference")
     factory = _campaign_factory("minidb", LINUX_X86)
     cases = enumerate_cases(libc_profiles_linux,
@@ -231,7 +231,8 @@ def derived_reference(tmp_path_factory, libc_profiles_linux):
                 journal=(key_dir / "journal.jsonl").read_bytes(),
                 records=store.load(key_dir.name),
                 matrix=matrix_from_store(store).to_json(),
-                rows=_result_rows(report))
+                rows=_result_rows(report),
+                outcomes=report.summary.outcomes)
 
 
 def _resume_cut(ref, journal, profiles, root, *, backend, jobs):
@@ -279,9 +280,9 @@ def test_crash_at_any_byte_of_the_journal_resumes(derived_reference,
 def test_resume_after_any_record_derives_the_same_cases(
         derived_reference, libc_profiles_linux, pool_items):
     """Cut the journal after each of its records in turn: the resumed
-    run's results — ``derived`` included — equal the uninterrupted
-    run's, and its pool runs only what was neither restored nor
-    derived."""
+    run's results — ``derived`` included — and its summary's cases by
+    status equal the uninterrupted run's, and its pool runs only what
+    was neither restored nor derived."""
     ref = derived_reference
     lines = ref["journal"].splitlines(keepends=True)
     for kept in range(len(lines) + 1):
@@ -292,6 +293,7 @@ def test_resume_after_any_record_derives_the_same_cases(
                                          libc_profiles_linux, root,
                                          backend=backend, jobs=jobs)
         assert _result_rows(report) == ref["rows"], kept
+        assert report.summary.outcomes == ref["outcomes"], kept
         assert report.resumed["skipped"] == kept
         assert sum(pool_items) == sum(
             1 for pos, row in enumerate(ref["rows"])
@@ -367,7 +369,7 @@ class TestCrashedWorkerJournaled:
             ["crashed", "error-exit", "error-exit"]
         crashed = [r for r in records.values()
                    if r["status"] == "crashed"][0]
-        assert crashed["task_status"] == "crashed"
+        assert crashed["detail"] == "worker died with exit code 42"
 
         resumed = run_campaign("crashy", factory, LINUX_X86,
                                libc_profiles_linux, cases,

@@ -10,10 +10,10 @@ import pytest
 import repro
 from repro import Session
 from repro.core.campaign import enumerate_cases, run_campaign
-from repro.core.controller import TestOutcome, TestReport
-from repro.core.exec.engine import execute_campaign
+from repro.core.exec.engine import RunSummary, execute_campaign
 from repro.core.exec.pool import TaskResult, WorkerPool, resolve_jobs
 from repro.core.profiler import Profiler, profile_application
+from repro.core.results import CampaignJournal, ResultStore, result_record
 from repro.core.scenario import FunctionTrigger, ReturnFault
 from repro.core.store import ProfileStore
 from repro.errors import ReproError
@@ -147,19 +147,15 @@ class TestRunSummaryJson:
 
     def test_shared_key_triple_across_report_types(self, libc_linux,
                                                    kernel_image_linux):
-        """Satellite: CampaignReport, TestReport and RunSummary all
-        serialize the same app/outcome/duration triple."""
+        """CampaignReport and RunSummary serialize the same
+        app/outcome/duration triple."""
         session = Session(LINUX_X86, app="copytool",
                           kernel_image=kernel_image_linux)
         session.load(libc_linux)
         campaign = session.campaign(_copytool_factory(libc_linux.image),
                                     functions=["close"],
                                     max_codes_per_function=1)
-        test_report = TestReport(app="copytool")
-        test_report.outcomes.append(TestOutcome(test_id="t",
-                                                status="normal"))
-        dicts = [campaign.to_dict(), test_report.to_dict(),
-                 session.summaries[-1].to_dict()]
+        dicts = [campaign.to_dict(), session.summaries[-1].to_dict()]
         for data in dicts:
             assert data["schema"] == "repro.report/1"
             assert data["app"] == "copytool"
@@ -185,19 +181,40 @@ class TestStoreIntegration:
         assert stage.cache_memory_hits == 1 and stage.cache_misses == 0
 
 
-def _campaign_metric(images, name):
-    """Metric ``name`` of a one-case campaign run with telemetry on."""
-    telemetry = Telemetry()
+def _one_case_campaign(images, **options):
+    """Run a one-case campaign over ``close``."""
     profiles = Profiler(LINUX_X86, images).profile_all()
     cases = enumerate_cases(profiles, functions=["close"],
                             max_codes_per_function=1)
     run_campaign("copytool", _copytool_factory(images["libc.so.6"]),
-                 LINUX_X86, profiles, cases, telemetry=telemetry)
+                 LINUX_X86, profiles, cases, **options)
+
+
+def _campaign_metric(images, name):
+    """Metric ``name`` of a one-case campaign run with telemetry on."""
+    telemetry = Telemetry()
+    _one_case_campaign(images, telemetry=telemetry)
     return telemetry.metrics.snapshot()[name]
 
 
-#: Spellings that 2.0, 3.0, 4.0 and 5.0 removed, each with the error
-#: that must name it.
+def _journal_record(images, tmp):
+    """The record a one-case campaign journals."""
+    store = ResultStore(tmp)
+    _one_case_campaign(images, results=store)
+    return next(iter(store.load(store.resolve()).values()))
+
+
+def _named(path):
+    """The module a dotted path names, or the attribute of one."""
+    try:
+        return importlib.import_module(path)
+    except ImportError:
+        module, _, name = path.rpartition(".")
+        return getattr(_named(module), name)
+
+
+#: Spellings that 2.0, 3.0, 4.0, 5.0 and 6.0 removed, each with the
+#: error that must name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
         TypeError, "libraries",
@@ -304,12 +321,59 @@ _REMOVED_SPELLINGS.update({
     for name in ("repro_pool_tasks_total", "repro_pool_task_seconds",
                  "repro_pool_queue_wait_seconds",
                  "repro_pool_worker_utilization")})
+# one status per case: the task status and the journal index, the third
+# outcome loop and its report, and helpers nothing called
+_REMOVED_SPELLINGS.update({
+    f"{where[len('repro.'):] or where}.{name}": (
+        AttributeError, name,
+        lambda images, tmp, where=where, name=name: getattr(
+            _named(where), name))
+    for where, name in (
+        ("repro", "TestReport"),
+        ("repro.core.controller", "TestReport"),
+        ("repro.core.controller.controller", "TestReport"),
+        ("repro.core.controller.Controller", "run_campaign"),
+        ("repro.core.exec", "record_tasks"),
+        ("repro.core.exec", "summarize_tasks"),
+        ("repro.core.exec.engine", "record_tasks"),
+        ("repro.core.exec.engine", "summarize_tasks"),
+        ("repro.core.exec.RunSummary", "from_metrics"),
+        ("repro.core.results.store", "INDEX_SCHEMA"),
+        ("repro.apps.loadgen", "loadgen_factory"),
+        ("repro.runtime.blocks", "merge_coverage"),
+        ("repro.core.profiler.cfg.Cfg", "block_at"),
+        ("repro.isa.abi.Abi", "caller_arg_disp"),
+        ("repro.binfmt.image.SharedObject", "export_map"),
+        ("repro.apps.workloads.AbResult", "requests_per_second"),
+        ("repro.runtime.process.LoadedModule", "text_end"),
+        ("repro.core.scenario.model.FunctionTrigger", "wants_injection"))})
+_REMOVED_SPELLINGS.update({
+    f"RunSummary.{name}": (
+        AttributeError, name,
+        lambda images, tmp, name=name: getattr(
+            RunSummary("campaign", "app", "ok", 0.0), name))
+    for name in ("ok", "errors", "hung", "crashed")})
+_REMOVED_SPELLINGS.update({
+    "journal-task_status": (
+        KeyError, "task_status",
+        lambda images, tmp: _journal_record(images, tmp)["task_status"]),
+    "CampaignJournal.record-task_status": (
+        TypeError, "task_status",
+        lambda images, tmp: CampaignJournal(tmp / "c", "k").record(
+            "", None, None, task_status="ok")),
+    "result_record-task_status": (
+        TypeError, "task_status",
+        lambda images, tmp: result_record("k", "", None, None,
+                                          task_status="ok")),
+})
 
 
 class TestDeprecationShims:
     """2.0 removed the shims, 3.0 the profiler's pool parameters, 4.0
-    the thread backend and 5.0 the buffered telemetry copies and the
-    pool's metrics: old spellings fail by name, new ones are silent."""
+    the thread backend, 5.0 the buffered telemetry copies and the
+    pool's metrics, and 6.0 the task status, the journal index, the
+    controller's campaign loop and unused helpers: old spellings fail
+    by name, new ones are silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
