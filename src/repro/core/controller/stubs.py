@@ -15,6 +15,7 @@ originals.  Two artifacts are produced:
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 from ...binfmt import SharedObject, Symbol
@@ -35,7 +36,29 @@ def synthesize_shim(functions: Sequence[str],
     ``eval_symbol`` names the controller support routine the stubs call;
     stacked controllers use distinct symbols so several shims can coexist
     in one process (§5.1), each chaining to the next via RTLD_NEXT.
+
+    Only the soname and the import differ between the shims of one
+    function list: the stub text, export table and C source are
+    assembled once per (function list, platform) and shared, so every
+    campaign case after the first of its function pays for a new
+    :class:`SharedObject` and nothing else.
     """
+    text, exports, source = _assemble(tuple(functions), platform)
+    image = SharedObject(
+        soname=soname,
+        machine=platform.machine,
+        text=text,
+        exports=exports,
+        imports=(eval_symbol,),
+    )
+    return image, source
+
+
+@functools.lru_cache(maxsize=256)
+def _assemble(functions: Tuple[str, ...], platform: Platform
+              ) -> Tuple[bytes, Tuple[Symbol, ...], str]:
+    """The stub text, export table and C source of one function list;
+    all three are immutable, so callers share them."""
     abi = abi_for(platform.machine)
     items = []
     for fn_id, name in enumerate(functions):
@@ -54,15 +77,7 @@ def synthesize_shim(functions: Sequence[str],
     for i, (offset, name) in enumerate(ordered):
         end = ordered[i + 1][0] if i + 1 < len(ordered) else len(text)
         exports.append(Symbol(name, offset, end - offset))
-
-    image = SharedObject(
-        soname=soname,
-        machine=platform.machine,
-        text=text,
-        exports=tuple(exports),
-        imports=(eval_symbol,),
-    )
-    return image, generate_c_source(functions, platform)
+    return text, tuple(exports), generate_c_source(functions, platform)
 
 
 def generate_c_source(functions: Sequence[str],

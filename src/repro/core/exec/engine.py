@@ -28,13 +28,14 @@ worker's pipe, and every backend derives the same cases.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ...obs.telemetry import Telemetry, as_telemetry
@@ -214,7 +215,10 @@ def _case_result(lfi: Controller, case, outcome: TestOutcome, fired: bool,
                         firings=lfi.engine.firings)
     if case_telemetry is not None:
         (sink,) = case_telemetry.events.sinks
-        result.events = [event.to_dict() for event in sink.events]
+        # no wall-clock ``ts``: the parent stamps each event as it
+        # re-emits it, and without it a record is the same on every run
+        result.events = [event.to_dict(timestamp=False)
+                         for event in sink.events]
         result.metrics = case_telemetry.metrics.snapshot()
         result.worker = _worker_label()
     if observe:
@@ -347,21 +351,59 @@ def _copy_result(result, **changes):
     """A copy of ``result`` sharing no mutable container with it.
 
     Every container a result holds is JSON-shaped (it is journaled as
-    JSON), so a walk over dicts and lists copies it; this is several
-    times cheaper than ``copy.deepcopy`` on the dataclasses.
+    JSON), so a walk over dicts and lists copies it, and the coverage
+    map, the largest, is flat and copies in one call.  The two
+    dataclasses are rebuilt from their fields, which is what
+    ``dataclasses.replace`` does without its per-call checks.
     """
-    def plain(value):
-        if isinstance(value, dict):
-            return {key: plain(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [plain(item) for item in value]
-        return value
+    copy = _copy_fields(result)
+    copy.outcome = _copy_fields(result.outcome)
+    copy.events = _plain(result.events)
+    copy.metrics = _plain(result.metrics)
+    copy.snapshot = _plain(result.snapshot)
+    copy.sites = _plain(result.sites)
+    copy.coverage = _copy_coverage(result.coverage)
+    for name, value in changes.items():
+        setattr(copy, name, value)
+    return copy
 
-    fields = {name: plain(getattr(result, name))
-              for name in ("events", "metrics", "snapshot", "sites",
-                           "coverage")}
-    fields.update(changes)
-    return replace(result, outcome=replace(result.outcome), **fields)
+
+#: dataclass -> its field names, filled as :func:`_copy_fields` meets it
+_FIELD_NAMES: Dict[type, tuple] = {}
+
+
+def _copy_fields(obj):
+    """A new instance of ``obj``'s dataclass built from the same field
+    values through its constructor, which keeps the instance's compact
+    attribute dict (attributes set outside the fields are not copied)."""
+    cls = type(obj)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls) if f.init)
+    state = obj.__dict__
+    return cls(**{name: state[name] for name in names})
+
+
+def _plain(value):
+    """A deep copy of JSON-shaped ``value``."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _copy_coverage(coverage):
+    """A copy of an exported coverage record: scalars plus one flat
+    ``{address: count}`` map (see ``runtime.blocks.export_coverage``)."""
+    if coverage is None:
+        return None
+    copy = {key: _plain(value) for key, value in coverage.items()
+            if key != "map"}
+    if "map" in coverage:
+        copy["map"] = dict(coverage["map"])
+    return copy
 
 
 def _golden_run(factory, platform: Platform,

@@ -12,7 +12,9 @@ listings and resume fold the journal.  Records are journaled from the
 campaign parent as cases drain, and every line is flushed on write, so
 a worker crash, a ``SIGKILL`` or a ``^C`` mid-run loses at most the
 in-flight cases — ``campaign --resume`` then skips everything already
-journaled.
+journaled.  Each line is one JSON object: a record's fields in key
+order, then its coverage, metrics and sites (lines written before 6.1
+sort those in with the rest; a reader parses either).
 
 That is the whole guarantee: resume survives the *campaign process*
 dying, not the machine.  A flush hands each line to the operating
@@ -44,6 +46,7 @@ from ...errors import ResultsError
 from ...obs.telemetry import as_telemetry
 from ..controller import TestOutcome
 from ..scenario.xml_io import plan_to_xml
+from .matrix import fault_class_of
 
 #: Schema tag on every journaled case record.
 RESULT_SCHEMA = "repro.case-result/1"
@@ -52,6 +55,10 @@ META_SCHEMA = "repro.results-meta/1"
 
 _JOURNAL = "journal.jsonl"
 _META = "meta.json"
+
+#: one encoder for every line: ``json.dumps`` with options builds a new
+#: one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def fold_records(lines: Iterable[bytes], campaign: Optional[str],
@@ -131,12 +138,6 @@ def campaign_digest(*, app: str, platform: Any = None,
     return _sha256(json.dumps(ident, sort_keys=True))
 
 
-def _case_fault_class(case) -> str:
-    from .matrix import fault_class_of
-
-    return fault_class_of(case.code)
-
-
 def result_record(campaign_key: str, case_key: str, case,
                   result) -> Dict[str, Any]:
     """Serialize one finished case for the journal (plain JSON types)."""
@@ -154,7 +155,7 @@ def result_record(campaign_key: str, case_key: str, case,
         "status": result.outcome.status,
         # classification signals (added by the observatory; readers of
         # older journals tolerate their absence)
-        "fault_class": _case_fault_class(case),
+        "fault_class": fault_class_of(case.code),
         "outcome_class": getattr(result, "outcome_class", None),
         "output": getattr(result, "output", None),
         "coverage": getattr(result, "coverage", None),
@@ -216,6 +217,9 @@ class CampaignJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self._fh = None
         self.written = 0
+        #: function -> (shared values, encoded line tail) of its records
+        #: that fired nothing (see :meth:`_line`)
+        self._tails: Dict[str, Tuple[Dict[str, Any], str]] = {}
         meta = self.root / _META
         if meta.exists():
             if not self.app:
@@ -261,13 +265,39 @@ class CampaignJournal:
         """Append one finished case; flushed so a crash of this process
         loses nothing (an OS crash may — there is no fsync)."""
         rec = result_record(self.key, case_key, case, result)
+        line = self._line(rec, case.function if result.firings == 0
+                          else None)
         if self._fh is None:
             self._start_line_clean()
             self._fh = open(self.journal_path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._fh.write(line)
         self._fh.flush()
         self.written += 1
         return rec
+
+    def _line(self, rec: Dict[str, Any], unfired: Optional[str]) -> str:
+        """``rec`` as one JSON line: its fields in key order, then its
+        coverage, metrics and sites.
+
+        ``unfired`` names the function of a record whose run fired no
+        trigger.  Such records of one function are its not-reached
+        representative and the cases derived from it, which carry the
+        same coverage, metrics and sites, most of a line.  So the line
+        tail holding those is encoded once per function and serves the
+        later records while their values are equal.
+        """
+        rest = dict(rec)
+        shared = {"coverage": rest.pop("coverage"),
+                  "metrics": rest.pop("metrics"),
+                  "sites": rest.pop("sites")}
+        memo = self._tails.get(unfired) if unfired is not None else None
+        if memo is not None and memo[0] == shared:
+            tail = memo[1]
+        else:
+            tail = ", " + _ENCODER.encode(shared)[1:]
+            if unfired is not None:
+                self._tails[unfired] = (shared, tail)
+        return _ENCODER.encode(rest)[:-1] + tail + "\n"
 
     def _start_line_clean(self) -> None:
         """If a crashed writer left a torn last line, terminate it so
@@ -288,6 +318,7 @@ class CampaignJournal:
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
         self._fh = None
+        self._tails.clear()
 
     # -- reading -----------------------------------------------------------
 

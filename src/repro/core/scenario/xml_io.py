@@ -43,18 +43,27 @@ Writers stamp ``schema="repro.plan/2"``; readers accept ``/1``
 documents (which simply predate the action elements) and reject
 anything else.  Unknown child elements are a :class:`ScenarioError`
 naming the function and the element — not a silent skip.
+
+:func:`plan_to_xml` writes the text directly: a campaign serializes a
+plan for every case key and replay script, and building an ElementTree
+for each cost more than the rest of the string.  Its output is byte for
+byte what ElementTree's serializer (plus the pretty-printing indent)
+gave, so case keys and replay scripts did not change.  That serializer
+lives on in the tests as the reference the writer is checked against
+(``tests/plan_xml_reference.py``).  :func:`plan_from_xml` still parses
+with ElementTree.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ...errors import ScenarioError
 from ..profiles import ArgCondition
 from .model import (INJECT_ALWAYS, INJECT_EXHAUSTIVE, INJECT_NTH,
                     INJECT_ORDINALS, INJECT_RANDOM, Action, ArgModification,
-                    DelayFault, ErrorCode, FrameSpec, FunctionTrigger,
+                    DelayFault, FrameSpec, FunctionTrigger,
                     PartialWriteFault, Plan, ReturnFault, ShortReadFault,
                     TargetScope)
 
@@ -70,78 +79,118 @@ _KNOWN_CHILDREN = ("code", "delay", "shortread", "partialwrite",
 
 
 def plan_to_xml(plan: Plan) -> str:
-    root = ET.Element("plan", name=plan.name)
-    root.set("schema", PLAN_SCHEMA)
+    """Serialize ``plan``: attributes in a fixed order, two-space
+    indentation, ``" />"`` for an element without children, written
+    directly (see the module docstring)."""
+    head = f'<plan name="{_attr(plan.name)}" schema="{PLAN_SCHEMA}"'
     if plan.seed is not None:
-        root.set("seed", str(plan.seed))
+        head += f' seed="{_attr(str(plan.seed))}"'
+    if not plan.triggers:
+        return head + " />"
+    parts = [head, ">"]
     for trigger in plan.triggers:
-        el = ET.SubElement(root, "function", name=trigger.function)
-        if trigger.mode == INJECT_NTH:
-            el.set("inject", str(trigger.nth))
-        elif trigger.mode == INJECT_ORDINALS:
-            el.set("inject", ",".join(str(o) for o in trigger.ordinals))
-        else:
-            el.set("inject", trigger.mode)
-        if trigger.mode == INJECT_RANDOM:
-            el.set("probability", repr(trigger.probability))
-        el.set("calloriginal", "true" if trigger.calloriginal else "false")
-        _emit_actions(el, trigger)
-        if trigger.scope is not None:
-            scope_el = ET.SubElement(el, "scope")
-            if trigger.scope.fd is not None:
-                scope_el.set("fd", str(trigger.scope.fd))
-            if trigger.scope.path is not None:
-                scope_el.set("path", trigger.scope.path)
-            if trigger.scope.peer is not None:
-                scope_el.set("peer", str(trigger.scope.peer))
-        if trigger.stacktrace:
-            st = ET.SubElement(el, "stacktrace")
-            for frame in trigger.stacktrace:
-                frame_el = ET.SubElement(st, "frame")
-                frame_el.text = frame.value
-        for mod in trigger.modifications:
-            ET.SubElement(el, "modify", argument=str(mod.argument),
-                          op=mod.op, value=str(mod.value))
-        for cond in trigger.argconds:
-            ET.SubElement(el, "argcond",
-                          argument=str(cond.arg_index + 1),
-                          op=cond.relop, value=str(cond.value))
-    _indent(root)
-    return ET.tostring(root, encoding="unicode")
+        _write_trigger(parts, trigger)
+    parts.append("\n</plan>")
+    return "".join(parts)
 
 
-def _emit_actions(el: ET.Element, trigger: FunctionTrigger) -> None:
-    """Serialize the action list.
-
-    A single bare :class:`ReturnFault` keeps the /1 shorthand
-    (``retval``/``errno`` attributes on the <function>), so plans that
-    only use the original fault shape emit element-for-element what the
-    /1 writer produced.
-    """
+def _write_trigger(parts: List[str], trigger: FunctionTrigger) -> None:
+    """Append one ``<function>`` element (with its leading newline)."""
+    if trigger.mode == INJECT_NTH:
+        inject = str(trigger.nth)
+    elif trigger.mode == INJECT_ORDINALS:
+        inject = ",".join(str(o) for o in trigger.ordinals)
+    else:
+        inject = trigger.mode
+    tag = (f'\n  <function name="{_attr(trigger.function)}" '
+           f'inject="{_attr(inject)}"')
+    if trigger.mode == INJECT_RANDOM:
+        tag += f' probability="{_attr(repr(trigger.probability))}"'
+    tag += (' calloriginal="true"' if trigger.calloriginal
+            else ' calloriginal="false"')
+    children: List[str] = []
     actions = trigger.actions
-    returns = [a for a in actions if isinstance(a, ReturnFault)]
-    if len(actions) == 1 and len(returns) == 1:
-        el.set("retval", str(returns[0].retval))
-        if returns[0].errno:
-            el.set("errno", returns[0].errno)
+    if len(actions) == 1 and isinstance(actions[0], ReturnFault):
+        # the /1 shorthand: a single bare ReturnFault is retval/errno
+        # attributes on the <function>, element-for-element what the
+        # /1 writer produced
+        tag += f' retval="{_attr(str(actions[0].retval))}"'
+        if actions[0].errno:
+            tag += f' errno="{_attr(actions[0].errno)}"'
+    else:
+        children.extend(_action_element(action) for action in actions)
+    scope = trigger.scope
+    if scope is not None:
+        element = "<scope"
+        if scope.fd is not None:
+            element += f' fd="{_attr(str(scope.fd))}"'
+        if scope.path is not None:
+            element += f' path="{_attr(scope.path)}"'
+        if scope.peer is not None:
+            element += f' peer="{_attr(str(scope.peer))}"'
+        children.append(element + " />")
+    if trigger.stacktrace:
+        frames = "".join(
+            f"\n      <frame>{_text(frame.value)}</frame>" if frame.value
+            else "\n      <frame />" for frame in trigger.stacktrace)
+        children.append(f"<stacktrace>{frames}\n    </stacktrace>")
+    for mod in trigger.modifications:
+        children.append(
+            f'<modify argument="{_attr(str(mod.argument))}" '
+            f'op="{_attr(mod.op)}" value="{_attr(str(mod.value))}" />')
+    for cond in trigger.argconds:
+        children.append(
+            f'<argcond argument="{_attr(str(cond.arg_index + 1))}" '
+            f'op="{_attr(cond.relop)}" value="{_attr(str(cond.value))}" />')
+    if not children:
+        parts.append(tag + " />")
         return
-    for action in actions:
-        if isinstance(action, ReturnFault):
-            code_el = ET.SubElement(el, "code",
-                                    retval=str(action.retval))
-            if action.errno:
-                code_el.set("errno", action.errno)
-        elif isinstance(action, DelayFault):
-            ET.SubElement(el, "delay", ns=str(action.virtual_ns))
-        elif isinstance(action, (ShortReadFault, PartialWriteFault)):
-            tag = ("shortread" if isinstance(action, ShortReadFault)
-                   else "partialwrite")
-            io_el = ET.SubElement(el, tag,
-                                  argument=str(action.argument))
-            if action.max_bytes is not None:
-                io_el.set("max_bytes", str(action.max_bytes))
-            else:
-                io_el.set("fraction", repr(action.fraction))
+    parts.append(tag + ">")
+    for child in children:
+        parts.append("\n    " + child)
+    parts.append("\n  </function>")
+
+
+def _action_element(action: Action) -> str:
+    """One action child of a <function> that is not the shorthand."""
+    if isinstance(action, ReturnFault):
+        element = f'<code retval="{_attr(str(action.retval))}"'
+        if action.errno:
+            element += f' errno="{_attr(action.errno)}"'
+        return element + " />"
+    if isinstance(action, DelayFault):
+        return f'<delay ns="{_attr(str(action.virtual_ns))}" />'
+    tag = ("shortread" if isinstance(action, ShortReadFault)
+           else "partialwrite")
+    bound = (f'max_bytes="{_attr(str(action.max_bytes))}"'
+             if action.max_bytes is not None
+             else f'fraction="{_attr(repr(action.fraction))}"')
+    return f'<{tag} argument="{_attr(str(action.argument))}" {bound} />'
+
+
+def _attr(value: str) -> str:
+    """Escape an attribute value exactly as ElementTree does."""
+    value = _text(value)
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    if "\r" in value:
+        value = value.replace("\r", "&#13;")
+    if "\n" in value:
+        value = value.replace("\n", "&#10;")
+    if "\t" in value:
+        value = value.replace("\t", "&#09;")
+    return value
+
+
+def _text(value: str) -> str:
+    """Escape element text exactly as ElementTree does."""
+    if "&" in value:
+        value = value.replace("&", "&amp;")
+    if "<" in value:
+        value = value.replace("<", "&lt;")
+    if ">" in value:
+        value = value.replace(">", "&gt;")
+    return value
 
 
 def plan_from_xml(text: str) -> Plan:
@@ -292,17 +341,3 @@ def _parse_inject(el: ET.Element,
     except ValueError:
         raise ScenarioError(f"bad inject value {inject!r}") from None
 
-
-def _indent(element: ET.Element, level: int = 0) -> None:
-    pad = "\n" + "  " * level
-    if len(element):
-        if not element.text or not element.text.strip():
-            element.text = pad + "  "
-        for child in element:
-            _indent(child, level + 1)
-            if not child.tail or not child.tail.strip():
-                child.tail = pad + "  "
-        if not element[-1].tail or not element[-1].tail.strip():
-            element[-1].tail = pad
-    elif level and (not element.tail or not element.tail.strip()):
-        element.tail = pad

@@ -57,8 +57,11 @@ class Event:
     severity: str = "info"
     fields: Mapping[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
+    def to_dict(self, *, timestamp: bool = True) -> Dict[str, Any]:
+        """The serialized event; ``timestamp=False`` leaves out the
+        wall-clock ``ts``, the one field two runs of the same work never
+        share (campaign cases ship their events that way)."""
+        out = {
             "schema": EVENT_SCHEMA,
             "seq": self.seq,
             "ts": round(self.ts, 6),
@@ -66,6 +69,9 @@ class Event:
             "severity": self.severity,
             "fields": dict(self.fields),
         }
+        if not timestamp:
+            del out["ts"]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

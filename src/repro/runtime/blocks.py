@@ -38,7 +38,8 @@ Semantics contract with ``cpu.Cpu``:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import hashlib
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import IllegalInstruction
 from ..isa import Imm, ImportSlot, Mem, Reg
@@ -823,11 +824,14 @@ def compile_block(entry: int, code: Dict[int, Tuple], abi,
 
 def coverage_digest(coverage: Dict[int, int]) -> str:
     """Content digest of a block-coverage map (order-independent)."""
-    import hashlib
-    h = hashlib.sha256()
-    for addr in sorted(coverage):
-        h.update(f"{addr:#x}:{coverage[addr]};".encode("ascii"))
-    return h.hexdigest()[:16]
+    return _digest_sorted(sorted(coverage.items()))
+
+
+def _digest_sorted(items: List[Tuple[int, int]]) -> str:
+    # one hash over one buffer: the bytes are the concatenation of the
+    # per-block updates this digest was first defined by
+    payload = "".join(["%#x:%s;" % item for item in items])
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
 def export_coverage(coverage: Dict[int, int]) -> Dict[str, object]:
@@ -837,12 +841,12 @@ def export_coverage(coverage: Dict[int, int]) -> Dict[str, object]:
     keys are fixed-width hex entry addresses (sorted, so JSON output is
     byte-stable) and ``executed`` is the total dispatch count.
     """
+    items = sorted(coverage.items())
     return {
-        "digest": coverage_digest(coverage),
+        "digest": _digest_sorted(items),
         "blocks": len(coverage),
         "executed": sum(coverage.values()),
-        "map": {f"{addr:#010x}": coverage[addr]
-                for addr in sorted(coverage)},
+        "map": {"%#010x" % addr: count for addr, count in items},
     }
 
 

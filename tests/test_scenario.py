@@ -186,15 +186,39 @@ from hypothesis import strategies as st
 
 from repro.core.profiles import ArgCondition
 from repro.core.scenario import INJECT_NTH
+from repro.core.scenario.model import (DelayFault, PartialWriteFault,
+                                       ShortReadFault, TargetScope)
 
-_NAMES = st.text(alphabet="abcdefgh_", min_size=1, max_size=10)
-_ERRNOS = st.sampled_from([None, "EIO", "EBADF", "ENOSPC", "EINTR"])
+from .plan_xml_reference import reference_plan_to_xml
+
+#: every character the writer escapes, in attributes or in text
+_SPECIAL = '&<>"\r\n\t'
+_TEXT = st.text(alphabet="abcdefgh_ ./*" + _SPECIAL, min_size=1,
+                max_size=12)
+_NAMES = st.one_of(st.text(alphabet="abcdefgh_", min_size=1, max_size=10),
+                   _TEXT)
+_ERRNOS = st.one_of(st.sampled_from([None, "EIO", "EBADF", "ENOSPC",
+                                     "EINTR"]), _TEXT)
 _RELOPS = st.sampled_from(["==", "!=", "<", "<=", ">", ">="])
 
 _code = st.builds(ErrorCode, st.integers(-100, 100), _ERRNOS)
+_delay = st.builds(DelayFault, st.integers(1, 10 ** 12))
+
+
+def _partial_io(cls):
+    return st.one_of(
+        st.builds(cls, max_bytes=st.integers(0, 1 << 16),
+                  argument=st.integers(1, 6)),
+        st.builds(cls, fraction=st.floats(0.001, 0.999),
+                  argument=st.integers(1, 6)))
+
+
+_action = st.one_of(_code, _delay, _partial_io(ShortReadFault),
+                    _partial_io(PartialWriteFault))
 _frame = st.one_of(
     st.builds(FrameSpec, _NAMES),
     st.integers(0, 0xFFFFFFF).map(lambda a: FrameSpec(hex(a))),
+    st.just(FrameSpec("")),
 )
 _mod = st.builds(ArgModification,
                  argument=st.integers(1, 6),
@@ -207,43 +231,110 @@ _argcond = st.builds(ArgCondition,
 
 
 @st.composite
+def _scope(draw):
+    fd = draw(st.one_of(st.none(), st.integers(0, 64)))
+    path = draw(st.one_of(st.none(), _TEXT))
+    peer = draw(st.one_of(st.none(), st.integers(1, 65535)))
+    if fd is None and path is None and peer is None:
+        fd = 3
+    return TargetScope(fd=fd, path=path, peer=peer)
+
+
+@st.composite
 def _trigger(draw):
-    mode = draw(st.sampled_from(["nth", "always", "random", "exhaustive"]))
+    mode = draw(st.sampled_from(["nth", "always", "random", "exhaustive",
+                                 "ordinals"]))
     return FunctionTrigger(
         function=draw(_NAMES),
         mode=mode,
         nth=draw(st.integers(1, 50)) if mode == "nth" else 0,
         probability=(draw(st.floats(0.01, 1.0)) if mode == "random"
                      else 0.0),
-        actions=tuple(draw(st.lists(_code, max_size=4))),
+        ordinals=(draw(st.lists(st.integers(1, 50), min_size=1,
+                                max_size=4))
+                  if mode == "ordinals" else ()),
+        actions=tuple(draw(st.lists(_action, max_size=4))),
         calloriginal=draw(st.booleans()),
         stacktrace=tuple(draw(st.lists(_frame, max_size=3))),
         modifications=tuple(draw(st.lists(_mod, max_size=2))),
         argconds=tuple(draw(st.lists(_argcond, max_size=2))),
+        scope=draw(st.one_of(st.none(), _scope())),
     )
 
 
+def _by_kind(actions):
+    """The action list as the XML keeps it: in order within each kind
+    (the reader collects <code>, <delay>, <shortread>, <partialwrite>
+    children kind by kind)."""
+    kinds = {}
+    for action in actions:
+        kinds.setdefault(action.kind, []).append(action)
+    return kinds
+
+
+def _read_back_frame(frame):
+    """A frame as the reader returns it: XML normalizes a literal CR in
+    text to LF, and the reader strips the text."""
+    text = frame.value.replace("\r\n", "\n").replace("\r", "\n")
+    return FrameSpec(text.strip())
+
+
 @given(triggers=st.lists(_trigger(), max_size=6),
-       seed=st.one_of(st.none(), st.integers(0, 1 << 31)))
-@settings(max_examples=80, deadline=None)
-def test_property_plan_language_roundtrip(triggers, seed):
-    plan = Plan(seed=seed)
+       seed=st.one_of(st.none(), st.integers(0, 1 << 31)),
+       name=st.one_of(st.just("scenario"), _TEXT))
+@settings(max_examples=200, deadline=None)
+def test_property_plan_language_roundtrip(triggers, seed, name):
+    plan = Plan(seed=seed, name=name)
     for trigger in triggers:
         plan.add(trigger)
-    again = plan_from_xml(plan_to_xml(plan))
+    text = plan_to_xml(plan)
+    # case keys and journaled replay scripts are this text: it must be
+    # what the ElementTree writer gave, byte for byte
+    assert text == reference_plan_to_xml(plan)
+    again = plan_from_xml(text)
     assert again.seed == plan.seed
+    assert again.name == plan.name
     assert len(again.triggers) == len(plan.triggers)
     for orig, parsed in zip(plan.triggers, again.triggers):
         assert parsed.function == orig.function
-        assert parsed.mode == orig.mode
-        assert parsed.nth == orig.nth
+        if orig.mode == "ordinals" and len(orig.ordinals) == 1:
+            # inject="5" is the one-ordinal set and the 5th call alike
+            assert (parsed.mode, parsed.nth) == ("nth", orig.ordinals[0])
+        else:
+            assert parsed.mode == orig.mode
+            assert parsed.nth == orig.nth
+            assert parsed.ordinals == orig.ordinals
+        assert parsed.probability == orig.probability
+        assert _by_kind(parsed.actions) == _by_kind(orig.actions)
         assert parsed.codes == orig.codes
         assert parsed.calloriginal == orig.calloriginal
-        assert parsed.stacktrace == orig.stacktrace
+        assert parsed.scope == orig.scope
+        assert parsed.stacktrace == tuple(
+            _read_back_frame(frame) for frame in orig.stacktrace)
         assert parsed.modifications == orig.modifications
         assert parsed.argconds == orig.argconds
-        if orig.mode == "random":
-            assert abs(parsed.probability - orig.probability) < 1e-12
+
+
+def test_writer_matches_reference_on_every_element():
+    """One plan with every element, attribute and escaped character."""
+    special = 'a&b<c>d"e\rf\ng\th'
+    plan = Plan(name=special, seed=7)
+    plan.add(FunctionTrigger(
+        special, mode="ordinals", ordinals=(3, 5),
+        actions=(ErrorCode(-1, special), DelayFault(5),
+                 ShortReadFault(max_bytes=3),
+                 PartialWriteFault(fraction=0.5, argument=2)),
+        calloriginal=True,
+        stacktrace=(FrameSpec(special), FrameSpec(""), FrameSpec("  ")),
+        modifications=(ArgModification(1, "add", 5),),
+        argconds=(ArgCondition(0, "<=", 3),),
+        scope=TargetScope(fd=3, path=special, peer=80)))
+    plan.add(FunctionTrigger("x", mode="random", probability=0.25))
+    plan.add(FunctionTrigger("y", actions=(ErrorCode(0, ""),)))
+    plan.add(FunctionTrigger("z", mode=INJECT_NTH, nth=2,
+                             actions=(ErrorCode(-1, "EIO"),)))
+    for each in (plan, Plan(), Plan(name="", seed=0)):
+        assert plan_to_xml(each) == reference_plan_to_xml(each)
 
 
 class TestDerivedSeeds:
