@@ -1,15 +1,19 @@
 """The dormant-plan fast path: intercepted-call and campaign throughput.
 
-The injector's dormant fast path (``core/controller/injector.py``)
-collapses intercepted calls to direct dispatch once a plan provably
-cannot fire again.  This benchmark measures it against live trigger
+A dormant intercepted call (no trigger can fire on it) completes in
+the stub's fused block closure, which asks the injector's bypass
+(``Injector.dormant_original``) and jumps to the original without
+entering the host.  This benchmark measures it against live trigger
 evaluation:
 
 * **dormant calls** — intercepted libc calls/sec through a
   stack-matched trigger whose call-ordinal horizon has passed (the
-  dormant proof holds: no evaluation, no backtrace walk, no logbook)
-  vs the same trigger shape with a far-future horizon (evaluated, and
-  the backtrace built, on every call);
+  dormant proof holds: the stub call skips the host) vs the same
+  trigger shape with a far-future horizon (evaluated, and the
+  backtrace built, on every call);
+* **passthrough calls** — the same calls under §6.4's passthrough
+  shape, 77 random triggers of p = 1e-9: their countdowns keep the
+  function dormant, so they should cost what a dormant call costs;
 * **no-fault campaign** — serial cases/sec on a minimal workload whose
   triggers fire on call 1 and go dormant for the rest of the case.
 
@@ -56,24 +60,32 @@ def _profiles():
 
 
 def _measure_calls(image, profiles, kind: str) -> float:
-    """``close()`` calls/sec under three interception regimes.
+    """``close()`` calls/sec under four interception regimes.
 
     * ``live`` — an nth trigger with a stack-trace condition and a
       far-future horizon: every call is evaluated and a backtrace is
       built, and the frame spec never matches;
     * ``dormant`` — the same trigger shape with its horizon at call 1:
-      it passes immediately, so every later call takes the injector's
-      dormant fast path (no evaluation, no frames, no logbook);
+      it passes immediately, so every later call is dormant and the
+      stub completes it without entering the host;
+    * ``passthrough`` — 77 plain random triggers of p = 1e-9 passing
+      calls through: dormant until their earliest countdown comes due;
     * ``unbound`` — the plan targets a different function entirely, so
       ``close`` is never shimmed: the zero-interception ceiling.
 
     Best of three samples per regime — single-run call throughput is
     noisy relative to the effect being measured.
     """
-    plan = Plan()
+    plan = Plan(seed=1)
     if kind == "unbound":
         plan.add(FunctionTrigger(function="read", mode="nth", nth=1,
                                  actions=(ErrorCode(-1, "EIO"),)))
+    elif kind == "passthrough":
+        for _ in range(77):
+            plan.add(FunctionTrigger(function="close", mode="random",
+                                     probability=1e-9,
+                                     actions=(ErrorCode(-1, "EBADF"),),
+                                     calloriginal=True))
     else:
         plan.add(FunctionTrigger(
             function="close", mode="nth",
@@ -128,6 +140,8 @@ def _arms():
                 image, profiles, "live"),
             "dormant_calls_per_second": _measure_calls(
                 image, profiles, "dormant"),
+            "passthrough_calls_per_second": _measure_calls(
+                image, profiles, "passthrough"),
             "unbound_calls_per_second": _measure_calls(
                 image, profiles, "unbound")},
         "nofault_campaign": _measure_nofault_campaign(image, profiles),
@@ -135,6 +149,9 @@ def _arms():
     calls = results["dormant_calls"]
     calls["speedup"] = round(calls["dormant_calls_per_second"]
                              / calls["live_calls_per_second"], 2)
+    calls["passthrough_vs_dormant"] = round(
+        calls["passthrough_calls_per_second"]
+        / calls["dormant_calls_per_second"], 2)
     # how much of the live-vs-unbound interception overhead the fast
     # path recovers (1.0 = dormant calls cost the same as unshimmed)
     gap = (calls["unbound_calls_per_second"]
@@ -157,6 +174,9 @@ def _report(results, write_json: bool = True):
          f"  (unshimmed ceiling)   "
          f"{calls['unbound_calls_per_second']:10.1f}      "
          f"overhead recovered: {calls['overhead_recovered']}",
+         f"77 passthrough triggers "
+         f"{calls['passthrough_calls_per_second']:10.1f}      "
+         f"vs dormant: {calls['passthrough_vs_dormant']:.2f}",
          f"no-fault campaign       {camp['cases']:6d} cases      "
          f"{camp['cases_per_second']:10.1f}/s"])
     if write_json:
@@ -177,6 +197,12 @@ def _assert_claims(results) -> None:
     assert calls["speedup"] >= dormant_bar, \
         (f"dormant fast path {calls['speedup']:.2f}x over live "
          f"evaluation fell below {dormant_bar:.2f}x")
+    # passthrough triggers count down: a call under them is dormant
+    passthrough_bar = 0.75 if FAST else 0.90
+    assert calls["passthrough_vs_dormant"] >= passthrough_bar, \
+        (f"calls under 77 passthrough triggers ran at "
+         f"{calls['passthrough_vs_dormant']:.2f}x the dormant rate, "
+         f"below {passthrough_bar:.2f}x")
     if not FAST:
         # the fast path should recover a meaningful share of the
         # live-vs-unshimmed gap (measured ~0.5-0.8 on this host)
@@ -193,5 +219,5 @@ def test_dormant_calls(benchmark):
 
 if __name__ == "__main__":
     results = _arms()
-    _report(results)
+    _report(results, write_json=not FAST)
     _assert_claims(results)

@@ -78,9 +78,10 @@ class FaultCase:
 
     ``code`` keeps its historical name but accepts any fault action
     (return, delay, short-read, partial-write).  ``probability > 0``
-    turns the cell probabilistic: its plan rolls the recorded-seed RNG
-    on every call instead of firing at an exact ordinal, which is how
-    fail-rate campaigns stay bit-identical under ``--resume``.
+    turns the cell probabilistic: its random trigger counts down
+    geometric gaps drawn from the recorded-seed RNG instead of firing
+    at an exact ordinal, which is how fail-rate campaigns stay
+    bit-identical under ``--resume``.
     """
 
     function: str
@@ -353,12 +354,12 @@ def enumerate_cases(profiles: Mapping[str, LibraryProfile],
     fault (keeping ``fraction`` of the transfer) for the functions in
     :data:`READ_LIKE` / :data:`WRITE_LIKE`.  ``fail_rate`` turns every
     enumerated case probabilistic: instead of firing at an exact call
-    ordinal, its plan rolls a content-derived recorded seed at that
-    rate — replayable bit-identically under ``--resume``.
+    ordinal, its plan fires at that rate from a content-derived
+    recorded seed — replayable bit-identically under ``--resume``.
 
     ``fail_rate`` and ``call_ordinals`` are mutually exclusive axes: a
-    probabilistic plan rolls its RNG on *every* call, so there is no
-    ordinal to vary and each (function, action) pair yields exactly one
+    probabilistic plan may fire on *any* call, so there is no ordinal
+    to vary and each (function, action) pair yields exactly one
     case.  Passing explicit non-default ordinals together with
     ``fail_rate`` raises :class:`ValueError` (historically the
     ordinals were silently discarded).
@@ -370,7 +371,7 @@ def enumerate_cases(profiles: Mapping[str, LibraryProfile],
     if fail_rate is not None and tuple(call_ordinals) != (1,):
         raise ValueError(
             "call_ordinals and fail_rate cannot be combined: a "
-            "fail-rate case rolls its RNG on every call, so it has no "
+            "fail-rate case may fire on any call, so it has no "
             "call ordinal to enumerate")
     wanted = set(functions) if functions is not None else None
     probability = 0.0 if fail_rate is None else fail_rate

@@ -149,7 +149,7 @@ class Controller:
         if self.coverage_enabled and proc.cpu.coverage is None:
             proc.cpu.coverage = {}
         proc.register_host(self.eval_symbol, self.injector.eval_host,
-                           raw=True)
+                           raw=True, bypass=self.injector.dormant_original)
         if self.platform.interposition == PRELOAD:
             shim_module = proc.load(self.shim)
             for lib in libraries:
@@ -192,7 +192,8 @@ class Controller:
         proc.join_kernel(kernel)
         proc.relink(proc.modules[parked.shim_index], self.shim)
         proc.rebind_host(parked.eval_addr, self.eval_symbol,
-                         self.injector.eval_host)
+                         self.injector.eval_host,
+                         bypass=self.injector.dormant_original)
         # the rest of what attach does
         self.processes.append(proc)
         proc.cpu.coverage = {} if self.coverage_enabled else None

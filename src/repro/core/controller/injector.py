@@ -13,6 +13,13 @@ effects, then either places the injected return value in the ABI return
 register and resumes *directly at the caller*, or restores the stack and
 tail-jumps to the original function found via RTLD_NEXT — exactly the
 semantics of the paper's generated C stubs.
+
+On the block path a dormant call (see ``TriggerEngine.dormancy``) never
+gets this far: the block compiler's fused stub asks
+:meth:`Injector.dormant_original`, the host's ``bypass``, and tail-jumps
+to the original itself, as the C stub evaluates its trigger without
+leaving the stub (§5.1).  On the step path it enters, and
+``TriggerEngine.on_call`` counts it without deciding anything.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ class Injector:
         self._original_cache: Dict[int, Dict[str, int]] = {}
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
-        self._recompute_dormancy()
 
     def _bind_instruments(self) -> None:
         # instruments are created once here so the per-call hot path is
@@ -83,41 +89,33 @@ class Injector:
         self.functions = list(functions)
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
-        self._recompute_dormancy()
 
-    def _recompute_dormancy(self) -> None:
-        """Re-derive the zero-overhead set from the bound engine.
+    # -- host entry points --------------------------------------------------
 
-        A function id is *dormant* when the plan provably cannot fire
-        for it anymore — no triggers at all, unreachable sentinel
-        ordinals, or an exhausted nth/ordinal horizon.  Dormancy is
-        monotone for one engine (call counts only grow), so ids are
-        added as calls prove out and the set resets only here, when a
-        new engine is bound.
+    def dormant_original(self, proc, fn_id: int) -> Optional[int]:
+        """The stubs' bypass (``HostFunction.bypass``): the original
+        behind stub ``fn_id`` when the engine counts this call dormant,
+        else None.
+
+        A dormant call owes its call count and nothing else: no frames,
+        no evaluation, no telemetry.  The block compiler's fused stub
+        asks this before it would enter ``__lfi_eval``.  A call that
+        enters anyway (the step path, or this declined) gets the same
+        answer from ``TriggerEngine.on_call``, which counts a dormant
+        call and decides nothing.
         """
-        engine = self.engine
-        self._dormant_ids = {
-            fn_id for fn_id, function in enumerate(self.functions)
-            if not engine.can_still_fire(function)}
-
-    # -- host entry point ---------------------------------------------------
+        try:
+            function = self.functions[fn_id]
+        except IndexError:
+            return None                 # eval_host names the bad id
+        if not self.engine.dormant_call(function):
+            return None
+        return self._resolve_original(proc, function)
 
     def eval_host(self, proc, cpu) -> None:
         abi = cpu.abi
         sp = cpu.regs[abi.stack_pointer]
         fn_id = proc.memory.read_u32(sp + 4)
-        if fn_id in self._dormant_ids:
-            # zero-overhead fast path: the plan provably cannot fire for
-            # this function anymore, so the call collapses to counting +
-            # direct dispatch — no frames, no evaluation, no telemetry
-            function = self.functions[fn_id]
-            self.engine.record_dormant_call(function)
-            original = self._resolve_original(proc, function)
-            self._pop_shadow(cpu, 1)
-            if cpu.shadow:
-                cpu.shadow[-1].callee_addr = original
-            cpu.force_transfer(original, sp + 8)
-            return
         caller_ret = proc.memory.read_u32(sp + 8)
         try:
             function = self.functions[fn_id]
@@ -143,8 +141,6 @@ class Injector:
             self._apply_modifications(proc, cpu, sp, decision)
 
         if decision is not None and decision.injects_return:
-            if not self.engine.can_still_fire(function):
-                self._dormant_ids.add(fn_id)
             self._log(decision, function, call_number, frames)
             self.injection_count += 1
             self._record_injection(decision, function, call_number)
@@ -171,10 +167,6 @@ class Injector:
                 "passthrough", severity="debug", function=function,
                 call=call_number, test=self.test_id)
         # pass through: restore the stack and jmp to the original
-        if not self.engine.can_still_fire(function):
-            # the call just counted pushed every trigger past its
-            # horizon; future calls take the fast path above
-            self._dormant_ids.add(fn_id)
         original = self._resolve_original(proc, function)
         self._pop_shadow(cpu, 1)
         if cpu.shadow:
@@ -246,18 +238,20 @@ class Injector:
         return resolve
 
     def _resolve_original(self, proc, function: str) -> int:
+        cache = self._original_cache.get(id(proc))
+        if cache is not None:
+            addr = cache.get(function)
+            if addr is not None:
+                return addr
         if self.shim_module_index is None:
             raise ControllerError("injector not attached to a process")
-        cache = self._original_cache.setdefault(id(proc), {})
-        addr = cache.get(function)
-        if addr is not None:
-            return addr
         try:
             addr = proc.resolve_next(function, self.shim_module_index)
         except LoaderError:
             raise ControllerError(
                 f"no original definition of {function!r} behind the shim")
-        cache[function] = addr            # the stub's static original_fn_ptr
+        # the stub's static original_fn_ptr
+        self._original_cache.setdefault(id(proc), {})[function] = addr
         return addr
 
     @staticmethod

@@ -5,19 +5,27 @@ evaluates its triggers in plan order; the first satisfied trigger
 decides the injection.  Stack-trace conditions compare against the
 caller's backtrace; target scopes compare against the descriptor the
 call operates on; exhaustive triggers rotate their action list across
-consecutive firings; random triggers roll the controller's RNG.
+consecutive firings.
 
-Each function's triggers are compiled once, when the engine is built
-(:func:`_compile`): a run of plain random triggers becomes a tight loop
-of RNG draws, every other trigger a step with its count predicate
-precomputed.  Compilation changes no result: evaluation counts, firings
-and RNG consumption are those of checking each trigger in turn.
+A random trigger counts down.  Its countdown is the number of its
+evaluations left until it fires, geometric in its probability p: it is
+drawn from the plan's RNG when the engine is built (in plan order) and
+again after each success, as ``1 + floor(log(1 - U) / log1p(-p))``.  An
+evaluation that reaches the roll decrements the countdown instead of
+drawing, so each evaluation still fires with probability p, and the RNG
+is drawn once per firing rather than once per call.
 
-Ordering inside a step is load-bearing: the scope predicate runs
-*before* the probability roll, so plans without scoped triggers consume
-the RNG exactly as the pre-action-model engine did — the
-differential-equivalence guarantee for ReturnFault-only plans depends
-on it.
+Ordering inside a trigger is load-bearing: the scope predicate runs
+*before* the roll (a call outside the scope does not count down) and
+the stack and argument conditions after it.
+
+Each function carries one dormancy number (:meth:`TriggerEngine.dormancy`):
+how many of its next calls need no evaluation.  A function whose
+triggers all have call-ordinal bounds is dormant for good once its
+count passes them; a function whose triggers are all plain random (no
+scope, stack or argument condition) is dormant until its earliest
+countdown comes due; any other function evaluates every call.  A
+dormant call is counted and nothing else (:meth:`dormant_call`).
 """
 
 from __future__ import annotations
@@ -35,10 +43,18 @@ from ..scenario.model import (INJECT_EXHAUSTIVE, INJECT_NTH,
 Frame = Tuple[int, Optional[str]]   # (return address, enclosing function)
 
 #: Call ordinals at or above this value are treated as unreachable: a
-#: trigger aimed there provably never fires, so the injector's dormant
-#: fast path engages from the first call.  The snapshot prefix sentinel
+#: trigger aimed there provably never fires, so the function is dormant
+#: from the first call.  The snapshot prefix sentinel
 #: (``core.exec.snapshot.PREFIX_SENTINEL``) is defined as this value.
 NEVER_ORDINAL = 1 << 30
+
+#: The largest gap a countdown draws, in evaluations.
+_COUNTDOWN_CAP = float(1 << 62)
+
+#: The random-trigger rule in force, recorded in campaign meta so that
+#: ``--resume`` never mixes results rolled by two rules (6.x rolled
+#: every random trigger once per call).
+RANDOM_RULE = "countdown"
 
 #: Resolves a call's first argument to (path, peer port) for scope
 #: predicates; ``None`` when no scoped trigger needs it.
@@ -76,65 +92,72 @@ def trigger_horizon(trigger: FunctionTrigger) -> Optional[int]:
     return None
 
 
-def _compile(entries: List[Tuple[int, FunctionTrigger]]) -> tuple:
-    """One function's triggers as evaluation steps, in plan order.
-
-    A run of consecutive plain random triggers (no count, scope, stack or
-    argument predicate) becomes one step ``(probabilities, ((index,
-    trigger), ...))``.  Any other trigger is a step ``(None, (index,
-    trigger, ordinals, scope, probability, late))``: the call ordinals it
-    may fire at (None: any), its scope, its roll (None: no draw) and
-    whether stack or argument conditions follow the roll.
-    """
-    steps: List[tuple] = []
-    for index, trigger in entries:
-        if trigger.mode == INJECT_RANDOM and trigger.scope is None \
-                and not trigger.stacktrace and not trigger.argconds:
-            if not steps or steps[-1][0] is None:
-                steps.append(([], []))
-            steps[-1][0].append(trigger.probability)
-            steps[-1][1].append((index, trigger))
-            continue
-        at = (frozenset((trigger.nth,)) if trigger.mode == INJECT_NTH
-              else frozenset(trigger.ordinals)
-              if trigger.mode == INJECT_ORDINALS else None)
-        steps.append((None, (
-            index, trigger, at, trigger.scope,
-            trigger.probability if trigger.mode == INJECT_RANDOM else None,
-            bool(trigger.stacktrace or trigger.argconds))))
-    return tuple((None, payload) if probs is None
-                 else (tuple(probs), tuple(payload))
-                 for probs, payload in steps)
+def _plain_random(trigger: FunctionTrigger) -> bool:
+    return trigger.mode == INJECT_RANDOM and trigger.scope is None \
+        and not trigger.stacktrace and not trigger.argconds
 
 
-def _function_horizon(entries: List[Tuple[int, FunctionTrigger]]) -> float:
+def _function_horizon(triggers: List[FunctionTrigger]) -> float:
     """The call count below which some trigger on the function could
     still fire: infinite if any trigger has no call-count bound, else
     the largest reachable horizon (0 when none is reachable)."""
-    horizons = [trigger_horizon(trigger) for _index, trigger in entries]
+    horizons = [trigger_horizon(trigger) for trigger in triggers]
     if None in horizons:
         return math.inf
     return max([h for h in horizons if h < NEVER_ORDINAL], default=0)
 
 
 class TriggerEngine:
-    """Evaluates a plan's triggers against live calls."""
+    """Evaluates a plan's triggers against live calls.
+
+    ``call_counts`` may be replaced by a new dict (snapshot replay does
+    so with its checkpoint's counts); the engine then re-derives the
+    dormancy of every function whose triggers have call-ordinal
+    bounds.  Countdowns do not depend on the counts.
+    """
 
     def __init__(self, plan: Plan, rng: Optional[random.Random] = None) -> None:
         self.plan = plan
         self.rng = rng or random.Random(plan.seed)
-        self.call_counts: Dict[str, int] = {}
         self._rotation: Dict[int, int] = {}
-        by_function: Dict[str, List[Tuple[int, FunctionTrigger]]] = {}
+        #: countdown per random trigger (by slot), and log1p(-p) per
+        #: slot (None for p = 1, whose countdown is always 1)
+        self._countdowns: List[int] = []
+        self._log_q: List[Optional[float]] = []
+        steps: Dict[str, List[tuple]] = {}
         for index, trigger in enumerate(plan.triggers):
-            by_function.setdefault(trigger.function, []).append(
-                (index, trigger))
-        self._steps = {function: _compile(entries)
-                       for function, entries in by_function.items()}
-        self._horizons = {function: _function_horizon(entries)
-                          for function, entries in by_function.items()}
-        self._sizes = {function: len(entries)
-                       for function, entries in by_function.items()}
+            slot = None
+            if trigger.mode == INJECT_RANDOM:
+                slot = len(self._countdowns)
+                self._log_q.append(math.log1p(-trigger.probability)
+                                   if trigger.probability < 1.0 else None)
+                self._countdowns.append(self._draw(slot))
+            # a step: the trigger, the call ordinals it may fire at
+            # (None: any), its scope, its countdown slot (None: no
+            # roll) and whether stack or argument conditions follow
+            steps.setdefault(trigger.function, []).append((
+                index, trigger,
+                frozenset((trigger.nth,)) if trigger.mode == INJECT_NTH
+                else frozenset(trigger.ordinals)
+                if trigger.mode == INJECT_ORDINALS else None,
+                trigger.scope, slot,
+                bool(trigger.stacktrace or trigger.argconds)))
+        self._steps = {function: tuple(entries)
+                       for function, entries in steps.items()}
+        self._horizons = {
+            function: _function_horizon([step[1] for step in entries])
+            for function, entries in steps.items()}
+        #: the countdown slots of each function whose triggers are all
+        #: plain random: it is dormant until the smallest comes due
+        self._slots = {
+            function: tuple(step[4] for step in entries)
+            for function, entries in steps.items()
+            if all(_plain_random(step[1]) for step in entries)}
+        #: function -> how many of its next calls need no evaluation
+        self._idle: Dict[str, float] = {}
+        for function in self._slots:
+            self._rearm(function, 0)
+        self.call_counts = {}
         self.evaluations = 0
         self.firings = 0
         #: whether any trigger needs a backtrace; callers may skip
@@ -147,45 +170,58 @@ class TriggerEngine:
         #: supply a descriptor resolver to :meth:`on_call`)
         self.needs_scope = any(t.scope is not None for t in plan.triggers)
 
-    def record_dormant_call(self, function: str) -> int:
-        """Count one call on the dormant fast path.
+    @property
+    def call_counts(self) -> Dict[str, int]:
+        """Calls counted so far, per function."""
+        return self._call_counts
 
-        Call counting is the only observable bookkeeping a dormant
-        function still owes (ordinal semantics, snapshot prefix_calls);
-        everything else — evaluation counters, decisions, logbook and
-        telemetry — is provably dead while :meth:`can_still_fire` is
-        False.
+    @call_counts.setter
+    def call_counts(self, counts: Dict[str, int]) -> None:
+        self._call_counts = counts
+        for function, horizon in self._horizons.items():
+            if function not in self._slots:
+                self._idle[function] = (
+                    math.inf if counts.get(function, 0) >= horizon else 0)
+
+    def dormancy(self, function: str) -> float:
+        """How many of ``function``'s next calls need no evaluation:
+        ``math.inf`` once no trigger on it can fire again (none at all,
+        unreachable ordinals, or exhausted nth/ordinal horizons), 0 when
+        the next call must be evaluated."""
+        return self._idle.get(function, math.inf)
+
+    def dormant_call(self, function: str) -> bool:
+        """Count one call of ``function`` if it is dormant.
+
+        Returns False, counting nothing, when the call must be
+        evaluated (:meth:`on_call` then counts it).  Call counting is
+        the only bookkeeping a dormant call owes: no evaluation, no
+        decision, no RNG draw.
         """
-        count = self.call_counts.get(function, 0) + 1
-        self.call_counts[function] = count
-        return count
-
-    def can_still_fire(self, function: str) -> bool:
-        """Whether any trigger on ``function`` could fire on a future
-        call, given the calls counted so far.
-
-        The proof is conservative: only call-ordinal exhaustion (an
-        nth/ordinals horizon behind the current count) and unreachable
-        ordinals (at or past :data:`NEVER_ORDINAL`) count as "never";
-        random, exhaustive, scoped and stack-matched triggers are
-        assumed live forever.
-        """
-        return self.call_counts.get(function, 0) \
-            < self._horizons.get(function, 0)
+        idle = self._idle.get(function, math.inf)
+        if not idle:
+            return False
+        self._idle[function] = idle - 1
+        counts = self._call_counts
+        counts[function] = counts.get(function, 0) + 1
+        return True
 
     def prefix_evaluations(self, prefix_calls: Dict[str, int]
                            ) -> Dict[str, int]:
-        """Trigger evaluations a fresh run spends on ``prefix_calls``.
+        """Trigger evaluations a fresh run spends on ``prefix_calls``
+        of a plan without random triggers (the only plans snapshot
+        replay serves).
 
         Every call evaluates all of a function's triggers until the
-        function goes dormant (:meth:`can_still_fire`), after which the
-        injector skips evaluation; functions with none are omitted.
+        function goes dormant, after which it evaluates none; functions
+        with none are omitted.
         """
         evaluations = {}
         for function, horizon in self._horizons.items():
             live_calls = min(prefix_calls.get(function, 0), horizon)
             if live_calls:
-                evaluations[function] = live_calls * self._sizes[function]
+                evaluations[function] = \
+                    live_calls * len(self._steps[function])
         return evaluations
 
     def on_call(self, function: str, frames: Sequence[Frame],
@@ -193,32 +229,65 @@ class TriggerEngine:
                 scope_resolver: Optional[ScopeResolver] = None,
                 ) -> Tuple[int, Optional[Decision]]:
         """Record one call; return (call ordinal, decision or None)."""
-        count = self.call_counts.get(function, 0) + 1
-        self.call_counts[function] = count
-        for probs, payload in self._steps.get(function, ()):
-            if probs is not None:
-                rnd = self.rng.random
-                for n, probability in enumerate(probs, 1):
-                    if rnd() < probability:
-                        self.evaluations += n
-                        return count, self._decide(*payload[n - 1])
-                self.evaluations += len(probs)
-                continue
-            self.evaluations += 1
-            index, trigger, at, scope, probability, late = payload
+        counts = self._call_counts
+        if self.dormant_call(function):
+            return counts[function], None
+        count = counts.get(function, 0) + 1
+        counts[function] = count
+        decision = None
+        countdowns = self._countdowns
+        checked = 0
+        for index, trigger, at, scope, slot, late in self._steps[function]:
+            checked += 1
             if at is not None and count not in at:
                 continue
             if scope is not None and not self._scope_matches(
                     scope, args, scope_resolver):
                 continue
-            if probability is not None and self.rng.random() >= probability:
-                continue
+            if slot is not None:
+                left = countdowns[slot] - 1
+                if left:
+                    countdowns[slot] = left
+                    continue
+                countdowns[slot] = self._draw(slot)
             if late and not self._late_checks_hold(trigger, frames, args):
                 continue
-            return count, self._decide(index, trigger)
-        return count, None
+            decision = self._decide(index, trigger)
+            break
+        self.evaluations += checked
+        self._rearm(function, count)
+        return count, decision
 
     # -- internals --------------------------------------------------------
+
+    def _draw(self, slot: int) -> int:
+        """A fresh countdown for the random trigger in ``slot``."""
+        u = self.rng.random()
+        log_q = self._log_q[slot]
+        if log_q is None:
+            return 1
+        # a p so small that log1p(-p) is subnormal overflows the
+        # quotient to inf; no run makes 2**62 evaluations anyway
+        return 1 + math.floor(min(math.log(1.0 - u) / log_q,
+                                  _COUNTDOWN_CAP))
+
+    def _rearm(self, function: str, count: int) -> None:
+        """Re-derive ``function``'s dormancy after an evaluated call.
+
+        A plain-random function sleeps until its smallest countdown
+        comes due; the calls it sleeps through are subtracted from every
+        countdown now, so the due call finds the earliest at 1.
+        """
+        slots = self._slots.get(function)
+        if slots is not None:
+            countdowns = self._countdowns
+            gap = min([countdowns[slot] for slot in slots]) - 1
+            if gap:
+                for slot in slots:
+                    countdowns[slot] -= gap
+            self._idle[function] = gap
+        elif count >= self._horizons[function]:
+            self._idle[function] = math.inf
 
     def _decide(self, index: int, trigger: FunctionTrigger) -> Decision:
         self.firings += 1

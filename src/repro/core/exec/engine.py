@@ -38,11 +38,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
+from ...errors import ResultsError
 from ...obs.telemetry import Telemetry, as_telemetry
 from ...platform import Platform
 from ..controller import (REPORT_SCHEMA, STATUS_CRASHED, STATUS_HUNG,
                           Controller, TestOutcome)
 from ..controller.replay import replay_script
+from ..controller.triggers import RANDOM_RULE
 from ...runtime import CODE_CACHE, SnapshotCache
 from ..profiles import LibraryProfile
 from .pool import (PROCESS, TASK_HUNG, TASK_OK, RemoteTaskError,
@@ -491,6 +493,27 @@ def _finish_case(case, task: TaskResult, pool: WorkerPool):
         fired=True, seconds=task.seconds)
 
 
+def _check_random_rule(campaign: str, meta: Mapping[str, Any],
+                       finished: Mapping[str, Mapping[str, Any]]) -> None:
+    """Refuse to resume probabilistic records rolled by another rule.
+
+    A case key digests the case's plan, not the rule that rolled it, so
+    a 6.x journal (one draw per trigger per call; its meta names no
+    rule) would otherwise restore results this version would not
+    reproduce.  Records of exact-ordinal cases hold under either rule.
+    """
+    if meta.get("random_rule") == RANDOM_RULE:
+        return
+    for record in finished.values():
+        if "~p" in record.get("case", ""):
+            raise ResultsError(
+                f"campaign {campaign} was journaled under the "
+                f"{meta.get('random_rule', 'per-call')} random rule, not "
+                f"{RANDOM_RULE!r}; its probabilistic case "
+                f"{record['case']} would not reproduce: start a fresh "
+                f"results directory")
+
+
 def execute_campaign(app: str,
                      factory,
                      platform: Platform,
@@ -584,6 +607,7 @@ def execute_campaign(app: str,
         meta = journal.meta()
         if resume:
             finished = journal.finished()
+            _check_random_rule(journal.key, meta, finished)
 
     # Classification runs at the parent whenever results are durable or
     # the frontier needs them: workers ship raw signals (status, output
@@ -614,6 +638,7 @@ def execute_campaign(app: str,
                                          if budget_cases is not None
                                          else len(case_list)),
                          call_counts=call_counts,
+                         random_rule=RANDOM_RULE,
                          **({"guided": True} if guided else {}))
 
     # what the golden counts prove: which cases cannot fire, for the

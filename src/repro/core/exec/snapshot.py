@@ -119,10 +119,10 @@ class SnapshotRunner:
         from .engine import _case_runner
 
         if getattr(case, "probability", 0.0) > 0:
-            # a probabilistic case rolls its RNG on *every* call,
+            # a probabilistic case counts down on *every* call,
             # including the prefix's — replaying only the suffix would
-            # consume the seed's stream differently from a fresh run,
-            # so bit-identical results require running the whole case
+            # fire at other calls than a fresh run, so bit-identical
+            # results require running the whole case
             return _case_runner(self.factory, self.platform, self.profiles,
                                 case, self.capture, self.observe,
                                 self.parked)

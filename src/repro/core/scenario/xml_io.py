@@ -76,6 +76,9 @@ ACCEPTED_SCHEMAS = ("repro.plan/1", PLAN_SCHEMA)
 #: Child elements a <function> may legally carry.
 _KNOWN_CHILDREN = ("code", "delay", "shortread", "partialwrite",
                    "scope", "stacktrace", "modify", "argcond")
+#: The partial-I/O action elements and their actions.
+_PARTIAL_IO = {"shortread": ShortReadFault,
+               "partialwrite": PartialWriteFault}
 
 
 def plan_to_xml(plan: Plan) -> str:
@@ -220,30 +223,31 @@ def _trigger_from_element(el: ET.Element) -> FunctionTrigger:
     inject = el.get("inject", "always")
     mode, nth, probability, ordinals = _parse_inject(el, inject)
 
-    for child in el:
-        if child.tag not in _KNOWN_CHILDREN:
-            raise ScenarioError(
-                f"function {name!r} carries unknown action element "
-                f"<{child.tag}>")
-
+    # actions in document order (an exhaustive trigger rotates through
+    # them, a random one picks by position), the retval shorthand first
     actions: List[Action] = []
     retval_attr = el.get("retval")
     if retval_attr is not None:
         actions.append(ReturnFault(int(retval_attr), el.get("errno")))
-    for code_el in el.findall("code"):
-        retval_text = code_el.get("retval")
-        if retval_text is None:
-            raise ScenarioError(f"<code> under {name!r} needs retval")
-        actions.append(ReturnFault(int(retval_text), code_el.get("errno")))
-    for delay_el in el.findall("delay"):
-        ns_text = delay_el.get("ns")
-        if ns_text is None:
-            raise ScenarioError(f"<delay> under {name!r} needs ns")
-        actions.append(DelayFault(int(ns_text)))
-    for tag, cls in (("shortread", ShortReadFault),
-                     ("partialwrite", PartialWriteFault)):
-        for io_el in el.findall(tag):
-            actions.append(_partial_io_from_element(name, tag, cls, io_el))
+    for child in el:
+        tag = child.tag
+        if tag not in _KNOWN_CHILDREN:
+            raise ScenarioError(
+                f"function {name!r} carries unknown action element "
+                f"<{tag}>")
+        if tag == "code":
+            retval_text = child.get("retval")
+            if retval_text is None:
+                raise ScenarioError(f"<code> under {name!r} needs retval")
+            actions.append(ReturnFault(int(retval_text), child.get("errno")))
+        elif tag == "delay":
+            ns_text = child.get("ns")
+            if ns_text is None:
+                raise ScenarioError(f"<delay> under {name!r} needs ns")
+            actions.append(DelayFault(int(ns_text)))
+        elif tag in _PARTIAL_IO:
+            actions.append(_partial_io_from_element(
+                name, tag, _PARTIAL_IO[tag], child))
 
     scope = None
     scope_el = el.find("scope")

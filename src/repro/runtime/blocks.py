@@ -33,7 +33,9 @@ Semantics contract with ``cpu.Cpu``:
   compiled calls);
 * fused pairs only form when neither fused instruction can fault
   (register/immediate operands, direct targets), so the block's
-  instruction accounting never splits a pair.
+  instruction accounting never splits a pair.  The one exception is a
+  synthesized interception stub (see :func:`_stub_block`), whose closure
+  attributes its own faults.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from ..errors import IllegalInstruction
 from ..isa import Imm, ImportSlot, Mem, Reg
 from ..isa.instructions import CONTROL_FLOW, JCC_TAKEN
 from ..layout import HOST_REGION_BASE
+from .cpu import ShadowFrame, _RunComplete
 from .memory import MASK32
 
 #: Translation stops after this many instructions even without a control
@@ -737,6 +740,91 @@ def _fused_branch(m, insn, jcc_m, taken, not_taken, abi):
     return bind
 
 
+def _stub_block(entry: int, code: Dict[int, Tuple], abi
+               ) -> Optional[BlockTemplate]:
+    """The block at ``entry`` as one closure of weight 2 when it is
+    exactly ``push imm32; call [import]``: the shape of every
+    synthesized interception stub (§5.1).
+
+    When the resolved callee is a host function whose ``bypass``
+    returns an address for the pushed immediate, the call completes
+    there as the host's pass-through would: both stack words are
+    written, the caller's shadow frame points at that address, SP is
+    back at the caller's and control moves on, without entering the
+    host.  Otherwise the call proceeds as an ordinary one.  A fault in
+    the push counts one instruction with ``eip`` at the push; anything
+    raised from the call onward counts both, as on the step path.
+    """
+    first = code.get(entry)
+    if first is None:
+        return None
+    push, push_size, _ = first
+    call_addr = entry + push_size
+    second = code.get(call_addr)
+    if push.mnemonic != "push" or not isinstance(push.operands[0], Imm) \
+            or second is None:
+        return None
+    call, call_size, target = second
+    if call.mnemonic != "call" or target is not None \
+            or not isinstance(call.operands[0], ImportSlot):
+        return None
+    const = push.operands[0].value & MASK32
+    slot = call.operands[0].slot
+    next_eip = call_addr + call_size
+    spi = abi.reg_id(abi.stack_pointer)
+
+    def bind(rt):
+        cpu = rt.cpu
+        proc = rt.proc
+        v = rt.values
+        write = rt.write_u32
+        resolve = proc.plt_resolve
+        hosts = rt.hosts
+        enter = cpu._enter
+        invoke = cpu._invoke_host
+        transfer = cpu.force_transfer
+
+        def op():
+            # eip is still at the push, where a fault in it leaves it
+            sp = (v[spi] - 4) & MASK32
+            v[spi] = sp
+            write(sp, const)
+            try:
+                cpu.eip = call_addr
+                dest = resolve(call_addr, slot)
+                cpu.eip = next_eip
+                host = hosts.get(dest)
+                if host is None or host.bypass is None:
+                    enter(dest, is_call=True, return_addr=next_eip)
+                    return
+                ret_sp = (sp - 4) & MASK32
+                v[spi] = ret_sp
+                write(ret_sp, next_eip)
+                original = None
+                try:
+                    original = host.bypass(proc, const)
+                finally:
+                    # the step path's frame for the host call, unless
+                    # the call completes elsewhere (a bypass that raises
+                    # raises inside the host call there)
+                    if original is None:
+                        cpu.shadow.append(ShadowFrame(next_eip, dest))
+                if original is None:
+                    invoke(host)
+                    return
+                shadow = cpu.shadow
+                if shadow:
+                    shadow[-1].callee_addr = original
+                transfer(original, sp + 4)
+            except _RunComplete:
+                raise
+            except Exception:
+                cpu.instructions_executed += 1     # the call counts too
+                raise
+        return op
+    return BlockTemplate(entry, (bind,), (entry,), (0,), 2, 0, None)
+
+
 # -- the translator ----------------------------------------------------------
 
 
@@ -750,6 +838,9 @@ def compile_block(entry: int, code: Dict[int, Tuple], abi,
     only the step path handles) — the CPU caches that verdict and
     single-steps there.
     """
+    stub = _stub_block(entry, code, abi)
+    if stub is not None:
+        return stub
     binders = []
     addrs = []
     weights = []

@@ -60,11 +60,19 @@ class ShadowFrame:
 
 @dataclass
 class HostFunction:
-    """A Python callable bound into the guest symbol space."""
+    """A Python callable bound into the guest symbol space.
+
+    ``bypass(proc, imm)`` is asked by the block compiler's fused
+    ``push imm32; call [import]`` closure before it calls this host:
+    an address it returns is where the call completes instead, as a
+    pass-through of a raw host that redirects to that address would
+    (see :func:`repro.runtime.blocks.compile_block`).
+    """
 
     name: str
     fn: Callable
     raw: bool = False
+    bypass: Optional[Callable[[object, int], Optional[int]]] = None
 
 
 class _RunComplete(Exception):

@@ -187,11 +187,13 @@ class Process:
     # -- symbols ----------------------------------------------------------
 
     def register_host(self, name: str, fn: Callable, *,
-                      raw: bool = False, front: bool = False) -> int:
-        """Bind a Python callable as a guest-visible symbol."""
+                      raw: bool = False, front: bool = False,
+                      bypass: Optional[Callable] = None) -> int:
+        """Bind a Python callable as a guest-visible symbol (``bypass``:
+        see :class:`HostFunction`)."""
         addr = self._next_host_addr
         self._next_host_addr += 4
-        self.host_functions[addr] = HostFunction(name, fn, raw)
+        self.host_functions[addr] = HostFunction(name, fn, raw, bypass)
         priority = 0 if front else self._next_priority
         if not front:
             self._next_priority += 10
@@ -200,14 +202,15 @@ class Process:
             self._plt_cache.clear()
         return addr
 
-    def rebind_host(self, addr: int, name: str, fn: Callable) -> None:
-        """Rename the host binding at ``addr`` and point it at ``fn``,
-        keeping its address and resolution priority."""
+    def rebind_host(self, addr: int, name: str, fn: Callable, *,
+                    bypass: Optional[Callable] = None) -> None:
+        """Rename the host binding at ``addr`` and point it at ``fn``
+        and ``bypass``, keeping its address and resolution priority."""
         old = self.host_functions[addr]
         [entry] = self._withdraw(old.name, lambda entry: entry[2] == addr)
         self._provide(name, entry)
         # in place: compiled block closures hold the dict itself
-        self.host_functions[addr] = HostFunction(name, fn, old.raw)
+        self.host_functions[addr] = HostFunction(name, fn, old.raw, bypass)
         self._plt_cache.clear()
 
     def _provide(self, symbol: str, entry: Tuple[int, int, int]) -> None:

@@ -16,6 +16,8 @@ skipped — the guarantee must actually be exercised, not waved through.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.apps.loadgen import LatencyRegression, LoadGenerator
@@ -24,9 +26,11 @@ from repro.apps.minidb import DbError, MiniDB
 from repro.core.campaign import (FaultCase, PrefixFactory, enumerate_cases,
                                  run_campaign)
 from repro.core.controller import Controller
+from repro.core.controller.triggers import RANDOM_RULE
 from repro.core.results import ResultStore
 from repro.core.scenario import DelayFault, FunctionTrigger, Plan
 from repro.core.scenario.generate import error_codes_from_profile
+from repro.errors import ResultsError
 from repro.kernel import Kernel
 from repro.obs import Telemetry
 from repro.platform import LINUX_X86
@@ -175,6 +179,54 @@ class TestProbabilisticReplay:
                                  fault_classes=("delay",),
                                  latency_ns=900_000, fail_rate=0.3)[0]
         assert delay.effective_seed() != slower.effective_seed()
+
+
+def _journaled_by_6x(store: ResultStore) -> str:
+    """Make the store's one campaign look journaled by 6.x, whose meta
+    named no random rule; returns its key."""
+    key = store.resolve()
+    meta_path = store.root / key / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta.pop("random_rule") == RANDOM_RULE
+    meta_path.write_text(json.dumps(meta))
+    return key
+
+
+class TestResumeAcrossRandomRules:
+    """Meta names the random rule, so results rolled by the per-call
+    rule never resume into a countdown run."""
+
+    def test_probabilistic_6x_journal_refuses_to_resume(
+            self, probabilistic_space, libc_profiles_linux, tmp_path):
+        store = ResultStore(tmp_path / "results")
+        key = {"workload": "minidb-actions"}
+        first = _run(probabilistic_space, libc_profiles_linux,
+                     results=store, results_key=key)
+        campaign = _journaled_by_6x(store)
+        with pytest.raises(ResultsError) as err:
+            _run(probabilistic_space, libc_profiles_linux,
+                 results=store, results_key=key, resume=True)
+        assert campaign in str(err.value)
+        assert first.results[0].case.case_id() in str(err.value)
+        assert "~p0.3" in first.results[0].case.case_id()
+
+    def test_exact_ordinal_6x_journal_resumes(self, return_space,
+                                              libc_profiles_linux, tmp_path):
+        store = ResultStore(tmp_path / "results")
+        key = {"workload": "minidb-actions"}
+        first = _run(return_space, libc_profiles_linux,
+                     results=store, results_key=key)
+        _journaled_by_6x(store)
+        resumed = _run(return_space, libc_profiles_linux,
+                       results=store, results_key=key, resume=True)
+        assert resumed.resumed == {"skipped": len(first.results),
+                                   "replayed": 0}
+        assert [(r.case, r.outcome.status, r.fired)
+                for r in resumed.results] == [
+            (r.case, r.outcome.status, r.fired) for r in first.results]
+        meta = json.loads((store.root / store.resolve()
+                           / "meta.json").read_text())
+        assert meta["random_rule"] == RANDOM_RULE
 
 
 class TestLatencyCampaign:

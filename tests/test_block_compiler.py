@@ -14,16 +14,19 @@ import pytest
 
 from repro.binfmt import SharedObject, Symbol
 from repro.core.campaign import enumerate_cases, run_campaign
-from repro.errors import MemoryFault, RuntimeFault
-from repro.isa import X86SIM, Imm, Label, Mem, Reg, assemble, ins, label
+from repro.core.controller.triggers import NEVER_ORDINAL
+from repro.errors import (ControllerError, LoaderError, MemoryFault,
+                          RuntimeFault)
+from repro.isa import (X86SIM, Imm, ImportSlot, Label, Mem, Reg, assemble,
+                       ins, label)
 from repro.isa.assembler import collect_labels
 from repro.kernel import Kernel
-from repro.layout import RETURN_SENTINEL
+from repro.layout import RETURN_SENTINEL, STACK_SIZE, STACK_TOP
 from repro.obs import EventLog, MemorySink, Telemetry
 from repro.obs.tracing import NULL_TRACER
 from repro.platform import LINUX_X86
 from repro.runtime import CODE_CACHE, Process, Tracer
-from repro.runtime.cpu import Cpu
+from repro.runtime.cpu import Cpu, ShadowFrame
 
 
 @pytest.fixture(autouse=True)
@@ -251,27 +254,195 @@ class TestForceTransferAndSentinel:
 
     def test_shadow_depth_under_tail_jump_stub(self, libc_linux,
                                                libc_profiles_linux):
-        """A real shim stub passing a call through tail-jumps to the
-        original (§5.1): shadow depth and results must match the step
-        path exactly."""
-        from repro.core.controller import Controller
-        from repro.core.scenario.model import (ErrorCode, FunctionTrigger,
-                                               INJECT_NTH, Plan)
-        plan = Plan(name="passthrough")
-        plan.add(FunctionTrigger(function="close", mode=INJECT_NTH,
-                                 nth=99,            # never reached
-                                 actions=(ErrorCode(-1, "EIO"),)))
-        results = {}
-        for use_blocks in (True, False):
-            Cpu.use_blocks = use_blocks
-            lfi = Controller(LINUX_X86, libc_profiles_linux, plan)
-            proc = lfi.make_process(Kernel(), [libc_linux.image])
-            depth_before = len(proc.cpu.shadow)
-            rc = proc.libcall("close", 3)
-            results[use_blocks] = (rc, len(proc.cpu.shadow) - depth_before,
-                                   proc.cpu.instructions_executed)
-        assert results[True] == results[False]
-        assert results[True][1] == 0
+        """A real shim stub, live, dormant, injecting or with no
+        original behind it (§5.1): the block path, whose fused stub
+        closure skips the host on a dormant call, must match the step
+        path in every observable, and in coverage the block path that
+        always enters the host."""
+        for case in _STUB_CASES:
+            step = _stub_crossing(libc_linux, libc_profiles_linux, case,
+                                  "step")
+            block = _stub_crossing(libc_linux, libc_profiles_linux, case,
+                                   "block")
+            hosted = _stub_crossing(libc_linux, libc_profiles_linux, case,
+                                    "block-no-bypass")
+            assert block.pop("coverage") == hosted.pop("coverage"), case
+            assert step.pop("coverage") == {}, case
+            assert block == step, case
+            assert hosted == step, case
+            assert step["depth_after"] == 0, case
+        # the dormant crossing really ran the original, with the
+        # caller's shadow frame pointing at it
+        dormant = _stub_crossing(libc_linux, libc_profiles_linux,
+                                 "dormant", "block")
+        assert dormant["result"] == ("returned", -1)     # no fd 3 is open
+        [(ret, callee)] = dormant["shadow_in_syscall"][0]
+        assert ret == RETURN_SENTINEL and callee == dormant["original"]
+
+
+#: stub crossings: (function, nth, calls before the measured one)
+_STUB_CASES = {
+    "live": ("close", 99, 0),
+    "dormant": ("close", 1, 1),
+    "injecting": ("close", 1, 0),
+    "unresolvable": ("no_such_function", NEVER_ORDINAL, 0),
+}
+
+
+def _stub_crossing(libc, profiles, case, arm):
+    """Everything one stub crossing leaves behind, on one path."""
+    from repro.core.controller import Controller
+    from repro.core.scenario.model import (ErrorCode, FunctionTrigger,
+                                           INJECT_NTH, Plan)
+    function, nth, before = _STUB_CASES[case]
+    plan = Plan(name="stub")
+    plan.add(FunctionTrigger(function=function, mode=INJECT_NTH, nth=nth,
+                             actions=(ErrorCode(-1, "EIO"),)))
+    Cpu.use_blocks = arm != "step"
+    lfi = Controller(LINUX_X86, profiles, plan, coverage=True)
+    proc = lfi.make_process(Kernel(), [libc.image])
+    if arm == "block-no-bypass":
+        proc.rebind_host(proc.lookup(lfi.eval_symbol), lfi.eval_symbol,
+                         lfi.injector.eval_host)
+    for _ in range(before):
+        proc.libcall(function, 3)
+    seen = []
+    dispatch = proc.kernel.dispatch
+
+    def spy(p, nr, args):
+        seen.append([(f.return_addr, f.callee_addr) for f in p.cpu.shadow])
+        return dispatch(p, nr, args)
+    proc.kernel.dispatch = spy
+    sp = proc.cpu.regs["esp"]
+    depth = len(proc.cpu.shadow)
+    try:
+        result = ("returned", proc.libcall(function, 3))
+    except ControllerError as exc:
+        result = ("raised", str(exc))
+    entry_sp = sp - 8             # one argument, then the return sentinel
+    try:
+        original = proc.resolve_next(function,
+                                     lfi.injector.shim_module_index)
+    except LoaderError:
+        original = None
+    return {
+        "result": result,
+        "regs": proc.cpu.regs.as_dict(),
+        "eip": proc.cpu.eip,
+        "stack_words": (proc.memory.read_u32(entry_sp - 4),
+                        proc.memory.read_u32(entry_sp - 8)),
+        "memory": proc.memory.content_digest(),
+        "shadow_in_syscall": seen,
+        "depth_after": len(proc.cpu.shadow) - depth,
+        "instructions": proc.cpu.instructions_executed,
+        "call_counts": dict(lfi.engine.call_counts),
+        "evaluations": lfi.evaluations,
+        "injections": lfi.injections,
+        "coverage": lfi.coverage_map(),
+        "original": original,
+    }
+
+
+class TestStubCall:
+    """The fused ``push imm32; call [import]`` closure against the step
+    path, on a handwritten stub whose host has a bypass: where the
+    call completes, and how every fault is attributed."""
+
+    ITEMS = [
+        label("f"),
+        ins("push", Imm(7)),
+        ins("call", ImportSlot(0)),
+        ins("ret"),
+        label("g"),
+        ins("mov", Reg("eax"), Imm(42)),
+        ins("ret"),
+    ]
+    STACK_BASE = STACK_TOP - STACK_SIZE
+
+    def _run(self, scenario, use_blocks):
+        proc = Process(Kernel(), LINUX_X86)
+        calls = []
+
+        def host(proc, cpu):
+            # a host agrees with its bypass: this one asks it, then
+            # passes through to g either way
+            sp = cpu.regs["esp"]
+            bypass(proc, proc.memory.read_u32(sp + 4))
+            calls.append("host")
+            cpu.shadow.pop()
+            if cpu.shadow:
+                cpu.shadow[-1].callee_addr = proc.lookup("g")
+            cpu.force_transfer(proc.lookup("g"), sp + 8)
+
+        def bypass(proc, imm):
+            calls.append(("bypass", imm))
+            if scenario == "bypass-raises":
+                raise ControllerError("no original")
+            return proc.lookup("g") if scenario == "bypassed" else None
+
+        if scenario != "unresolved":
+            proc.register_host("h", host, raw=True, bypass=bypass)
+        proc.load(_image(self.ITEMS, imports=("h",)))
+        cpu = proc.cpu
+        cpu.use_blocks = use_blocks
+        sp = {"push-faults": self.STACK_BASE,
+              "call-push-faults": self.STACK_BASE + 4}.get(
+                  scenario, cpu.regs["esp"])
+        if scenario in ("push-faults", "call-push-faults"):
+            sp_after = sp          # nothing below the stack to push to
+        else:
+            sp_after = sp - 4
+            proc.memory.write_u32(sp_after, RETURN_SENTINEL)
+        cpu.regs["esp"] = sp_after
+        cpu.shadow.append(ShadowFrame(RETURN_SENTINEL, proc.lookup("f")))
+        try:
+            cpu.run(proc.lookup("f"))
+            raised = None
+        except (MemoryFault, ControllerError, LoaderError) as exc:
+            raised = (type(exc).__name__, str(exc))
+        return {
+            "raised": raised,
+            "calls": calls,
+            "regs": cpu.regs.as_dict(),
+            "eip": cpu.eip,
+            "instructions": cpu.instructions_executed,
+            "shadow": [(f.return_addr, f.callee_addr) for f in cpu.shadow],
+            "memory": proc.memory.content_digest(),
+        }
+
+    @pytest.mark.parametrize("scenario", [
+        "bypassed", "host", "bypass-raises", "unresolved", "push-faults",
+        "call-push-faults"])
+    def test_block_path_equals_step_path(self, scenario):
+        block = self._run(scenario, True)
+        step = self._run(scenario, False)
+        # the step path enters the host whenever the call resolves, and
+        # the host asks the bypass itself; the fused closure asks first
+        # and enters the host only when the bypass declines
+        calls = (block.pop("calls"), step.pop("calls"))
+        assert calls == {
+            "bypassed": ([("bypass", 7)], [("bypass", 7), "host"]),
+            "host": ([("bypass", 7)] * 2 + ["host"],
+                     [("bypass", 7), "host"]),
+            "bypass-raises": ([("bypass", 7)], [("bypass", 7)]),
+        }.get(scenario, ([], []))
+        assert block == step
+
+    def test_fault_attribution(self):
+        push = self._run("push-faults", True)
+        assert push["instructions"] == 1
+        call = self._run("call-push-faults", True)
+        assert call["instructions"] == 2
+        assert push["eip"] != call["eip"]          # the push vs the ret
+        for scenario in ("bypass-raises", "unresolved"):
+            assert self._run(scenario, True)["instructions"] == 2
+        bypassed = self._run("bypassed", True)
+        assert bypassed["raised"] is None and bypassed["calls"] == [
+            ("bypass", 7)]
+        assert bypassed["regs"]["eax"] == 42
+        # push, call, then g's mov and ret
+        assert bypassed["instructions"] == 4
+        assert bypassed["shadow"] == []
 
 
 def _copy_factory(libc_image):

@@ -150,7 +150,10 @@ class TestInjection:
         proc.mem_write(buf, b"abcd")
         assert proc.libcall("write", fd, buf, 4) == 4
         assert proc.kernel.vfs.read_file("/f") == b"abcd"
-        assert lfi.evaluations >= 1 and lfi.injections == 0
+        # the trigger's countdown is far off: the call was counted, and
+        # dormant, so nothing was evaluated
+        assert lfi.engine.call_counts["write"] == 1
+        assert lfi.evaluations == 0 and lfi.injections == 0
 
     def test_argument_modification_shrinks_write(self, ready):
         """The paper's third example: modify arg 3 of write by -10."""

@@ -340,9 +340,9 @@ def test_any_order_with_repeats(space, reference, data):
 
 class TestWhatIsNeverDerived:
     def test_probabilistic_cases_always_run(self, space):
-        """A fail-rate case rolls its RNG on every call: it neither
-        takes another run's result nor stands in for one, even when it
-        never fires."""
+        """A fail-rate case may fire on any call: it neither takes
+        another run's result nor stands in for one, even when it never
+        fires."""
         code = error_codes_from_profile(
             space[1]["libc.so.6"].functions["accept"])[0]
         rolled = FaultCase("accept", code, 1, probability=0.5)

@@ -262,16 +262,6 @@ def _trigger(draw):
     )
 
 
-def _by_kind(actions):
-    """The action list as the XML keeps it: in order within each kind
-    (the reader collects <code>, <delay>, <shortread>, <partialwrite>
-    children kind by kind)."""
-    kinds = {}
-    for action in actions:
-        kinds.setdefault(action.kind, []).append(action)
-    return kinds
-
-
 def _read_back_frame(frame):
     """A frame as the reader returns it: XML normalizes a literal CR in
     text to LF, and the reader strips the text."""
@@ -305,7 +295,7 @@ def test_property_plan_language_roundtrip(triggers, seed, name):
             assert parsed.nth == orig.nth
             assert parsed.ordinals == orig.ordinals
         assert parsed.probability == orig.probability
-        assert _by_kind(parsed.actions) == _by_kind(orig.actions)
+        assert parsed.actions == orig.actions
         assert parsed.codes == orig.codes
         assert parsed.calloriginal == orig.calloriginal
         assert parsed.scope == orig.scope
@@ -313,6 +303,27 @@ def test_property_plan_language_roundtrip(triggers, seed, name):
             _read_back_frame(frame) for frame in orig.stacktrace)
         assert parsed.modifications == orig.modifications
         assert parsed.argconds == orig.argconds
+
+
+def test_reader_keeps_action_order():
+    """An exhaustive trigger rotates through its actions in order, so a
+    round trip must not regroup them by kind; the retval shorthand of
+    hand-written XML comes first."""
+    plan = Plan(seed=3)
+    plan.add(FunctionTrigger("read", mode=INJECT_EXHAUSTIVE,
+                             actions=(DelayFault(5), ErrorCode(-1, "EIO"),
+                                      ShortReadFault(fraction=0.5),
+                                      ErrorCode(-1, "EINTR"))))
+    text = plan_to_xml(plan)
+    assert plan_from_xml(text).triggers[0].actions == \
+        plan.triggers[0].actions
+    assert plan_to_xml(plan_from_xml(text)) == text
+    [trigger] = plan_from_xml(
+        '<plan><function name="read" inject="exhaustive" retval="-1" '
+        'errno="EIO"><delay ns="5" /><code retval="-2" errno="EINTR" />'
+        '</function></plan>').triggers
+    assert trigger.actions == (ErrorCode(-1, "EIO"), DelayFault(5),
+                               ErrorCode(-2, "EINTR"))
 
 
 def test_writer_matches_reference_on_every_element():

@@ -213,8 +213,8 @@ def _named(path):
         return getattr(_named(module), name)
 
 
-#: Spellings that 2.0, 3.0, 4.0, 5.0 and 6.0 removed, each with the
-#: error that must name it.
+#: Spellings that 2.0, 3.0, 4.0, 5.0, 6.0 and 7.0 removed, each with
+#: the error that must name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
         TypeError, "libraries",
@@ -366,14 +366,28 @@ _REMOVED_SPELLINGS.update({
         lambda images, tmp: result_record("k", "", None, None,
                                           task_status="ok")),
 })
+# one dormancy number per function: the engine's and the injector's
+# separate dormancy bookkeeping
+_REMOVED_SPELLINGS.update({
+    f"{where[len('repro.'):]}.{name}": (
+        AttributeError, name,
+        lambda images, tmp, where=where, name=name: getattr(
+            _named(where), name))
+    for where, name in (
+        ("repro.core.controller.triggers.TriggerEngine", "can_still_fire"),
+        ("repro.core.controller.triggers.TriggerEngine",
+         "record_dormant_call"),
+        ("repro.core.controller.injector.Injector", "_recompute_dormancy"),
+        ("repro.core.controller.triggers", "_compile"))})
 
 
 class TestDeprecationShims:
     """2.0 removed the shims, 3.0 the profiler's pool parameters, 4.0
     the thread backend, 5.0 the buffered telemetry copies and the
-    pool's metrics, and 6.0 the task status, the journal index, the
-    controller's campaign loop and unused helpers: old spellings fail
-    by name, new ones are silent."""
+    pool's metrics, 6.0 the task status, the journal index, the
+    controller's campaign loop and unused helpers, and 7.0 the separate
+    dormancy bookkeeping: old spellings fail by name, new ones are
+    silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
