@@ -2,7 +2,7 @@
 
 A dormant intercepted call (no trigger can fire on it) completes in
 the stub's fused block closure, which asks the injector's bypass
-(``Injector.dormant_original``) and jumps to the original without
+(``Injector.bypass``, one call) and jumps to the original without
 entering the host.  This benchmark measures it against live trigger
 evaluation:
 
@@ -14,8 +14,14 @@ evaluation:
 * **passthrough calls** — the same calls under §6.4's passthrough
   shape, 77 random triggers of p = 1e-9: their countdowns keep the
   function dormant, so they should cost what a dormant call costs;
+* **calls per crossing** — Python-level calls (``sys.setprofile``
+  ``call`` and ``c_call`` events) one warm call makes in each regime,
+  less the unshimmed call's: a deterministic work count;
 * **no-fault campaign** — serial cases/sec on a minimal workload whose
   triggers fire on call 1 and go dormant for the rest of the case.
+
+The four call regimes are built up front and their rounds alternate,
+so the host's drift lands on every regime alike.
 
 Results land in ``BENCH_dormant.json``.  Runs standalone
 (``PYTHONPATH=src python benchmarks/bench_dormant_calls.py``)
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -46,8 +53,12 @@ from _benchutil import print_table
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
-_DORMANT_CALLS = 300 if FAST else 2_000
+#: alternating rounds per regime, and ``close`` calls per round
+_ROUNDS = 15 if FAST else 100
+_CALLS_PER_ROUND = 100 if FAST else 200
 _CAMPAIGN_ROUNDS = 1 if FAST else 3
+
+_REGIMES = ("live", "dormant", "passthrough", "unbound")
 
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_dormant.json"
 
@@ -59,8 +70,8 @@ def _profiles():
     return image, profiles
 
 
-def _measure_calls(image, profiles, kind: str) -> float:
-    """``close()`` calls/sec under four interception regimes.
+def _regime(image, profiles, kind: str):
+    """A process whose ``close`` runs under one interception regime.
 
     * ``live`` — an nth trigger with a stack-trace condition and a
       far-future horizon: every call is evaluated and a backtrace is
@@ -72,9 +83,6 @@ def _measure_calls(image, profiles, kind: str) -> float:
       calls through: dormant until their earliest countdown comes due;
     * ``unbound`` — the plan targets a different function entirely, so
       ``close`` is never shimmed: the zero-interception ceiling.
-
-    Best of three samples per regime — single-run call throughput is
-    noisy relative to the effect being measured.
     """
     plan = Plan(seed=1)
     if kind == "unbound":
@@ -95,14 +103,59 @@ def _measure_calls(image, profiles, kind: str) -> float:
     lfi = Controller(LINUX_X86, profiles, plan)
     proc = lfi.make_process(Kernel(), [image])
     proc.libcall("close", 99)       # call 1: passes the dormant horizon
-    best = 0.0
-    for _ in range(3):
-        started = time.perf_counter()
-        for _ in range(_DORMANT_CALLS):
-            proc.libcall("close", 99)
-        best = max(best, _DORMANT_CALLS
-                   / (time.perf_counter() - started))
-    return best
+    proc.libcall("close", 99)       # binds every block on the path
+    return proc
+
+
+def _python_calls(proc) -> int:
+    """Python-level calls (``call`` and ``c_call`` profile events) one
+    warm ``close(99)`` makes."""
+    events = [0]
+
+    def count(frame, event, arg):
+        if event == "call" or event == "c_call":
+            events[0] += 1
+    sys.setprofile(count)
+    try:
+        proc.libcall("close", 99)
+    finally:
+        sys.setprofile(None)
+    return events[0]
+
+
+def _measure_calls(image, profiles) -> dict:
+    """``close()`` cost under the four regimes, rounds interleaved.
+
+    Per regime: the best and the median round's µs per call, the
+    median over rounds of its µs over the unbound round next to it,
+    calls/sec at the median round, and Python-level calls per call.
+    """
+    procs = {kind: _regime(image, profiles, kind) for kind in _REGIMES}
+    python_calls = {kind: _python_calls(proc)
+                    for kind, proc in procs.items()}
+    rounds = {kind: [] for kind in _REGIMES}
+    for _ in range(_ROUNDS):
+        for kind, proc in procs.items():
+            started = time.perf_counter()
+            for _ in range(_CALLS_PER_ROUND):
+                proc.libcall("close", 99)
+            rounds[kind].append((time.perf_counter() - started)
+                                / _CALLS_PER_ROUND * 1e6)
+    unbound = rounds["unbound"]
+    results = {}
+    for kind in _REGIMES:
+        median = statistics.median(rounds[kind])
+        results[kind] = {
+            "best_us": round(min(rounds[kind]), 2),
+            "median_us": round(median, 2),
+            "over_unbound_us": round(statistics.median(
+                [us - base for us, base in zip(rounds[kind], unbound)]), 2),
+            "calls_per_second": round(1e6 / median, 1),
+            "python_calls": python_calls[kind],
+            "calls_per_crossing": python_calls[kind]
+            - python_calls["unbound"],
+        }
+    return results
 
 
 def _measure_nofault_campaign(image, profiles) -> dict:
@@ -134,19 +187,9 @@ def _measure_nofault_campaign(image, profiles) -> dict:
 
 def _arms():
     image, profiles = _profiles()
-    results = {
-        "dormant_calls": {
-            "live_calls_per_second": _measure_calls(
-                image, profiles, "live"),
-            "dormant_calls_per_second": _measure_calls(
-                image, profiles, "dormant"),
-            "passthrough_calls_per_second": _measure_calls(
-                image, profiles, "passthrough"),
-            "unbound_calls_per_second": _measure_calls(
-                image, profiles, "unbound")},
-        "nofault_campaign": _measure_nofault_campaign(image, profiles),
-    }
-    calls = results["dormant_calls"]
+    regimes = _measure_calls(image, profiles)
+    calls = {f"{kind}_calls_per_second": regimes[kind]["calls_per_second"]
+             for kind in _REGIMES}
     calls["speedup"] = round(calls["dormant_calls_per_second"]
                              / calls["live_calls_per_second"], 2)
     calls["passthrough_vs_dormant"] = round(
@@ -159,26 +202,31 @@ def _arms():
     calls["overhead_recovered"] = round(
         (calls["dormant_calls_per_second"]
          - calls["live_calls_per_second"]) / gap, 2) if gap > 0 else None
-    return results
+    calls["regimes"] = regimes
+    calls["rounds"] = {"rounds": _ROUNDS, "calls_per_round": _CALLS_PER_ROUND,
+                       "order": "interleaved: " + ", ".join(_REGIMES)}
+    return {"dormant_calls": calls,
+            "nofault_campaign": _measure_nofault_campaign(image, profiles)}
 
 
 def _report(results, write_json: bool = True):
     calls = results["dormant_calls"]
     camp = results["nofault_campaign"]
+    regimes = calls["regimes"]
     print_table(
-        f"dormant fast path ({'fast' if FAST else 'full'} mode)",
-        "arm                           live             dormant      speedup",
-        [f"intercepted calls (/s)  {calls['live_calls_per_second']:10.1f}"
-         f"      {calls['dormant_calls_per_second']:14.1f}      "
-         f"{calls['speedup']:5.2f}x",
-         f"  (unshimmed ceiling)   "
-         f"{calls['unbound_calls_per_second']:10.1f}      "
-         f"overhead recovered: {calls['overhead_recovered']}",
-         f"77 passthrough triggers "
-         f"{calls['passthrough_calls_per_second']:10.1f}      "
-         f"vs dormant: {calls['passthrough_vs_dormant']:.2f}",
-         f"no-fault campaign       {camp['cases']:6d} cases      "
-         f"{camp['cases_per_second']:10.1f}/s"])
+        f"dormant fast path ({'fast' if FAST else 'full'} mode, "
+        f"{_ROUNDS} interleaved rounds of {_CALLS_PER_ROUND} calls)",
+        "regime         best us   median us   over unbound   calls/s"
+        "   calls/crossing",
+        [f"{kind:<12} {r['best_us']:9.2f} {r['median_us']:11.2f} "
+         f"{r['over_unbound_us']:14.2f} {r['calls_per_second']:9.1f} "
+         f"{r['calls_per_crossing']:16d}"
+         for kind, r in regimes.items()]
+        + [f"dormant vs live {calls['speedup']:.2f}x, passthrough vs "
+           f"dormant {calls['passthrough_vs_dormant']:.2f}, overhead "
+           f"recovered {calls['overhead_recovered']}",
+           f"no-fault campaign       {camp['cases']:6d} cases      "
+           f"{camp['cases_per_second']:10.1f}/s"])
     if write_json:
         _OUT.write_text(json.dumps({
             "schema": "repro.bench/1",
@@ -209,6 +257,11 @@ def _assert_claims(results) -> None:
         recovered = calls["overhead_recovered"]
         assert recovered is None or recovered >= 0.25, \
             f"dormant path recovered only {recovered} of the overhead"
+    # a work count, not a time: the fused stub closure, its one-call
+    # bypass and one memory call for both stack words
+    crossing = calls["regimes"]["dormant"]["calls_per_crossing"]
+    assert crossing <= 12, \
+        f"a dormant crossing made {crossing} Python-level calls, above 12"
 
 
 def test_dormant_calls(benchmark):

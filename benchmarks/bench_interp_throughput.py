@@ -10,9 +10,11 @@ other number in EXPERIMENTS.md.  This benchmark measures it directly:
   (realistic mix: calls, PLT hops, syscalls, memory traffic).
 
 Both are measured on the block-compiled fast path and on the exact
-per-instruction path (the one a tracer gets), and the results land in
-``BENCH_interp.json`` next to the recorded pre-tentpole baseline so the
-speedup is tracked against a fixed denominator.
+per-instruction path (the one a tracer gets), in alternating rounds of
+one process, and the results land in ``BENCH_interp.json`` next to the
+recorded pre-tentpole baseline.  The full-mode claim is tracked against
+that fixed denominator; the fast-mode tripwire compares the block path
+with the step path measured beside it, so host load moves both.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_interp_throughput.py``)
 or under pytest.  Set ``REPRO_BENCH_FAST=1`` for a CI-sized smoke run.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -45,7 +48,15 @@ FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
 #: Hot-loop iterations (7 instructions per iteration, plus prologue).
 _LOOP_ITERS = 20_000 if FAST else 300_000
+#: alternating step/block rounds per workload
+_LOOP_ROUNDS = 5 if FAST else 3
 _MINIDB_ROUNDS = 1 if FAST else 3
+
+#: The fast-mode tripwire: block-path MIPS over step-path MIPS on the
+#: hot loop.  It replaced a bar of 2.0x the seed baseline, 1.40 MIPS,
+#: which is 1.52x the step path's recorded 0.92 MIPS; this bar is no
+#: weaker at those speeds.
+FAST_BAR_VS_STEP = 1.55
 
 #: Pre-tentpole numbers, measured on this host with the seed per-
 #: instruction interpreter (commit 15b5d10, dict registers, if/elif
@@ -84,65 +95,88 @@ def _hot_loop_image(iters: int) -> SharedObject:
         exports=(Symbol("hot", labels["hot"], len(text)),))
 
 
-def _measure_hot_loop(use_blocks: bool) -> float:
-    """Guest MIPS on the synthetic loop."""
-    image = _hot_loop_image(_LOOP_ITERS)
-    proc = Process(Kernel(), LINUX_X86)
-    proc.load(image)
-    if hasattr(proc.cpu, "use_blocks"):
-        proc.cpu.use_blocks = use_blocks
-    try:                                        # warm caches / compile
-        proc.libcall("hot", max_steps=200)
-    except RuntimeFault:
-        pass                                    # budget hit mid-loop: fine
+def _hot_loop_mips(proc) -> float:
+    """Guest MIPS of one full hot-loop run on ``proc``."""
     before = proc.cpu.instructions_executed
     started = time.perf_counter()
     proc.libcall("hot")
     elapsed = time.perf_counter() - started
-    executed = proc.cpu.instructions_executed - before
-    return executed / elapsed / 1e6
+    return (proc.cpu.instructions_executed - before) / elapsed / 1e6
 
 
-def _measure_minidb(use_blocks: bool) -> float:
-    """Guest MIPS across a minidb insert/select/checkpoint workload."""
+def _measure_hot_loop(has_blocks: bool):
+    """Guest MIPS on the synthetic loop, step and block path in
+    alternating rounds: the median of each path's rounds, and the
+    median of the per-round block/step ratios."""
+    image = _hot_loop_image(_LOOP_ITERS)
+    procs = {}
+    for use_blocks in (False, True):
+        proc = Process(Kernel(), LINUX_X86)
+        proc.load(image)
+        if has_blocks:
+            proc.cpu.use_blocks = use_blocks
+        try:                                    # warm caches / compile
+            proc.libcall("hot", max_steps=200)
+        except RuntimeFault:
+            pass                                # budget hit mid-loop: fine
+        procs[use_blocks] = proc
+    step, block = [], []
+    for _ in range(_LOOP_ROUNDS):
+        step.append(_hot_loop_mips(procs[False]))
+        block.append(_hot_loop_mips(procs[True]))
+    return {"step_mips": statistics.median(step),
+            "block_mips": statistics.median(block),
+            "speedup_vs_step": round(statistics.median(
+                [b / s for b, s in zip(block, step)]), 2)}
+
+
+def _minidb_round(use_blocks: bool):
+    """(instructions, seconds) of one minidb insert/select/checkpoint
+    run."""
     from repro.apps.minidb import MiniDB
 
     old = getattr(Cpu, "use_blocks", None)
     if old is not None:
         Cpu.use_blocks = use_blocks
     try:
-        executed = 0
-        elapsed = 0.0
-        for round_no in range(_MINIDB_ROUNDS):
-            db = MiniDB(Kernel(os_name=LINUX_X86.os), LINUX_X86)
-            started = time.perf_counter()
-            db.execute("create table t k v")
-            for i in range(20):
-                db.execute(f"insert into t {i} value{i}")
-            for i in range(20):
-                db.execute(f"select from t where k {i}")
-            db.checkpoint()
-            elapsed += time.perf_counter() - started
-            executed += db.proc.cpu.instructions_executed
-        return executed / elapsed / 1e6
+        db = MiniDB(Kernel(os_name=LINUX_X86.os), LINUX_X86)
+        started = time.perf_counter()
+        db.execute("create table t k v")
+        for i in range(20):
+            db.execute(f"insert into t {i} value{i}")
+        for i in range(20):
+            db.execute(f"select from t where k {i}")
+        db.checkpoint()
+        return (db.proc.cpu.instructions_executed,
+                time.perf_counter() - started)
     finally:
         if old is not None:
             Cpu.use_blocks = old
 
 
+def _measure_minidb(has_blocks: bool):
+    """Guest MIPS across the minidb workload, step and block path in
+    alternating rounds."""
+    totals = {False: [0, 0.0], True: [0, 0.0]}
+    for _ in range(_MINIDB_ROUNDS):
+        for use_blocks in (False, True):
+            executed, elapsed = _minidb_round(use_blocks and has_blocks)
+            totals[use_blocks][0] += executed
+            totals[use_blocks][1] += elapsed
+    step_mips, block_mips = (executed / elapsed / 1e6
+                             for executed, elapsed
+                             in (totals[False], totals[True]))
+    return {"step_mips": step_mips, "block_mips": block_mips,
+            "speedup_vs_step": round(block_mips / step_mips, 2)}
+
+
 def _arms():
     has_blocks = hasattr(Cpu, "use_blocks")
-    results = {
-        "hot_loop": {"step_mips": _measure_hot_loop(False),
-                     "block_mips": _measure_hot_loop(has_blocks)},
-        "minidb": {"step_mips": _measure_minidb(False),
-                   "block_mips": _measure_minidb(has_blocks)},
-    }
+    results = {"hot_loop": _measure_hot_loop(has_blocks),
+               "minidb": _measure_minidb(has_blocks)}
     for name, arm in results.items():
         base = BASELINE[f"{name}_mips"]
         arm["speedup_vs_baseline"] = round(arm["block_mips"] / base, 2)
-        arm["speedup_vs_step"] = round(
-            arm["block_mips"] / arm["step_mips"], 2)
     return results
 
 
@@ -172,12 +206,18 @@ def _report(results, write_json: bool = True):
 def _assert_speedup(results) -> None:
     if not hasattr(Cpu, "use_blocks"):
         return          # pre-tentpole: baseline recording only
-    # CI runners are noisy; the full-mode bar is the paper claim (3x),
-    # the fast-mode bar a regression tripwire
-    bar = 2.0 if FAST else 3.0
-    speedup = results["hot_loop"]["speedup_vs_baseline"]
-    assert speedup >= bar, \
-        f"hot-loop speedup {speedup:.2f}x fell below {bar:.1f}x baseline"
+    # the full-mode bar is the paper claim (3x the seed baseline); the
+    # fast-mode bar a regression tripwire against the step path run
+    # beside it, which host load slows alike
+    if FAST:
+        speedup = results["hot_loop"]["speedup_vs_step"]
+        assert speedup >= FAST_BAR_VS_STEP, \
+            (f"hot-loop block path {speedup:.2f}x the step path, below "
+             f"{FAST_BAR_VS_STEP:.2f}x")
+    else:
+        speedup = results["hot_loop"]["speedup_vs_baseline"]
+        assert speedup >= 3.0, \
+            f"hot-loop speedup {speedup:.2f}x fell below 3.0x baseline"
     assert results["minidb"]["block_mips"] \
         >= results["minidb"]["step_mips"] * 0.9, \
         "block compiler slower than per-instruction path on minidb"
@@ -191,5 +231,5 @@ def test_interp_throughput(benchmark):
 
 if __name__ == "__main__":
     results = _arms()
-    _report(results)
+    _report(results, write_json=not FAST)
     _assert_speedup(results)

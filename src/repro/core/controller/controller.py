@@ -149,7 +149,7 @@ class Controller:
         if self.coverage_enabled and proc.cpu.coverage is None:
             proc.cpu.coverage = {}
         proc.register_host(self.eval_symbol, self.injector.eval_host,
-                           raw=True, bypass=self.injector.dormant_original)
+                           raw=True, bypass=self.injector.bypass)
         if self.platform.interposition == PRELOAD:
             shim_module = proc.load(self.shim)
             for lib in libraries:
@@ -193,7 +193,7 @@ class Controller:
         proc.relink(proc.modules[parked.shim_index], self.shim)
         proc.rebind_host(parked.eval_addr, self.eval_symbol,
                          self.injector.eval_host,
-                         bypass=self.injector.dormant_original)
+                         bypass=self.injector.bypass)
         # the rest of what attach does
         self.processes.append(proc)
         proc.cpu.coverage = {} if self.coverage_enabled else None

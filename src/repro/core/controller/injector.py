@@ -16,15 +16,15 @@ semantics of the paper's generated C stubs.
 
 On the block path a dormant call (see ``TriggerEngine.dormancy``) never
 gets this far: the block compiler's fused stub asks
-:meth:`Injector.dormant_original`, the host's ``bypass``, and tail-jumps
-to the original itself, as the C stub evaluates its trigger without
-leaving the stub (§5.1).  On the step path it enters, and
+:attr:`Injector.bypass`, the host's ``bypass``, and tail-jumps to the
+original itself, as the C stub evaluates its trigger without leaving
+the stub (§5.1).  On the step path it enters, and
 ``TriggerEngine.on_call`` counts it without deciding anything.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ControllerError, LoaderError
 from ...kernel.errno import errno_number
@@ -49,9 +49,12 @@ class Injector:
         self.test_id = "t0"
         self.injection_count = 0
         self.passthrough_count = 0
-        self._original_cache: Dict[int, Dict[str, int]] = {}
+        #: process -> stub id -> the original behind that stub (the
+        #: stub's static original_fn_ptr), filled on first use
+        self._originals: Dict[Any, Dict[int, int]] = {}
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
+        self._bind_bypass()
 
     def _bind_instruments(self) -> None:
         # instruments are created once here so the per-call hot path is
@@ -75,6 +78,18 @@ class Injector:
             "Bytes trimmed off transfer counts by short-read / "
             "partial-write injections", ("function",))
 
+    def _bind_bypass(self) -> None:
+        #: the stubs' bypass (``HostFunction.bypass``): the engine's
+        #: dormancy check over this injector's originals.  A dormant
+        #: call owes its call count and nothing else: no frames, no
+        #: evaluation, no telemetry.  The block compiler's fused stub
+        #: asks it before it would enter ``__lfi_eval``; a call that
+        #: enters anyway (the step path, or the bypass declined) gets
+        #: the same answer from ``TriggerEngine.on_call``, which counts
+        #: a dormant call and decides nothing.
+        self.bypass = self.engine.stub_bypass(
+            self.functions, self._originals, self._resolve_original)
+
     def rebind(self, engine: TriggerEngine, functions: Sequence[str],
                telemetry=None) -> None:
         """Point this injector at a fresh engine, plan and telemetry.
@@ -83,34 +98,16 @@ class Injector:
         per-case trigger state into a reused controller; the function
         list must keep the stub ids of the shim the guest already has
         loaded, which the caller guarantees by grouping cases per
-        trigger function.
+        trigger function.  :attr:`bypass` is a new function afterwards,
+        so the caller binds it to its processes' stubs again.
         """
         self.engine = engine
         self.functions = list(functions)
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
+        self._bind_bypass()
 
     # -- host entry points --------------------------------------------------
-
-    def dormant_original(self, proc, fn_id: int) -> Optional[int]:
-        """The stubs' bypass (``HostFunction.bypass``): the original
-        behind stub ``fn_id`` when the engine counts this call dormant,
-        else None.
-
-        A dormant call owes its call count and nothing else: no frames,
-        no evaluation, no telemetry.  The block compiler's fused stub
-        asks this before it would enter ``__lfi_eval``.  A call that
-        enters anyway (the step path, or this declined) gets the same
-        answer from ``TriggerEngine.on_call``, which counts a dormant
-        call and decides nothing.
-        """
-        try:
-            function = self.functions[fn_id]
-        except IndexError:
-            return None                 # eval_host names the bad id
-        if not self.engine.dormant_call(function):
-            return None
-        return self._resolve_original(proc, function)
 
     def eval_host(self, proc, cpu) -> None:
         abi = cpu.abi
@@ -144,7 +141,7 @@ class Injector:
             self._log(decision, function, call_number, frames)
             self.injection_count += 1
             self._record_injection(decision, function, call_number)
-            self._apply_side_effects(proc, function, decision)
+            self._apply_side_effects(proc, fn_id, decision)
             cpu.regs[abi.return_register] = decision.code.retval & 0xFFFFFFFF
             self._pop_shadow(cpu, 2)
             cpu.force_transfer(caller_ret, sp + 12)
@@ -167,7 +164,7 @@ class Injector:
                 "passthrough", severity="debug", function=function,
                 call=call_number, test=self.test_id)
         # pass through: restore the stack and jmp to the original
-        original = self._resolve_original(proc, function)
+        original = self._resolve_original(proc, fn_id)
         self._pop_shadow(cpu, 1)
         if cpu.shadow:
             cpu.shadow[-1].callee_addr = original
@@ -237,21 +234,21 @@ class Injector:
             return (text, None) if text.startswith("/") else (None, None)
         return resolve
 
-    def _resolve_original(self, proc, function: str) -> int:
-        cache = self._original_cache.get(id(proc))
-        if cache is not None:
-            addr = cache.get(function)
-            if addr is not None:
-                return addr
+    def _resolve_original(self, proc, fn_id: int) -> int:
+        """The original behind stub ``fn_id`` in ``proc``, resolved
+        once per process."""
+        table = self._originals.get(proc)
+        if table is not None and fn_id in table:
+            return table[fn_id]
         if self.shim_module_index is None:
             raise ControllerError("injector not attached to a process")
+        function = self.functions[fn_id]
         try:
             addr = proc.resolve_next(function, self.shim_module_index)
         except LoaderError:
             raise ControllerError(
                 f"no original definition of {function!r} behind the shim")
-        # the stub's static original_fn_ptr
-        self._original_cache.setdefault(id(proc), {})[function] = addr
+        self._originals.setdefault(proc, {})[fn_id] = addr
         return addr
 
     @staticmethod
@@ -305,13 +302,13 @@ class Injector:
                 old = proc.memory.read_i32(addr)
                 proc.memory.write_i32(addr, mod.apply(old))
 
-    def _apply_side_effects(self, proc, function: str,
+    def _apply_side_effects(self, proc, fn_id: int,
                             decision: Decision) -> None:
         errno_name = decision.code.errno if decision.code else None
         if not errno_name:
             return
         value = errno_number(errno_name)
-        module = self._errno_module(proc, function)
+        module = self._errno_module(proc, fn_id)
         if module is None:
             return
         image = module.image
@@ -328,14 +325,14 @@ class Injector:
                 return
             proc.memory.write_u32(module.data_base + offset, value)
 
-    def _errno_module(self, proc, function: str):
+    def _errno_module(self, proc, fn_id: int):
         """The module whose errno the injected fault should set.
 
         Prefer the module that would have served the call (behind the
         shim); fall back to libc.
         """
         try:
-            addr = self._resolve_original(proc, function)
+            addr = self._resolve_original(proc, fn_id)
             module = proc.module_for_addr(addr)
             if module is not None and (module.image.tls_symbols
                                        or module.image.data_symbols):

@@ -63,7 +63,7 @@ class _Instance:
     __slots__ = ("controller", "machine", "ctx_frozen", "atoms",
                  "functions", "prefix_calls",
                  "logbook_len", "injection_count", "passthrough_count",
-                 "original_cache", "processes_len", "test_counter", "key")
+                 "originals", "processes_len", "test_counter", "key")
 
 
 class SnapshotRunner:
@@ -204,9 +204,9 @@ class SnapshotRunner:
         instance.logbook_len = len(lfi.logbook.records)
         instance.injection_count = lfi.injector.injection_count
         instance.passthrough_count = lfi.injector.passthrough_count
-        instance.original_cache = {
-            pid: dict(table) for pid, table
-            in lfi.injector._original_cache.items()}
+        instance.originals = {
+            proc: dict(table) for proc, table
+            in lfi.injector._originals.items()}
         instance.processes_len = len(lfi.processes)
         instance.test_counter = lfi._test_counter
         instance.key = (machine.image_digest, self.workload_id, function)
@@ -285,11 +285,17 @@ class SnapshotRunner:
         injector.rebind(engine, lfi.functions, case_telemetry)
         injector.injection_count = instance.injection_count
         injector.passthrough_count = instance.passthrough_count
-        injector._original_cache = {
-            pid: dict(table) for pid, table
-            in instance.original_cache.items()}
+        # in place: the bypass holds the table itself
+        injector._originals.clear()
+        injector._originals.update(
+            (proc, dict(table))
+            for proc, table in instance.originals.items())
         del lfi.logbook.records[instance.logbook_len:]
         del lfi.processes[instance.processes_len:]
+        for proc in lfi.processes:
+            # the checkpoint's stubs ask the prefix engine's bypass
+            proc.rebind_host(proc.lookup(lfi.eval_symbol), lfi.eval_symbol,
+                             injector.eval_host, bypass=injector.bypass)
         lfi._test_counter = instance.test_counter
         if prefix_evals and lfi.telemetry.enabled:
             # a fresh run records the prefix's trigger evaluations under

@@ -28,9 +28,11 @@ Semantics contract with ``cpu.Cpu``:
   exactly the state the step path would leave (operand evaluation order
   is preserved);
 * the control closure — always last — replicates the step path's
-  ``eip`` transitions precisely, including the PLT resolution happening
-  at *run* time (a front-spliced shim must win even for already
-  compiled calls);
+  ``eip`` transitions precisely.  An import call binds its PLT cache
+  key when the block is bound but reads the process's PLT cache at
+  *run* time (a front-spliced shim flushes it and must win even for
+  already compiled calls); a miss resolves through
+  ``Process.plt_resolve``, which also raises for an unresolvable slot;
 * fused pairs only form when neither fused instruction can fault
   (register/immediate operands, direct targets), so the block's
   instruction accounting never splits a pair.  The one exception is a
@@ -577,12 +579,17 @@ def _control_binder(m, insn, addr, next_eip, target, abi):
             def bind(rt):
                 cpu = rt.cpu
                 resolve = rt.proc.plt_resolve
+                cached = rt.plt.get
+                key = rt.plt_key(addr, slot)
                 enter = cpu._enter
                 def op():
-                    # resolved per call: a front-spliced shim flushes
-                    # the PLT cache and must win retroactively
-                    cpu.eip = addr
-                    dest = resolve(addr, slot)
+                    # read per call: a front-spliced shim flushes the
+                    # PLT cache and must win retroactively; a miss
+                    # resolves (or fails) as the step path does
+                    dest = cached(key)
+                    if dest is None:
+                        cpu.eip = addr
+                        dest = resolve(addr, slot)
                     cpu.eip = next_eip
                     enter(dest, is_call=True, return_addr=next_eip)
                 return op
@@ -630,10 +637,14 @@ def _control_binder(m, insn, addr, next_eip, target, abi):
             def bind(rt):
                 cpu = rt.cpu
                 resolve = rt.proc.plt_resolve
+                cached = rt.plt.get
+                key = rt.plt_key(addr, slot)
                 hosts = rt.hosts
                 def op():
-                    cpu.eip = addr
-                    dest = resolve(addr, slot)
+                    dest = cached(key)
+                    if dest is None:
+                        cpu.eip = addr
+                        dest = resolve(addr, slot)
                     cpu.eip = dest
                     host = hosts.get(dest)
                     if host is not None:
@@ -751,8 +762,14 @@ def _stub_block(entry: int, code: Dict[int, Tuple], abi
     there as the host's pass-through would: both stack words are
     written, the caller's shadow frame points at that address, SP is
     back at the caller's and control moves on, without entering the
-    host.  Otherwise the call proceeds as an ordinary one.  A fault in
-    the push counts one instruction with ``eip`` at the push; anything
+    host.  Otherwise the call proceeds as an ordinary one.
+
+    The direct transfer: when the PLT slot is cached, the callee has a
+    bypass and both stack words lie on one proven-mapped page, one
+    ``Memory.write_u32_pair`` writes them before the bypass is asked,
+    and nothing before the host call can fault.  Anything else takes
+    the checked path, one word and one step at a time: a fault in the
+    push counts one instruction with ``eip`` at the push, and anything
     raised from the call onward counts both, as on the step path.
     """
     first = code.get(entry)
@@ -778,44 +795,63 @@ def _stub_block(entry: int, code: Dict[int, Tuple], abi
         proc = rt.proc
         v = rt.values
         write = rt.write_u32
+        write_pair = rt.mem.write_u32_pair
         resolve = proc.plt_resolve
+        cached = rt.plt.get
+        key = rt.plt_key(call_addr, slot)
         hosts = rt.hosts
+        shadow = cpu.shadow
         enter = cpu._enter
         invoke = cpu._invoke_host
-        transfer = cpu.force_transfer
 
         def op():
-            # eip is still at the push, where a fault in it leaves it
-            sp = (v[spi] - 4) & MASK32
-            v[spi] = sp
-            write(sp, const)
+            caller_sp = v[spi]
+            sp = (caller_sp - 4) & MASK32
+            ret_sp = (sp - 4) & MASK32
+            dest = cached(key)
+            host = hosts.get(dest)
+            bypass = host.bypass if host is not None else None
+            direct = bypass is not None \
+                and write_pair(ret_sp, next_eip, const)
+            if not direct:
+                # the checked path; eip is still at the push, where a
+                # fault in it leaves it
+                v[spi] = sp
+                write(sp, const)
             try:
-                cpu.eip = call_addr
-                dest = resolve(call_addr, slot)
+                if not direct:
+                    cpu.eip = call_addr
+                    dest = resolve(call_addr, slot)
+                    cpu.eip = next_eip
+                    host = hosts.get(dest)
+                    bypass = host.bypass if host is not None else None
+                    if bypass is None:
+                        enter(dest, is_call=True, return_addr=next_eip)
+                        return
+                    v[spi] = ret_sp
+                    write(ret_sp, next_eip)
                 cpu.eip = next_eip
-                host = hosts.get(dest)
-                if host is None or host.bypass is None:
-                    enter(dest, is_call=True, return_addr=next_eip)
-                    return
-                ret_sp = (sp - 4) & MASK32
-                v[spi] = ret_sp
-                write(ret_sp, next_eip)
                 original = None
                 try:
-                    original = host.bypass(proc, const)
+                    original = bypass(proc, const)
                 finally:
-                    # the step path's frame for the host call, unless
-                    # the call completes elsewhere (a bypass that raises
+                    # the step path's state in the host call, unless the
+                    # call completes elsewhere (a bypass that raises
                     # raises inside the host call there)
                     if original is None:
-                        cpu.shadow.append(ShadowFrame(next_eip, dest))
+                        v[spi] = ret_sp
+                        shadow.append(ShadowFrame(next_eip, dest))
                 if original is None:
                     invoke(host)
                     return
-                shadow = cpu.shadow
                 if shadow:
                     shadow[-1].callee_addr = original
-                transfer(original, sp + 4)
+                # an original is a function, never the return sentinel
+                v[spi] = caller_sp
+                if original in hosts:
+                    invoke(hosts[original])
+                else:
+                    cpu.eip = original
             except _RunComplete:
                 raise
             except Exception:

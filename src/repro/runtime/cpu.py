@@ -142,7 +142,7 @@ class _BindContext:
     """
 
     __slots__ = ("cpu", "proc", "values", "mem", "read_u32", "write_u32",
-                 "hosts")
+                 "hosts", "plt")
 
     def __init__(self, cpu: "Cpu") -> None:
         self.cpu = cpu
@@ -152,6 +152,12 @@ class _BindContext:
         self.read_u32 = cpu.mem.read_u32
         self.write_u32 = cpu.mem.write_u32
         self.hosts = cpu.proc.host_functions
+        self.plt = cpu.proc._plt_cache
+
+    def plt_key(self, call_site: int, slot: int) -> Tuple[int, int]:
+        """The PLT cache key of import ``slot`` called from
+        ``call_site`` (the key ``Process.plt_resolve`` caches under)."""
+        return self.proc.module_for_addr(call_site).index, slot
 
 
 class Cpu:

@@ -79,6 +79,9 @@ class Process:
         # priority resolves first.  Load order assigns 10, 20, 30, ...
         self._providers: Dict[str, List[Tuple[int, int, int]]] = {}
         self._next_priority = 10
+        # (module index, import slot) -> resolved address.  One dict for
+        # the process's life: bound call closures read it directly, so
+        # flushes and rewinds change it in place
         self._plt_cache: Dict[Tuple[int, int], int] = {}
         self.cpu = Cpu(self)
         self.memory.map_region(STACK_TOP - STACK_SIZE, STACK_SIZE)

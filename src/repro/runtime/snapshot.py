@@ -17,9 +17,10 @@ prefix point and rewinds it in **O(dirty state)**:
   checkpoint.
 
 Identity stability is the load-bearing invariant: compiled basic-block
-closures capture the register ``values`` list, the ``Memory`` object
-and the ``host_functions`` dict *by identity* (see ``cpu._BindContext``),
-so restore mutates those objects in place and never replaces them.
+closures capture the register ``values`` list, the ``Memory`` object,
+the ``host_functions`` dict and the PLT cache *by identity* (see
+``cpu._BindContext``), so restore mutates those objects in place and
+never replaces them.
 
 :class:`SnapshotCache` pools live checkpoint instances per worker
 process, keyed by ``(image digest, workload id, prefix point)``; the
@@ -155,7 +156,9 @@ class ProcessSnapshot:
         proc._providers = {name: list(entries) for name, entries
                            in self.providers.items()}
         proc._next_priority = self.next_priority
-        proc._plt_cache = dict(self.plt_cache)
+        # in place: bound call closures read the PLT cache itself
+        proc._plt_cache.clear()
+        proc._plt_cache.update(self.plt_cache)
         proc._scratch_next = self.scratch_next
         proc.app_stack[:] = self.app_stack
         proc.exit_status = self.exit_status

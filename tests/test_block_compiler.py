@@ -10,6 +10,8 @@ up to full differential campaigns across both pool backends.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import pytest
 
 from repro.binfmt import SharedObject, Symbol
@@ -254,11 +256,13 @@ class TestForceTransferAndSentinel:
 
     def test_shadow_depth_under_tail_jump_stub(self, libc_linux,
                                                libc_profiles_linux):
-        """A real shim stub, live, dormant, injecting or with no
-        original behind it (§5.1): the block path, whose fused stub
-        closure skips the host on a dormant call, must match the step
-        path in every observable, and in coverage the block path that
-        always enters the host."""
+        """A real shim stub, live, dormant, passthrough, injecting or
+        with no original behind it (§5.1), on a recycled process with
+        its copy-on-write journal active, and with its two stack words
+        on either side of a page boundary: the block path, whose fused
+        stub closure skips the host on a dormant call, must match the
+        step path in every observable, and in coverage the block path
+        that always enters the host."""
         for case in _STUB_CASES:
             step = _stub_crossing(libc_linux, libc_profiles_linux, case,
                                   "step")
@@ -268,9 +272,17 @@ class TestForceTransferAndSentinel:
                                     "block-no-bypass")
             assert block.pop("coverage") == hosted.pop("coverage"), case
             assert step.pop("coverage") == {}, case
+            pairs = {arm: crossing.pop("pair_writes") for arm, crossing
+                     in (("step", step), ("block", block),
+                         ("hosted", hosted))}
             assert block == step, case
             assert hosted == step, case
             assert step["depth_after"] == 0, case
+            # the direct transfer writes both words in one call once the
+            # PLT slot is cached, when the callee has a bypass and the
+            # words share a page
+            assert pairs == {"step": [], "block": _PAIR_WRITES[case],
+                             "hosted": []}, case
         # the dormant crossing really ran the original, with the
         # caller's shadow frame pointing at it
         dormant = _stub_crossing(libc_linux, libc_profiles_linux,
@@ -278,34 +290,103 @@ class TestForceTransferAndSentinel:
         assert dormant["result"] == ("returned", -1)     # no fd 3 is open
         [(ret, callee)] = dormant["shadow_in_syscall"][0]
         assert ret == RETURN_SENTINEL and callee == dormant["original"]
+        passthrough = _stub_crossing(libc_linux, libc_profiles_linux,
+                                     "passthrough", "block")
+        assert passthrough["evaluations"] == 0
+        assert passthrough["call_counts"] == {"close": 2}
 
 
-#: stub crossings: (function, nth, calls before the measured one)
+class _Crossing(NamedTuple):
+    """One stub crossing of ``_stub_crossing``."""
+
+    function: str
+    nth: Optional[int]          # None: 77 passthrough triggers
+    before: int                 # calls before the measured one
+    #: where the stub's two stack words lie: next to the caller's
+    #: words (None), alone on a page proven mapped by a read
+    #: ("own-page"), or on either side of a page boundary
+    stack: Optional[str] = None
+    #: taken over from a pool of parked processes, so the crossing runs
+    #: with the copy-on-write journal active and ``memory_restored`` is
+    #: the memory after ``snapshot_restore``
+    recycled: bool = False
+
+
 _STUB_CASES = {
-    "live": ("close", 99, 0),
-    "dormant": ("close", 1, 1),
-    "injecting": ("close", 1, 0),
-    "unresolvable": ("no_such_function", NEVER_ORDINAL, 0),
+    "live": _Crossing("close", 99, 0),
+    "live-cached": _Crossing("close", 99, 1),
+    "dormant": _Crossing("close", 1, 1),
+    "passthrough": _Crossing("close", None, 1),
+    "injecting": _Crossing("close", 1, 0),
+    "unresolvable": _Crossing("no_such_function", NEVER_ORDINAL, 0),
+    "recycled": _Crossing("close", 1, 1, "own-page", recycled=True),
+    "straddling": _Crossing("close", 1, 1, "straddling"),
 }
+
+#: what the block path's ``Memory.write_u32_pair`` returned per crossing:
+#: not asked on a first call (the PLT slot is not cached yet), False for
+#: words that straddle a page boundary
+_PAIR_WRITES = {
+    "live": [], "live-cached": [True], "dormant": [True],
+    "passthrough": [True], "injecting": [], "unresolvable": [],
+    "recycled": [True], "straddling": [False],
+}
+
+#: a page boundary inside the stack, below everything the other cases use
+_PAGE = STACK_TOP - 4 * 4096
 
 
 def _stub_crossing(libc, profiles, case, arm):
     """Everything one stub crossing leaves behind, on one path."""
     from repro.core.controller import Controller
     from repro.core.scenario.model import (ErrorCode, FunctionTrigger,
-                                           INJECT_NTH, Plan)
-    function, nth, before = _STUB_CASES[case]
-    plan = Plan(name="stub")
-    plan.add(FunctionTrigger(function=function, mode=INJECT_NTH, nth=nth,
-                             actions=(ErrorCode(-1, "EIO"),)))
+                                           INJECT_NTH, INJECT_RANDOM, Plan)
+    from repro.runtime import SnapshotCache
+    crossing = _STUB_CASES[case]
+    function = crossing.function
+    plan = Plan(name="stub", seed=1)
+    if crossing.nth is None:
+        for _ in range(77):
+            plan.add(FunctionTrigger(function=function, mode=INJECT_RANDOM,
+                                     probability=1e-9,
+                                     actions=(ErrorCode(-1, "EBADF"),),
+                                     calloriginal=True))
+    else:
+        plan.add(FunctionTrigger(function=function, mode=INJECT_NTH,
+                                 nth=crossing.nth,
+                                 actions=(ErrorCode(-1, "EIO"),)))
     Cpu.use_blocks = arm != "step"
+    if crossing.recycled:
+        pool = SnapshotCache()
+        first = Controller(LINUX_X86, profiles, plan)
+        first._parked = pool
+        first.make_process(Kernel(), [libc.image])
+        first._return_parked()
     lfi = Controller(LINUX_X86, profiles, plan, coverage=True)
+    if crossing.recycled:
+        lfi._parked = pool
     proc = lfi.make_process(Kernel(), [libc.image])
+    assert proc.memory.snapshot_active == crossing.recycled
+    pair_writes = []
+    write_pair = proc.memory.write_u32_pair
+
+    def count_pair(addr, first, second):
+        pair_writes.append(write_pair(addr, first, second))
+        return pair_writes[-1]
+    proc.memory.write_u32_pair = count_pair
     if arm == "block-no-bypass":
         proc.rebind_host(proc.lookup(lfi.eval_symbol), lfi.eval_symbol,
                          lfi.injector.eval_host)
-    for _ in range(before):
+    for _ in range(crossing.before):
         proc.libcall(function, 3)
+    del pair_writes[:]
+    if crossing.stack is not None:
+        # the stub's words at _PAGE - 8 and - 4, or at _PAGE - 4 and
+        # _PAGE; a read proves both pages mapped without journaling
+        entry_sp = _PAGE if crossing.stack == "own-page" else _PAGE + 4
+        for addr in (_PAGE - 8, _PAGE):
+            proc.memory.read_u32(addr)
+        proc.cpu.regs["esp"] = entry_sp + 8
     seen = []
     dispatch = proc.kernel.dispatch
 
@@ -325,7 +406,7 @@ def _stub_crossing(libc, profiles, case, arm):
                                      lfi.injector.shim_module_index)
     except LoaderError:
         original = None
-    return {
+    crossed = {
         "result": result,
         "regs": proc.cpu.regs.as_dict(),
         "eip": proc.cpu.eip,
@@ -340,7 +421,12 @@ def _stub_crossing(libc, profiles, case, arm):
         "injections": lfi.injections,
         "coverage": lfi.coverage_map(),
         "original": original,
+        "pair_writes": pair_writes,
     }
+    if crossing.recycled:
+        proc.memory.snapshot_restore()
+        crossed["memory_restored"] = proc.memory.content_digest()
+    return crossed
 
 
 class TestStubCall:

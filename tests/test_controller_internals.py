@@ -26,7 +26,7 @@ class TestAttachment:
         injector = Injector(engine, Logbook(), ["close"])
         proc = Process(Kernel(), LINUX_X86)
         with pytest.raises(ControllerError, match="not attached"):
-            injector._resolve_original(proc, "close")
+            injector._resolve_original(proc, 0)
 
     def test_shim_without_original_raises(self, libc_profiles_linux):
         # a pass-through needs the real function; none exists behind
@@ -62,7 +62,7 @@ class TestAttachment:
         b = lfi.make_process(kernel, [libc_linux.image])
         assert a.libcall("getpid") == a.kstate.pid
         assert b.libcall("getpid") == b.kstate.pid
-        assert len(lfi.injector._original_cache) == 2
+        assert len(lfi.injector._originals) == 2
 
     def test_shim_exports_match_plan(self, libc_profiles_linux):
         plan = _plan(

@@ -4,10 +4,14 @@ import pytest
 
 from repro.binfmt import SharedObject, Symbol
 from repro.errors import LoaderError
+from repro.isa import X86SIM, Imm, ImportSlot, Reg, assemble, ins, label
+from repro.isa.assembler import collect_labels
 from repro.kernel import Kernel
-from repro.layout import DATA_REGION_OFFSET, FIRST_MODULE_BASE
+from repro.layout import (DATA_REGION_OFFSET, FIRST_MODULE_BASE,
+                          RETURN_SENTINEL)
 from repro.platform import LINUX_X86, SOLARIS_SPARC
-from repro.runtime import Process
+from repro.runtime import Process, ProcessSnapshot
+from repro.runtime.cpu import ShadowFrame
 from repro.toolchain import LibraryBuilder, minc
 
 
@@ -102,6 +106,121 @@ class TestResolution:
         proc.load_program([builder.build(LINUX_X86).image,
                            libc_linux.image])
         assert proc.libcall("mypid") == proc.kstate.pid
+
+
+def _asm_lib(soname, items, exports, imports=()):
+    """A hand-assembled image exporting ``exports`` (name -> label)."""
+    text = assemble(items, X86SIM)
+    labels = collect_labels(items)
+    return SharedObject(
+        soname=soname, machine="x86sim", text=text, imports=tuple(imports),
+        exports=tuple(Symbol(name, labels[at], 4)
+                      for name, at in exports.items()))
+
+
+def _returns(*pairs):
+    """Items for functions ``name: mov eax, value; ret``."""
+    items = []
+    for name, value in pairs:
+        items += [label(name), ins("mov", Reg("eax"), Imm(value)),
+                  ins("ret")]
+    return items
+
+
+#: two functions in one text, so one module can be relinked between them
+_SPLICE_TEXT = _returns(("t99", 99), ("t77", 77))
+
+
+class TestPltUnderBoundClosures:
+    """The block path binds each import call's PLT slot once and then
+    reads the process's PLT cache directly.  Every change of provider
+    must still reach the next call of an already bound ``call [import]``
+    block and stub block, exactly as on the step path."""
+
+    def _scenario(self, use_blocks):
+        proc = Process(Kernel(), LINUX_X86)
+        proc.cpu.use_blocks = use_blocks
+
+        def host(proc, cpu):
+            # a host agrees with its binding's bypass, or passes through
+            # to g8
+            sp = cpu.regs["esp"]
+            ask = proc.host_functions[h].bypass
+            dest = ask(proc, proc.memory.read_u32(sp + 4)) if ask else None
+            dest = dest if dest is not None else proc.lookup("g8")
+            cpu.shadow.pop()
+            if cpu.shadow:
+                cpu.shadow[-1].callee_addr = dest
+            cpu.force_transfer(dest, sp + 8)
+
+        def to(name):
+            return lambda proc, imm: proc.lookup(name)
+
+        h = proc.register_host("h", host, raw=True, bypass=to("g5"))
+        proc.load(_asm_lib("app.so", [
+            label("caller"), ins("call", ImportSlot(0)), ins("ret"),
+            label("stub"), ins("push", Imm(7)), ins("call", ImportSlot(1)),
+            ins("ret")], {"caller": "caller", "stub": "stub"},
+            imports=("target", "h")))
+        proc.load(_asm_lib("one.so", _returns(("t42", 42)),
+                           {"target": "t42"}))
+        proc.load(_asm_lib("g.so", _returns(("g5", 5), ("g6", 6),
+                                            ("g8", 8)),
+                           {"g5": "g5", "g6": "g6", "g8": "g8"}))
+        seen = []
+
+        def observe(step):
+            seen.append((step, _call(proc, "caller"), _call(proc, "stub")))
+
+        def rebind(name):
+            proc.rebind_host(h, "h", host, bypass=to(name) if name else None)
+
+        observe("bound")
+        checkpoint = ProcessSnapshot.capture(proc)
+        two = proc.inject_library(_asm_lib("two.so", _SPLICE_TEXT,
+                                           {"target": "t99"}))
+        observe("front splice")
+        proc.relink(two, _asm_lib("two-b.so", _SPLICE_TEXT,
+                                  {"target": "t77"}))
+        observe("relink")
+        rebind("g6")
+        observe("bypass swapped")
+        rebind(None)
+        observe("bypass removed")
+        # back to one.so's target (cached at the checkpoint) and the g5
+        # bypass, then a splice in front of it
+        checkpoint.rewind()
+        proc.memory.snapshot_end()
+        proc.inject_library(_asm_lib("three.so", _returns(("t55", 55)),
+                                     {"target": "t55"}))
+        observe("rewind, front splice")
+        return seen
+
+    def test_next_call_reaches_the_current_provider(self):
+        block = self._scenario(True)
+        step = self._scenario(False)
+        assert [(s, c["result"], st["result"]) for s, c, st in block] == [
+            ("bound", 42, 5),
+            ("front splice", 99, 5),
+            ("relink", 77, 5),
+            ("bypass swapped", 77, 6),
+            ("bypass removed", 77, 8),
+            ("rewind, front splice", 55, 5),
+        ]
+        assert block == step
+
+
+def _call(proc, name):
+    """Run export ``name`` from a sentinel frame; what it leaves."""
+    cpu = proc.cpu
+    addr = proc.lookup(name)
+    cpu.push(RETURN_SENTINEL)
+    cpu.shadow.append(ShadowFrame(RETURN_SENTINEL, addr))
+    cpu.run(addr)
+    return {"result": cpu.regs["eax"], "regs": cpu.regs.as_dict(),
+            "shadow": [(f.return_addr, f.callee_addr) for f in cpu.shadow],
+            "memory": proc.memory.content_digest(),
+            "instructions": cpu.instructions_executed}
 
 
 class TestSymbolization:
