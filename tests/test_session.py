@@ -378,16 +378,18 @@ _REMOVED_SPELLINGS.update({
         ("repro.core.controller.triggers.TriggerEngine",
          "record_dormant_call"),
         ("repro.core.controller.injector.Injector", "_recompute_dormancy"),
-        ("repro.core.controller.triggers", "_compile"))})
+        ("repro.core.controller.triggers", "_compile"),
+        # 7.1: the stubs' bypass is one call, the engine's
+        ("repro.core.controller.injector.Injector", "dormant_original"))})
 
 
 class TestDeprecationShims:
     """2.0 removed the shims, 3.0 the profiler's pool parameters, 4.0
     the thread backend, 5.0 the buffered telemetry copies and the
     pool's metrics, 6.0 the task status, the journal index, the
-    controller's campaign loop and unused helpers, and 7.0 the separate
-    dormancy bookkeeping: old spellings fail by name, new ones are
-    silent."""
+    controller's campaign loop and unused helpers, 7.0 the separate
+    dormancy bookkeeping and 7.1 the three-call bypass: old spellings
+    fail by name, new ones are silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
