@@ -580,7 +580,7 @@ def _control_binder(m, insn, addr, next_eip, target, abi):
                 cpu = rt.cpu
                 resolve = rt.proc.plt_resolve
                 cached = rt.plt.get
-                key = rt.plt_key(addr, slot)
+                key = rt.proc.plt_key(addr, slot)
                 enter = cpu._enter
                 def op():
                     # read per call: a front-spliced shim flushes the
@@ -638,7 +638,7 @@ def _control_binder(m, insn, addr, next_eip, target, abi):
                 cpu = rt.cpu
                 resolve = rt.proc.plt_resolve
                 cached = rt.plt.get
-                key = rt.plt_key(addr, slot)
+                key = rt.proc.plt_key(addr, slot)
                 hosts = rt.hosts
                 def op():
                     dest = cached(key)
@@ -798,7 +798,7 @@ def _stub_block(entry: int, code: Dict[int, Tuple], abi
         write_pair = rt.mem.write_u32_pair
         resolve = proc.plt_resolve
         cached = rt.plt.get
-        key = rt.plt_key(call_addr, slot)
+        key = rt.proc.plt_key(call_addr, slot)
         hosts = rt.hosts
         shadow = cpu.shadow
         enter = cpu._enter

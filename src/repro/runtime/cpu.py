@@ -154,11 +154,6 @@ class _BindContext:
         self.hosts = cpu.proc.host_functions
         self.plt = cpu.proc._plt_cache
 
-    def plt_key(self, call_site: int, slot: int) -> Tuple[int, int]:
-        """The PLT cache key of import ``slot`` called from
-        ``call_site`` (the key ``Process.plt_resolve`` caches under)."""
-        return self.proc.module_for_addr(call_site).index, slot
-
 
 class Cpu:
     """One virtual CPU bound to a process."""

@@ -255,11 +255,17 @@ class Process:
             f"RTLD_NEXT: no definition of {symbol!r} after module "
             f"{after_module_index}")
 
+    def plt_key(self, call_site: int, slot: int) -> Tuple[int, int]:
+        """The PLT cache key of import ``slot`` called from code at
+        ``call_site``: compiled blocks bind it once and read
+        ``_plt_cache`` themselves, falling back to :meth:`plt_resolve`."""
+        return self.module_for_addr(call_site).index, slot
+
     def plt_resolve(self, call_site: int, slot: int) -> int:
         module = self.module_for_addr(call_site)
         if module is None:
             raise LoaderError(f"PLT call from unknown code {call_site:#x}")
-        key = (module.index, slot)
+        key = (module.index, slot)      # as plt_key
         cached = self._plt_cache.get(key)
         if cached is not None:
             return cached
