@@ -257,8 +257,8 @@ def _assert_claims(results) -> None:
         recovered = calls["overhead_recovered"]
         assert recovered is None or recovered >= 0.25, \
             f"dormant path recovered only {recovered} of the overhead"
-    # a work count, not a time: the fused stub closure, its one-call
-    # bypass and one memory call for both stack words
+    # a work count, not a time: the fused stub closure, its two stack
+    # word writes and its one-call bypass
     crossing = calls["regimes"]["dormant"]["calls_per_crossing"]
     assert crossing <= 12, \
         f"a dormant crossing made {crossing} Python-level calls, above 12"

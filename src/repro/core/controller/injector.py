@@ -16,7 +16,7 @@ semantics of the paper's generated C stubs.
 
 On the block path a dormant call (see ``TriggerEngine.dormancy``) never
 gets this far: the block compiler's fused stub asks
-:attr:`Injector.bypass`, the host's ``bypass``, and tail-jumps to the
+:meth:`Injector.bypass`, the host's ``bypass``, and tail-jumps to the
 original itself, as the C stub evaluates its trigger without leaving
 the stub (§5.1).  On the step path it enters, and
 ``TriggerEngine.on_call`` counts it without deciding anything.
@@ -24,6 +24,7 @@ the stub (§5.1).  On the step path it enters, and
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import ControllerError, LoaderError
@@ -54,7 +55,6 @@ class Injector:
         self._originals: Dict[Any, Dict[int, int]] = {}
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
-        self._bind_bypass()
 
     def _bind_instruments(self) -> None:
         # instruments are created once here so the per-call hot path is
@@ -78,18 +78,6 @@ class Injector:
             "Bytes trimmed off transfer counts by short-read / "
             "partial-write injections", ("function",))
 
-    def _bind_bypass(self) -> None:
-        #: the stubs' bypass (``HostFunction.bypass``): the engine's
-        #: dormancy check over this injector's originals.  A dormant
-        #: call owes its call count and nothing else: no frames, no
-        #: evaluation, no telemetry.  The block compiler's fused stub
-        #: asks it before it would enter ``__lfi_eval``; a call that
-        #: enters anyway (the step path, or the bypass declined) gets
-        #: the same answer from ``TriggerEngine.on_call``, which counts
-        #: a dormant call and decides nothing.
-        self.bypass = self.engine.stub_bypass(
-            self.functions, self._originals, self._resolve_original)
-
     def rebind(self, engine: TriggerEngine, functions: Sequence[str],
                telemetry=None) -> None:
         """Point this injector at a fresh engine, plan and telemetry.
@@ -98,16 +86,53 @@ class Injector:
         per-case trigger state into a reused controller; the function
         list must keep the stub ids of the shim the guest already has
         loaded, which the caller guarantees by grouping cases per
-        trigger function.  :attr:`bypass` is a new function afterwards,
-        so the caller binds it to its processes' stubs again.
+        trigger function.  :meth:`bypass` reads the engine and the
+        function list through this injector, so the stubs' bindings
+        stay as they are.
         """
         self.engine = engine
         self.functions = list(functions)
         self.telemetry = as_telemetry(telemetry)
         self._bind_instruments()
-        self._bind_bypass()
 
     # -- host entry points --------------------------------------------------
+
+    def bypass(self, proc, fn_id: int) -> Optional[int]:
+        """The stubs' bypass (``HostFunction.bypass``): the original
+        behind stub ``fn_id`` when the engine counts this call dormant,
+        else None, counting nothing.
+
+        A dormant call owes its call count and nothing else: no frames,
+        no evaluation, no telemetry.  The block compiler's fused stub
+        asks this before it would enter ``__lfi_eval``.  A call that
+        enters anyway (the step path, or this declined) gets the same
+        answer from ``TriggerEngine.on_call``, which counts a dormant
+        call and decides nothing.  This is the crossing's one call, so
+        it applies ``TriggerEngine.dormant_call``'s rule inline, on the
+        current engine's tables.
+        """
+        try:
+            function = self.functions[fn_id]
+        except IndexError:
+            return None                 # eval_host names the bad id
+        engine = self.engine
+        idle = engine._idle
+        try:
+            left = idle[function]
+        except KeyError:
+            left = math.inf             # no trigger on it
+        if not left:
+            return None
+        idle[function] = left - 1
+        counts = engine._call_counts
+        try:
+            counts[function] += 1
+        except KeyError:
+            counts[function] = 1
+        try:
+            return self._originals[proc][fn_id]
+        except KeyError:
+            return self._resolve_original(proc, fn_id)
 
     def eval_host(self, proc, cpu) -> None:
         abi = cpu.abi

@@ -25,8 +25,9 @@ triggers all have call-ordinal bounds is dormant for good once its
 count passes them; a function whose triggers are all plain random (no
 scope, stack or argument condition) is dormant until its earliest
 countdown comes due; any other function evaluates every call.  A
-dormant call is counted and nothing else (:meth:`dormant_call`, and
-:meth:`stub_bypass` for a stub crossing on the block path).
+dormant call is counted and nothing else (:meth:`dormant_call`; a stub
+crossing on the block path counts it in ``Injector.bypass``, which does
+the same inline on the engine's tables).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.model import (INJECT_EXHAUSTIVE, INJECT_NTH,
                               INJECT_ORDINALS, INJECT_RANDOM, Action,
@@ -197,7 +198,9 @@ class TriggerEngine:
         Returns False, counting nothing, when the call must be
         evaluated (:meth:`on_call` then counts it).  Call counting is
         the only bookkeeping a dormant call owes: no evaluation, no
-        decision, no RNG draw.
+        decision, no RNG draw.  ``Injector.bypass`` applies this rule
+        inline, on ``_idle`` and ``_call_counts``, to keep a stub
+        crossing at one call.
         """
         idle = self._idle.get(function, math.inf)
         if not idle:
@@ -206,46 +209,6 @@ class TriggerEngine:
         counts = self._call_counts
         counts[function] = counts.get(function, 0) + 1
         return True
-
-    def stub_bypass(self, functions: Sequence[str],
-                    originals: Dict[Any, Dict[int, int]],
-                    resolve: Callable[[Any, int], int]
-                    ) -> Callable[[Any, int], Optional[int]]:
-        """This engine's dormancy check for the stubs numbered by
-        ``functions``, as the one call a stub crossing makes
-        (``HostFunction.bypass``).
-
-        ``bypass(proc, fn_id)`` does what :meth:`dormant_call` does for
-        ``functions[fn_id]`` and, when the call is dormant, returns the
-        original behind the stub: ``originals[proc][fn_id]``, or
-        ``resolve(proc, fn_id)`` when that is missing.  A call that must
-        be evaluated, or an id past ``functions``, gets None and counts
-        nothing.
-        """
-        names = tuple(functions)
-        idle = self._idle
-        for function in names:
-            idle.setdefault(function, math.inf)
-
-        def bypass(proc, fn_id: int) -> Optional[int]:
-            try:
-                function = names[fn_id]
-            except IndexError:
-                return None             # eval_host names the bad id
-            left = idle[function]
-            if not left:
-                return None
-            idle[function] = left - 1
-            counts = self._call_counts
-            try:
-                counts[function] += 1
-            except KeyError:
-                counts[function] = 1
-            try:
-                return originals[proc][fn_id]
-            except KeyError:
-                return resolve(proc, fn_id)
-        return bypass
 
     def prefix_evaluations(self, prefix_calls: Dict[str, int]
                            ) -> Dict[str, int]:

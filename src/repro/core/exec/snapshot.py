@@ -285,17 +285,11 @@ class SnapshotRunner:
         injector.rebind(engine, lfi.functions, case_telemetry)
         injector.injection_count = instance.injection_count
         injector.passthrough_count = instance.passthrough_count
-        # in place: the bypass holds the table itself
-        injector._originals.clear()
-        injector._originals.update(
-            (proc, dict(table))
-            for proc, table in instance.originals.items())
+        injector._originals = {
+            proc: dict(table) for proc, table
+            in instance.originals.items()}
         del lfi.logbook.records[instance.logbook_len:]
         del lfi.processes[instance.processes_len:]
-        for proc in lfi.processes:
-            # the checkpoint's stubs ask the prefix engine's bypass
-            proc.rebind_host(proc.lookup(lfi.eval_symbol), lfi.eval_symbol,
-                             injector.eval_host, bypass=injector.bypass)
         lfi._test_counter = instance.test_counter
         if prefix_evals and lfi.telemetry.enabled:
             # a fresh run records the prefix's trigger evaluations under

@@ -762,14 +762,8 @@ def _stub_block(entry: int, code: Dict[int, Tuple], abi
     there as the host's pass-through would: both stack words are
     written, the caller's shadow frame points at that address, SP is
     back at the caller's and control moves on, without entering the
-    host.  Otherwise the call proceeds as an ordinary one.
-
-    The direct transfer: when the PLT slot is cached, the callee has a
-    bypass and both stack words lie on one proven-mapped page, one
-    ``Memory.write_u32_pair`` writes them before the bypass is asked,
-    and nothing before the host call can fault.  Anything else takes
-    the checked path, one word and one step at a time: a fault in the
-    push counts one instruction with ``eip`` at the push, and anything
+    host.  Otherwise the call proceeds as an ordinary one.  A fault in
+    the push counts one instruction with ``eip`` at the push; anything
     raised from the call onward counts both, as on the step path.
     """
     first = code.get(entry)
@@ -795,58 +789,50 @@ def _stub_block(entry: int, code: Dict[int, Tuple], abi
         proc = rt.proc
         v = rt.values
         write = rt.write_u32
-        write_pair = rt.mem.write_u32_pair
         resolve = proc.plt_resolve
         cached = rt.plt.get
-        key = rt.proc.plt_key(call_addr, slot)
+        key = proc.plt_key(call_addr, slot)
         hosts = rt.hosts
         shadow = cpu.shadow
         enter = cpu._enter
         invoke = cpu._invoke_host
 
         def op():
+            # eip is still at the push, where a fault in it leaves it
             caller_sp = v[spi]
             sp = (caller_sp - 4) & MASK32
-            ret_sp = (sp - 4) & MASK32
-            dest = cached(key)
-            host = hosts.get(dest)
-            bypass = host.bypass if host is not None else None
-            direct = bypass is not None \
-                and write_pair(ret_sp, next_eip, const)
-            if not direct:
-                # the checked path; eip is still at the push, where a
-                # fault in it leaves it
-                v[spi] = sp
-                write(sp, const)
+            v[spi] = sp
+            write(sp, const)
             try:
-                if not direct:
+                dest = cached(key)
+                if dest is None:
                     cpu.eip = call_addr
                     dest = resolve(call_addr, slot)
-                    cpu.eip = next_eip
-                    host = hosts.get(dest)
-                    bypass = host.bypass if host is not None else None
-                    if bypass is None:
-                        enter(dest, is_call=True, return_addr=next_eip)
-                        return
-                    v[spi] = ret_sp
-                    write(ret_sp, next_eip)
                 cpu.eip = next_eip
+                host = hosts.get(dest)
+                if host is None or host.bypass is None:
+                    enter(dest, is_call=True, return_addr=next_eip)
+                    return
+                ret_sp = (sp - 4) & MASK32
+                v[spi] = ret_sp
+                write(ret_sp, next_eip)
                 original = None
                 try:
-                    original = bypass(proc, const)
+                    original = host.bypass(proc, const)
                 finally:
-                    # the step path's state in the host call, unless the
-                    # call completes elsewhere (a bypass that raises
+                    # the step path's frame for the host call, unless
+                    # the call completes elsewhere (a bypass that raises
                     # raises inside the host call there)
                     if original is None:
-                        v[spi] = ret_sp
                         shadow.append(ShadowFrame(next_eip, dest))
                 if original is None:
                     invoke(host)
                     return
                 if shadow:
                     shadow[-1].callee_addr = original
-                # an original is a function, never the return sentinel
+                # the host's tail jump: SP back at the caller's, then
+                # the original, which is a function and never the
+                # return sentinel
                 v[spi] = caller_sp
                 if original in hosts:
                     invoke(hosts[original])

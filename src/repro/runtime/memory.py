@@ -16,7 +16,6 @@ from ..errors import MemoryFault
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 _U32 = struct.Struct("<I")
-_U32_PAIR = struct.Struct("<II")
 
 MASK32 = 0xFFFFFFFF
 
@@ -249,24 +248,6 @@ class Memory:
                 return
         self.write(addr, _U32.pack(value & MASK32))
         self._note_page(addr)
-
-    def write_u32_pair(self, addr: int, first: int, second: int) -> bool:
-        """Write ``first`` at ``addr`` and ``second`` at ``addr + 4``
-        when both words lie on one proven-mapped page, journaling the
-        page first while a snapshot is active; otherwise write nothing
-        and return False, leaving the words to checked writes (which
-        fault where :meth:`write_u32` would)."""
-        offset = addr & (PAGE_SIZE - 1)
-        page = addr >> PAGE_SHIFT
-        if addr & 3 or offset > PAGE_SIZE - 8 or page not in self._page_ok:
-            return False
-        if self._snap_orig is not None and page not in self._snap_orig:
-            self._cow(page)
-        backing = self._pages.get(page)
-        if backing is None:
-            backing = self._pages[page] = bytearray(PAGE_SIZE)
-        _U32_PAIR.pack_into(backing, offset, first & MASK32, second & MASK32)
-        return True
 
     def _note_page(self, addr: int) -> None:
         """After a checked access: remember the page if every byte of it

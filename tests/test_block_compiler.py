@@ -272,17 +272,9 @@ class TestForceTransferAndSentinel:
                                     "block-no-bypass")
             assert block.pop("coverage") == hosted.pop("coverage"), case
             assert step.pop("coverage") == {}, case
-            pairs = {arm: crossing.pop("pair_writes") for arm, crossing
-                     in (("step", step), ("block", block),
-                         ("hosted", hosted))}
             assert block == step, case
             assert hosted == step, case
             assert step["depth_after"] == 0, case
-            # the direct transfer writes both words in one call once the
-            # PLT slot is cached, when the callee has a bypass and the
-            # words share a page
-            assert pairs == {"step": [], "block": _PAIR_WRITES[case],
-                             "hosted": []}, case
         # the dormant crossing really ran the original, with the
         # caller's shadow frame pointing at it
         dormant = _stub_crossing(libc_linux, libc_profiles_linux,
@@ -307,8 +299,8 @@ class _Crossing(NamedTuple):
     #: ("own-page"), or on either side of a page boundary
     stack: Optional[str] = None
     #: taken over from a pool of parked processes, so the crossing runs
-    #: with the copy-on-write journal active and ``memory_restored`` is
-    #: the memory after ``snapshot_restore``
+    #: with the copy-on-write journal active; ``memory_restored``, the
+    #: memory after ``snapshot_restore``, must be the parked memory
     recycled: bool = False
 
 
@@ -321,15 +313,6 @@ _STUB_CASES = {
     "unresolvable": _Crossing("no_such_function", NEVER_ORDINAL, 0),
     "recycled": _Crossing("close", 1, 1, "own-page", recycled=True),
     "straddling": _Crossing("close", 1, 1, "straddling"),
-}
-
-#: what the block path's ``Memory.write_u32_pair`` returned per crossing:
-#: not asked on a first call (the PLT slot is not cached yet), False for
-#: words that straddle a page boundary
-_PAIR_WRITES = {
-    "live": [], "live-cached": [True], "dormant": [True],
-    "passthrough": [True], "injecting": [], "unresolvable": [],
-    "recycled": [True], "straddling": [False],
 }
 
 #: a page boundary inside the stack, below everything the other cases use
@@ -360,26 +343,19 @@ def _stub_crossing(libc, profiles, case, arm):
         pool = SnapshotCache()
         first = Controller(LINUX_X86, profiles, plan)
         first._parked = pool
-        first.make_process(Kernel(), [libc.image])
+        parked = first.make_process(Kernel(), [libc.image])
+        parked_memory = parked.memory.content_digest()
         first._return_parked()
     lfi = Controller(LINUX_X86, profiles, plan, coverage=True)
     if crossing.recycled:
         lfi._parked = pool
     proc = lfi.make_process(Kernel(), [libc.image])
     assert proc.memory.snapshot_active == crossing.recycled
-    pair_writes = []
-    write_pair = proc.memory.write_u32_pair
-
-    def count_pair(addr, first, second):
-        pair_writes.append(write_pair(addr, first, second))
-        return pair_writes[-1]
-    proc.memory.write_u32_pair = count_pair
     if arm == "block-no-bypass":
         proc.rebind_host(proc.lookup(lfi.eval_symbol), lfi.eval_symbol,
                          lfi.injector.eval_host)
     for _ in range(crossing.before):
         proc.libcall(function, 3)
-    del pair_writes[:]
     if crossing.stack is not None:
         # the stub's words at _PAGE - 8 and - 4, or at _PAGE - 4 and
         # _PAGE; a read proves both pages mapped without journaling
@@ -421,11 +397,11 @@ def _stub_crossing(libc, profiles, case, arm):
         "injections": lfi.injections,
         "coverage": lfi.coverage_map(),
         "original": original,
-        "pair_writes": pair_writes,
     }
     if crossing.recycled:
         proc.memory.snapshot_restore()
         crossed["memory_restored"] = proc.memory.content_digest()
+        assert crossed["memory_restored"] == parked_memory, case
     return crossed
 
 

@@ -6,7 +6,9 @@ written plainly: on every call it checks every trigger in turn, and a
 random trigger decrements its own countdown whenever a check reaches
 its roll.  Over generated plans and call streams, both must agree
 after every call on the ordinal, the decision, the evaluation and
-firing counters, the call counts, the RNG state and dormancy.
+firing counters, the call counts, the RNG state and dormancy.  The
+dormant-call rule has two copies, ``TriggerEngine.dormant_call`` and
+the stub crossing's ``Injector.bypass``; the streams interleave both.
 
 The countdown rule replaced a Bernoulli roll per call; the statistical
 tests at the end hold the two to the same distribution.
@@ -20,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+from repro.core.controller import Injector, Logbook
 from repro.core.controller.triggers import (NEVER_ORDINAL, Decision, Frame,
                                             ScopeResolver, TriggerEngine,
                                             trigger_horizon)
@@ -277,6 +280,39 @@ def _assert_same(engine: TriggerEngine, ref: ReferenceEngine,
         assert engine.dormancy(function) == ref.dormancy(function)
 
 
+def _stub_bypass(engine: TriggerEngine):
+    """A stub crossing's dormancy check on ``function``:
+    ``Injector.bypass`` over ``engine``, with the original behind stub
+    ``fn_id`` at ``0x8000 + fn_id``.  It must hand back that original
+    exactly when the engine reads the function dormant; True when it
+    did (and counted the call)."""
+    injector = Injector(engine, Logbook(), FUNCTIONS)
+    proc = object()
+    injector._originals[proc] = {fn_id: 0x8000 + fn_id
+                                 for fn_id in range(len(FUNCTIONS))}
+
+    def cross(function: str) -> bool:
+        fn_id = FUNCTIONS.index(function)
+        dormant = engine.dormancy(function) > 0
+        original = injector.bypass(proc, fn_id)
+        assert original == (0x8000 + fn_id if dormant else None)
+        return dormant
+    return cross
+
+
+def _dormant(engine: TriggerEngine, cross, rng: random.Random,
+             function: str) -> bool:
+    """Ask the stub crossing's bypass, the engine's ``dormant_call`` or
+    neither (the step path), at random: whether the call was counted
+    dormant, with nothing else owed."""
+    way = rng.random()
+    if way < 0.35:
+        return cross(function)
+    if way < 0.7:
+        return engine.dormant_call(function)
+    return False
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -288,8 +324,14 @@ def test_compiled_engine_matches_reference(block):
         plan = _random_plan(rng, seed=plan_index)
         engine = TriggerEngine(plan, random.Random(plan.seed))
         ref = ReferenceEngine(plan, random.Random(plan.seed))
+        cross = _stub_bypass(engine)
         for _ in range(60):
             function, frames, args, resolver = _random_call(rng)
+            if _dormant(engine, cross, rng, function):
+                _assert_same(engine, ref,
+                             (engine.call_counts[function], None),
+                             ref.on_call(function, frames, args, resolver))
+                continue
             _assert_same(engine, ref,
                          engine.on_call(function, frames, args, resolver),
                          ref.on_call(function, frames, args, resolver))
@@ -344,10 +386,10 @@ def test_plain_random_functions_match_reference(seed):
                     :rng.randint(1, 2)]))
     engine = TriggerEngine(plan, random.Random(seed))
     ref = ReferenceEngine(plan, random.Random(seed))
+    cross = _stub_bypass(engine)
     for _ in range(120):
         function = rng.choice(("read", "write", "close"))
-        if rng.random() < 0.5 and engine.dormant_call(function):
-            # the injector's bypass: counted, nothing else
+        if _dormant(engine, cross, rng, function):
             _assert_same(engine, ref, (engine.call_counts[function], None),
                          ref.on_call(function, ()))
             continue
