@@ -379,7 +379,7 @@ _REMOVED_SPELLINGS.update({
          "record_dormant_call"),
         ("repro.core.controller.injector.Injector", "_recompute_dormancy"),
         ("repro.core.controller.triggers", "_compile"),
-        # 7.1: the stubs' bypass is one call, the engine's
+        # 7.1: the stubs' bypass is Injector.bypass, one call
         ("repro.core.controller.injector.Injector", "dormant_original"))})
 
 
