@@ -8,8 +8,7 @@ Two claims from the parallel engine work:
   runner the pool auto-clamps and the comparison is reported but not
   asserted.
 * A warm :class:`ProfileStore` makes a repeat profile at least 5x
-  faster than cold analysis (disk hit skips the propagation engine;
-  a memory hit additionally skips the XML roundtrip).
+  faster than cold analysis (a disk hit skips the propagation engine).
 
 Set ``REPRO_BENCH_FAST=1`` for a CI-sized smoke run: a smaller fault
 space, narrower pools, and no scaling bar (shared runners can't promise
@@ -93,33 +92,24 @@ def _store_arms(tmp_root):
     images = {built.image.soname: built.image}
     kernel = build_kernel_image(LINUX_X86)
 
-    ProfileStore.clear_memory_cache()
     started = time.perf_counter()
     ProfileStore(tmp_root).profile_or_load(LINUX_X86, images, kernel)
     cold = time.perf_counter() - started
 
-    ProfileStore.clear_memory_cache()       # keep only the disk layer
     started = time.perf_counter()
     ProfileStore(tmp_root).profile_or_load(LINUX_X86, images, kernel)
     disk = time.perf_counter() - started
-
-    started = time.perf_counter()           # now the LRU is populated
-    ProfileStore(tmp_root).profile_or_load(LINUX_X86, images, kernel)
-    memory = time.perf_counter() - started
-    return cold, disk, memory
+    return cold, disk
 
 
 def test_warm_store_beats_cold_profile(benchmark, tmp_path):
-    cold, disk, memory = benchmark.pedantic(
+    cold, disk = benchmark.pedantic(
         _store_arms, args=(tmp_path,), rounds=1, iterations=1)
 
     print_table(
         "profile store — cold vs warm repeat profile",
         "layer             time         speedup",
         [f"cold analysis  {cold * 1000:9.2f} ms        1.0x",
-         f"warm (disk)    {disk * 1000:9.2f} ms   {cold / disk:8.1f}x",
-         f"warm (memory)  {memory * 1000:9.2f} ms   "
-         f"{cold / memory:8.1f}x"])
+         f"warm (disk)    {disk * 1000:9.2f} ms   {cold / disk:8.1f}x"])
 
     assert cold >= 5 * disk, "disk-warm repeat profile should be >=5x"
-    assert disk >= memory * 0.5     # memory layer is never slower-ish

@@ -1,6 +1,6 @@
 """Fail unless campaign journals hold the same records in the same order.
 
-Usage: python ci/same_journal.py RESULTS_DIR RESULTS_DIR [...]
+Usage: python ci/same_journal.py [--ignore-snapshot] RESULTS_DIR RESULTS_DIR [...]
 
 Each argument is a ``repro campaign --results-dir`` directory holding one
 campaign (or a ``journal.jsonl`` file).  The records are compared after
@@ -9,6 +9,11 @@ time) and ``worker`` (the process that ran it).  Everything else a
 record holds is a function of the case alone, whichever backend ran it:
 status, classes, coverage, sites, metrics, the replay script and the
 captured events, which are journaled without a timestamp.
+
+``--ignore-snapshot`` also drops ``snapshot``, the replay bookkeeping a
+``--snapshot`` run journals (checkpoint group, dirty pages, bytes and
+restore seconds), so a snapshot run's journal can be held to a fresh
+run's.
 """
 
 import json
@@ -19,7 +24,7 @@ from pathlib import Path
 IGNORED = ("seconds", "worker")
 
 
-def journal_records(path: str):
+def journal_records(path: str, ignored=IGNORED):
     path = Path(path)
     if path.is_dir():
         journals = sorted(path.glob("*/journal.jsonl"))
@@ -30,14 +35,17 @@ def journal_records(path: str):
     records = []
     for line in path.read_text().splitlines():
         record = json.loads(line)
-        for field in IGNORED:
+        for field in ignored:
             record.pop(field, None)
         records.append(record)
     return records
 
 
-def main(paths) -> int:
-    journals = {path: journal_records(path) for path in paths}
+def main(args) -> int:
+    ignored = IGNORED
+    if args and args[0] == "--ignore-snapshot":
+        ignored, args = IGNORED + ("snapshot",), args[1:]
+    journals = {path: journal_records(path, ignored) for path in args}
     reference_path, reference = next(iter(journals.items()))
     failed = 0
     for path, records in journals.items():

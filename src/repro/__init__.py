@@ -32,8 +32,8 @@ two-command workflow (profile, then test) as one fluent object::
 ``jobs`` fans campaigns out per case over forked worker processes
 (per-case timeouts turn hung workloads into ``hung`` results instead of
 hung runs, and a worker that dies is a ``crashed`` case).  Profiling
-always runs on the calling thread.  ``store`` caches profiles on disk and
-in a process-wide LRU, keyed by image, kernel, and heuristic digests.
+always runs on the calling thread.  ``store`` caches profiles on disk,
+keyed by image, kernel, and heuristic digests.
 
 The lower-level pieces remain public and composable:
 
@@ -73,7 +73,7 @@ from .platform import (ALL_PLATFORMS, LINUX_X86, SOLARIS_SPARC, WINDOWS_X86,
 from .runtime import Process
 from .session import Session
 
-__version__ = "7.1.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Session",

@@ -190,15 +190,25 @@ class Controller:
         proc = parked.checkpoint.proc
         parked.checkpoint.rewind()
         proc.join_kernel(kernel)
-        proc.relink(proc.modules[parked.shim_index], self.shim)
-        proc.rebind_host(parked.eval_addr, self.eval_symbol,
+        self.adopt(proc, parked.shim_index, parked.eval_addr)
+        proc.cpu.coverage = {} if self.coverage_enabled else None
+        return proc
+
+    def adopt(self, proc: Process, shim_index: int, eval_addr: int) -> None:
+        """Interpose on ``proc``, which already carries another
+        controller's shim at module ``shim_index`` and its eval host at
+        ``eval_addr``: relink the shim to this controller's (same text,
+        so the same function list), point the host at this injector and
+        do the rest of what :meth:`attach` does but arm coverage.  A
+        recycled process (:meth:`make_process`) and a snapshot replay's
+        checkpointed processes (``core.exec.snapshot``) are taken over
+        this way; rewinding the process undoes it."""
+        proc.relink(proc.modules[shim_index], self.shim)
+        proc.rebind_host(eval_addr, self.eval_symbol,
                          self.injector.eval_host,
                          bypass=self.injector.bypass)
-        # the rest of what attach does
         self.processes.append(proc)
-        proc.cpu.coverage = {} if self.coverage_enabled else None
-        self.injector.shim_module_index = parked.shim_index
-        return proc
+        self.injector.shim_module_index = shim_index
 
     def _return_parked(self) -> None:
         """Give the processes taken from the campaign's pool back; the

@@ -54,9 +54,6 @@ class Injector:
         #: stub's static original_fn_ptr), filled on first use
         self._originals: Dict[Any, Dict[int, int]] = {}
         self.telemetry = as_telemetry(telemetry)
-        self._bind_instruments()
-
-    def _bind_instruments(self) -> None:
         # instruments are created once here so the per-call hot path is
         # a plain method call (a no-op one under NULL_TELEMETRY)
         metrics = self.telemetry.metrics
@@ -78,23 +75,6 @@ class Injector:
             "Bytes trimmed off transfer counts by short-read / "
             "partial-write injections", ("function",))
 
-    def rebind(self, engine: TriggerEngine, functions: Sequence[str],
-               telemetry=None) -> None:
-        """Point this injector at a fresh engine, plan and telemetry.
-
-        Snapshot replay (see ``core.exec.snapshot``) transplants
-        per-case trigger state into a reused controller; the function
-        list must keep the stub ids of the shim the guest already has
-        loaded, which the caller guarantees by grouping cases per
-        trigger function.  :meth:`bypass` reads the engine and the
-        function list through this injector, so the stubs' bindings
-        stay as they are.
-        """
-        self.engine = engine
-        self.functions = list(functions)
-        self.telemetry = as_telemetry(telemetry)
-        self._bind_instruments()
-
     # -- host entry points --------------------------------------------------
 
     def bypass(self, proc, fn_id: int) -> Optional[int]:
@@ -109,7 +89,7 @@ class Injector:
         answer from ``TriggerEngine.on_call``, which counts a dormant
         call and decides nothing.  This is the crossing's one call, so
         it applies ``TriggerEngine.dormant_call``'s rule inline, on the
-        current engine's tables.
+        engine's tables.
         """
         try:
             function = self.functions[fn_id]

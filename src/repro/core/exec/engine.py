@@ -78,7 +78,6 @@ class RunSummary:
     worker_utilization: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_memory_hits: int = 0
     #: cases that took an earlier not-reached run's result instead of
     #: running (see :class:`NotReachedCases`); the same on every backend
     #: and on resume, where restored cases count as they were journaled
@@ -101,8 +100,7 @@ class RunSummary:
             "busy_seconds": round(self.busy_seconds, 6),
             "worker_utilization": round(self.worker_utilization, 4),
             "cache": {"hits": self.cache_hits,
-                      "misses": self.cache_misses,
-                      "memory_hits": self.cache_memory_hits},
+                      "misses": self.cache_misses},
         }
 
     def to_json(self) -> str:

@@ -20,23 +20,26 @@ streams and instruction counts versus fresh runs — holds because:
 * cases whose ordinal falls *inside* the prefix (the trigger would have
   fired during setup) are detected from the checkpointed call counts
   and fall back to a fresh execution;
-* per case, the trigger engine, logbook, telemetry instruments and
-  injection counters are transplanted to exactly the state a fresh
-  controller would have reached at the snapshot point, and the CPU's
-  instruction counter resumes from the checkpointed value, so totals
-  equal prefix + suffix.
+* each case runs on its own controller, built as a fresh case builds
+  one, which adopts the checkpointed processes the way a recycled
+  process is taken over (``Controller.adopt``: the shim relinked, the
+  eval host rebound); its engine starts from the checkpoint's call
+  counts and the trigger evaluations a fresh run spends on them, and
+  the CPU's instruction counter and coverage resume from the
+  checkpointed values, so totals equal prefix + suffix.  The restore
+  after the case undoes the adoption with the rest of the guest.
 
 Host-side workload state (the context returned by
 ``PrefixFactory.setup``) is re-thawed per case by deep-copying the
 frozen context with the guest runtime objects (process, memory, CPU,
-kernel, controller) pinned as atoms — each case gets fresh Python state
-wired to the restored guest.
+kernel) pinned as atoms and the prefix's controller, injector and
+logbook mapped to the case's — each case gets fresh Python state wired
+to the restored guest.
 """
 
 from __future__ import annotations
 
 import copy
-import random
 import time
 from typing import Any, Dict, Iterable, List, Mapping
 
@@ -44,7 +47,7 @@ from ...obs.telemetry import as_telemetry
 from ...platform import Platform
 from ...runtime.snapshot import MachineSnapshot, SnapshotCache, SnapshotKey
 from ..controller import Controller
-from ..controller.triggers import NEVER_ORDINAL, TriggerEngine
+from ..controller.triggers import NEVER_ORDINAL
 from ..profiles import LibraryProfile
 from ..scenario.model import INJECT_NTH, FunctionTrigger, Plan
 from .engine import _case_result, _case_telemetry, _worker_label
@@ -58,12 +61,16 @@ PREFIX_SENTINEL = NEVER_ORDINAL
 
 
 class _Instance:
-    """One live guest parked at the snapshot point."""
+    """One live guest parked at the snapshot point.
+
+    ``controller`` ran the prefix and runs nothing else: each case's
+    own controller adopts ``adoptees`` (every process the prefix
+    controller interposed on, with its eval host's address) and takes
+    its place in the thawed workload context.
+    """
 
     __slots__ = ("controller", "machine", "ctx_frozen", "atoms",
-                 "functions", "prefix_calls",
-                 "logbook_len", "injection_count", "passthrough_count",
-                 "originals", "processes_len", "test_counter", "key")
+                 "prefix_calls", "adoptees", "key")
 
 
 class SnapshotRunner:
@@ -199,16 +206,9 @@ class SnapshotRunner:
         instance.machine = machine
         instance.atoms = self._guest_atoms(lfi, processes)
         instance.ctx_frozen = copy.deepcopy(ctx, dict(instance.atoms))
-        instance.functions = list(lfi.functions)
         instance.prefix_calls = dict(lfi.engine.call_counts)
-        instance.logbook_len = len(lfi.logbook.records)
-        instance.injection_count = lfi.injector.injection_count
-        instance.passthrough_count = lfi.injector.passthrough_count
-        instance.originals = {
-            proc: dict(table) for proc, table
-            in lfi.injector._originals.items()}
-        instance.processes_len = len(lfi.processes)
-        instance.test_counter = lfi._test_counter
+        instance.adoptees = [(proc, proc.lookup(lfi.eval_symbol))
+                             for proc in lfi.processes]
         instance.key = (machine.image_digest, self.workload_id, function)
         self._note_taken(instance, function)
         return instance
@@ -261,17 +261,18 @@ class SnapshotRunner:
     # -- replay -------------------------------------------------------------
 
     def _replay(self, instance: _Instance, case):
-        lfi = instance.controller
         case_telemetry = _case_telemetry() if self.capture else None
-        plan = case.plan()
-        if plan.functions() != instance.functions:
+        lfi = Controller(self.platform, dict(self.profiles), case.plan(),
+                         telemetry=case_telemetry, coverage=self.observe)
+        prefix = instance.controller
+        if lfi.functions != prefix.functions:
             raise RuntimeError(
                 f"case {case.case_id()} does not match checkpoint group "
-                f"{instance.functions}")
-        lfi.telemetry = as_telemetry(case_telemetry)
-        lfi.plan = plan
-        lfi.functions = plan.functions()
-        engine = TriggerEngine(plan, random.Random(plan.seed))
+                f"{prefix.functions}")
+        shim_index = prefix.injector.shim_module_index
+        for proc, eval_addr in instance.adoptees:
+            lfi.adopt(proc, shim_index, eval_addr)
+        engine = lfi.engine
         engine.call_counts = dict(instance.prefix_calls)
         # A fresh run evaluates the case's triggers on every prefix call
         # until their horizons pass (the injector's dormant fast path
@@ -280,27 +281,19 @@ class SnapshotRunner:
         # from the checkpointed call counts.
         prefix_evals = engine.prefix_evaluations(instance.prefix_calls)
         engine.evaluations = sum(prefix_evals.values())
-        lfi.engine = engine
-        injector = lfi.injector
-        injector.rebind(engine, lfi.functions, case_telemetry)
-        injector.injection_count = instance.injection_count
-        injector.passthrough_count = instance.passthrough_count
-        injector._originals = {
-            proc: dict(table) for proc, table
-            in instance.originals.items()}
-        del lfi.logbook.records[instance.logbook_len:]
-        del lfi.processes[instance.processes_len:]
-        lfi._test_counter = instance.test_counter
         if prefix_evals and lfi.telemetry.enabled:
             # a fresh run records the prefix's trigger evaluations under
             # the case telemetry; pre-seed them so metric snapshots match
             for function, evals in prefix_evals.items():
-                injector._evaluations_metric.inc(evals, function=function)
+                lfi.injector._evaluations_metric.inc(evals,
+                                                     function=function)
 
-        ctx = copy.deepcopy(instance.ctx_frozen, dict(instance.atoms))
-        before = injector.injection_count
+        memo = dict(instance.atoms)
+        for old, new in ((prefix, lfi), (prefix.injector, lfi.injector),
+                         (prefix.logbook, lfi.logbook)):
+            memo[id(old)] = new
+        ctx = copy.deepcopy(instance.ctx_frozen, memo)
         outcome = lfi.run_test(lambda: self.factory.run(lfi, ctx),
                                test_id=case.case_id())
-        return _case_result(lfi, case, outcome,
-                            injector.injection_count - before > 0,
+        return _case_result(lfi, case, outcome, lfi.injections > 0,
                             case_telemetry, self.observe)

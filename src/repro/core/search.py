@@ -166,9 +166,9 @@ class GuidedFrontier:
     golden run's coverage), so novelty measures discovery *beyond* the
     fault-free path.  ``budget_cases`` caps the total number of cases
     scheduled.
-    Probabilistic cases are rejected (`ValueError`): their plans roll
-    an RNG per call, so they have no ordinal coordinate to search
-    over.
+    Probabilistic cases are rejected (`ValueError`): their plans count
+    down gaps drawn from the plan's RNG, so they have no ordinal
+    coordinate to search over.
     """
 
     def __init__(self, cases: Iterable[Any], *,

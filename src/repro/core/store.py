@@ -12,12 +12,6 @@ image's (syscall error sets feed the profiles), and a digest of the
 content, so flipping them must re-profile).  ``profile_or_load``
 re-analyzes only when one of those actually changed — the
 monthly-update workflow the paper describes.
-
-On top of the disk layer sits a process-wide in-memory LRU keyed by the
-same (image, kernel, heuristics) digests.  Repeated same-process
-campaigns — e.g. several ``Session.profile()`` calls over an unchanged
-sysroot — skip both re-analysis *and* XML parsing entirely.  Cached
-profile objects are shared; treat them as read-only.
 """
 
 from __future__ import annotations
@@ -25,10 +19,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..binfmt import SharedObject, image_digest
 from ..obs.telemetry import as_telemetry
@@ -36,12 +28,9 @@ from ..platform import Platform
 from .profiler import HeuristicConfig, Profiler
 from .profiles import LibraryProfile
 
-__all__ = ["ProfileStore", "image_digest", "heuristics_digest", "CacheKey"]
+__all__ = ["ProfileStore", "image_digest", "heuristics_digest"]
 
 _MANIFEST = "manifest.json"
-
-#: (image digest, kernel digest, heuristics digest) — one exact profile.
-CacheKey = Tuple[str, str, str]
 
 
 def heuristics_digest(config: Optional[HeuristicConfig]) -> str:
@@ -51,68 +40,17 @@ def heuristics_digest(config: Optional[HeuristicConfig]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class _LruCache:
-    """A small thread-safe LRU of profile objects."""
-
-    def __init__(self, capacity: int = 64) -> None:
-        self.capacity = capacity
-        self._data: "OrderedDict[CacheKey, LibraryProfile]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: CacheKey) -> Optional[LibraryProfile]:
-        with self._lock:
-            try:
-                value = self._data.pop(key)
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data[key] = value        # re-insert as most recent
-            self.hits += 1
-            return value
-
-    def put(self, key: CacheKey, value: LibraryProfile) -> None:
-        with self._lock:
-            self._data.pop(key, None)
-            self._data[key] = value
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
 class ProfileStore:
     """A directory of ``<soname>.profile.xml`` files plus a manifest."""
 
-    #: Process-wide memory layer, shared by every store instance so
-    #: repeated same-process campaigns reuse profiles across stores.
-    _memory = _LruCache(capacity=64)
-
-    def __init__(self, root, *, memory_cache: bool = True,
-                 telemetry=None) -> None:
+    def __init__(self, root, *, telemetry=None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._manifest: Dict[str, Dict[str, str]] = {}
-        self._memory_enabled = memory_cache
         self.hits = 0
         self.misses = 0
-        self.memory_hits = 0
         self.telemetry = as_telemetry(telemetry)
         self._load_manifest()
-
-    @classmethod
-    def clear_memory_cache(cls) -> None:
-        """Drop the process-wide LRU (tests; manual invalidation)."""
-        cls._memory.clear()
 
     # -- manifest ----------------------------------------------------------
 
@@ -179,16 +117,15 @@ class ProfileStore:
         """Profiles for a library closure, re-analyzing only stale ones.
 
         Returns profiles for every library in ``images``; cached
-        entries are served from the in-memory LRU or from disk when
-        neither the library, the kernel image, nor the heuristic
-        configuration changed since they were computed.
+        entries are served from disk when neither the library, the
+        kernel image, nor the heuristic configuration changed since
+        they were computed.
         """
         kernel_digest = image_digest(kernel_image) if kernel_image else ""
-        heur_digest = heuristics_digest(heuristics)
         tele = self.telemetry
         hit_metric = tele.metrics.counter(
             "repro_profile_store_hits_total",
-            "Profile cache hits by serving layer", ("layer",))
+            "Profiles served from the store without re-analysis")
         miss_metric = tele.metrics.counter(
             "repro_profile_store_misses_total",
             "Profile cache misses (re-analysis runs)")
@@ -198,25 +135,12 @@ class ProfileStore:
         out: Dict[str, LibraryProfile] = {}
         stale: Dict[str, SharedObject] = {}
         for soname, image in images.items():
-            key = (image_digest(image), kernel_digest, heur_digest)
-            cached = self._memory.get(key) if self._memory_enabled else None
-            if cached is not None:
-                self.hits += 1
-                self.memory_hits += 1
-                hit_metric.inc(layer="memory")
-                out[soname] = cached
-                if not self.is_fresh(image, kernel_digest, heuristics):
-                    # keep the on-disk layer authoritative too
-                    self.save(cached, image, kernel_digest, heuristics)
-                continue
             if self.is_fresh(image, kernel_digest, heuristics):
                 disk = self.load(soname)
                 if disk is not None:
                     self.hits += 1
-                    hit_metric.inc(layer="disk")
+                    hit_metric.inc()
                     out[soname] = disk
-                    if self._memory_enabled:
-                        self._memory.put(key, disk)
                     continue
             if soname in self._manifest:
                 # there *was* a profile, but image/kernel/heuristics moved
@@ -236,13 +160,9 @@ class ProfileStore:
                 profile = profiler.profile_library(soname)
                 self.save(profile, stale[soname], kernel_digest, heuristics)
                 out[soname] = profile
-                if self._memory_enabled:
-                    self._memory.put((image_digest(stale[soname]),
-                                      kernel_digest, heur_digest), profile)
         if tele.enabled:
             tele.events.emit(
                 "cache.lookup", severity="debug",
                 libraries=len(images), stale=len(stale),
-                hits=self.hits, misses=self.misses,
-                memory_hits=self.memory_hits)
+                hits=self.hits, misses=self.misses)
         return out

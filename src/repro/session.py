@@ -187,19 +187,17 @@ class Session:
                                    app=self.app) as span:
             if self.store is not None:
                 hits0, misses0 = self.store.hits, self.store.misses
-                memory0 = self.store.memory_hits
                 self._profiles = self.store.profile_or_load(
                     self.platform, self.images, self.kernel_image,
                     self.heuristics)
                 cache = (self.store.hits - hits0,
-                         self.store.misses - misses0,
-                         self.store.memory_hits - memory0)
+                         self.store.misses - misses0)
             else:
                 profiler = Profiler(self.platform, self.images,
                                     self.kernel_image, self.heuristics,
                                     telemetry=self.obs)
                 self._profiles = profiler.profile_all()
-                cache = (0, len(self.images), 0)
+                cache = (0, len(self.images))
             duration = time.perf_counter() - started
             exports = sum(len(img.exports) for img in self.images.values())
             span.set(libraries=len(self.images), exports=exports,
@@ -208,8 +206,7 @@ class Session:
             kind="profile", app=self.app, outcome="ok", duration=duration,
             cases=exports,
             cases_per_second=(exports / duration) if duration > 0 else 0.0,
-            cache_hits=cache[0], cache_misses=cache[1],
-            cache_memory_hits=cache[2]))
+            cache_hits=cache[0], cache_misses=cache[1]))
         if self.obs.enabled:
             self.obs.events.emit(
                 "session.profile", app=self.app,
@@ -333,7 +330,6 @@ class Session:
         if self.store is not None and report.summary is not None:
             report.summary.cache_hits = self.store.hits
             report.summary.cache_misses = self.store.misses
-            report.summary.cache_memory_hits = self.store.memory_hits
         if report.summary is not None:
             self.summaries.append(report.summary)
         return report

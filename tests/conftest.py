@@ -16,19 +16,6 @@ from repro.kernel import Kernel, build_kernel_image
 from repro.platform import ALL_PLATFORMS, LINUX_X86, SOLARIS_SPARC, WINDOWS_X86
 
 
-@pytest.fixture(autouse=True)
-def _fresh_profile_memory_cache():
-    """Isolate tests from the process-wide profile LRU.
-
-    The in-memory layer is deliberately shared across ProfileStore
-    instances (repeated same-process campaigns); tests asserting
-    hit/miss counters need each test to start cold.
-    """
-    from repro.core.store import ProfileStore
-    ProfileStore.clear_memory_cache()
-    yield
-
-
 @pytest.fixture(scope="session")
 def linux():
     return LINUX_X86

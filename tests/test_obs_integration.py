@@ -214,20 +214,18 @@ class TestStoreCounters:
     def test_hit_miss_invalidation_metrics(self, libc_linux,
                                            kernel_image_linux, tmp_path):
         telemetry = Telemetry()
-        store = ProfileStore(tmp_path / "cache", memory_cache=False,
-                             telemetry=telemetry)
+        store = ProfileStore(tmp_path / "cache", telemetry=telemetry)
         images = {libc_linux.image.soname: libc_linux.image}
         store.profile_or_load(LINUX_X86, images, kernel_image_linux)
         store.profile_or_load(LINUX_X86, images, kernel_image_linux)
         # changing the kernel digest invalidates the stored profile
         store.profile_or_load(LINUX_X86, images, None)
-        hits = telemetry.metrics.counter("repro_profile_store_hits_total",
-                                         labelnames=("layer",))
+        hits = telemetry.metrics.counter("repro_profile_store_hits_total")
         misses = telemetry.metrics.counter(
             "repro_profile_store_misses_total")
         invalidations = telemetry.metrics.counter(
             "repro_profile_store_invalidations_total")
-        assert hits.value(layer="disk") == 1
+        assert hits.value() == 1
         assert misses.value() == 2
         assert invalidations.value() == 1
 

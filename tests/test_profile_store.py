@@ -134,29 +134,9 @@ class TestCacheSkipsProfiler:
         image = _library()
         ProfileStore(tmp_path).profile_or_load(LINUX_X86,
                                                {image.soname: image})
-        ProfileStore.clear_memory_cache()       # force the disk path
         self._forbid_profiling(monkeypatch)
         store = ProfileStore(tmp_path)
         profiles = store.profile_or_load(LINUX_X86,
                                          {image.soname: image})
         assert store.hits == 1 and store.misses == 0
         assert -9 in profiles[image.soname].function("f").retvals()
-
-    def test_memory_hit_skips_profiler_and_xml(self, tmp_path,
-                                               monkeypatch):
-        image = _library()
-        store = ProfileStore(tmp_path)
-        first = store.profile_or_load(LINUX_X86, {image.soname: image})
-        self._forbid_profiling(monkeypatch)
-        second = store.profile_or_load(LINUX_X86, {image.soname: image})
-        assert store.memory_hits == 1
-        # the memory layer serves the very same object, no XML roundtrip
-        assert second[image.soname] is first[image.soname]
-
-    def test_memory_cache_can_be_disabled(self, tmp_path):
-        image = _library()
-        store = ProfileStore(tmp_path, memory_cache=False)
-        store.profile_or_load(LINUX_X86, {image.soname: image})
-        store.profile_or_load(LINUX_X86, {image.soname: image})
-        assert store.memory_hits == 0
-        assert store.hits == 1                  # served from disk instead

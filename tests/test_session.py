@@ -163,24 +163,6 @@ class TestRunSummaryJson:
             assert isinstance(data["duration"], float)
 
 
-class TestStoreIntegration:
-    def test_memory_lru_shared_across_stores(self, tmp_path, libc_linux,
-                                             kernel_image_linux):
-        first = Session(LINUX_X86, store=tmp_path / "a",
-                        kernel_image=kernel_image_linux)
-        first.load(libc_linux).profile()
-        assert first.store.misses == 1
-
-        # different directory, same image: served from the process LRU
-        second = Session(LINUX_X86, store=tmp_path / "b",
-                         kernel_image=kernel_image_linux)
-        second.load(libc_linux).profile()
-        assert second.store.misses == 0
-        assert second.store.memory_hits == 1
-        stage = second.summaries[-1]
-        assert stage.cache_memory_hits == 1 and stage.cache_misses == 0
-
-
 def _one_case_campaign(images, **options):
     """Run a one-case campaign over ``close``."""
     profiles = Profiler(LINUX_X86, images).profile_all()
@@ -213,7 +195,7 @@ def _named(path):
         return getattr(_named(module), name)
 
 
-#: Spellings that 2.0, 3.0, 4.0, 5.0, 6.0 and 7.0 removed, each with
+#: Spellings that 2.0, 3.0, 4.0, 5.0, 6.0, 7.0 and 8.0 removed, each with
 #: the error that must name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
@@ -380,7 +362,23 @@ _REMOVED_SPELLINGS.update({
         ("repro.core.controller.injector.Injector", "_recompute_dormancy"),
         ("repro.core.controller.triggers", "_compile"),
         # 7.1: the stubs' bypass is Injector.bypass, one call
-        ("repro.core.controller.injector.Injector", "dormant_original"))})
+        ("repro.core.controller.injector.Injector", "dormant_original"),
+        # 8.0: a replayed case gets its own controller, and the profile
+        # store keeps its disk layer only
+        ("repro.core.controller.injector.Injector", "rebind"),
+        ("repro.core.store.ProfileStore", "clear_memory_cache"))})
+_REMOVED_SPELLINGS.update({
+    "ProfileStore-memory_cache": (
+        TypeError, "memory_cache",
+        lambda images, tmp: ProfileStore(tmp, memory_cache=False)),
+    "ProfileStore.memory_hits": (
+        AttributeError, "memory_hits",
+        lambda images, tmp: ProfileStore(tmp).memory_hits),
+    "RunSummary-cache_memory_hits": (
+        TypeError, "cache_memory_hits",
+        lambda images, tmp: RunSummary(kind="profile", app="", outcome="ok",
+                                       duration=0.0, cache_memory_hits=0)),
+})
 
 
 class TestDeprecationShims:
@@ -388,7 +386,8 @@ class TestDeprecationShims:
     the thread backend, 5.0 the buffered telemetry copies and the
     pool's metrics, 6.0 the task status, the journal index, the
     controller's campaign loop and unused helpers, 7.0 the separate
-    dormancy bookkeeping and 7.1 the three-call bypass: old spellings
+    dormancy bookkeeping, 7.1 the three-call bypass and 8.0 the
+    snapshot transplant and the in-memory profile cache: old spellings
     fail by name, new ones are silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))

@@ -5,7 +5,9 @@ is bit-identical :class:`CaseResult`s: the same outcome status and
 detail, the same per-case guest instruction counts, the same captured
 event streams and metric snapshots a fresh execution of every case
 produces.  These tests run the same systematic minidb campaign both
-ways on every backend and compare everything.
+ways on every backend and compare everything, replay cases one by one
+on the two other platforms, and check that a replay leaves the
+checkpoint's own controller as the prefix left it.
 
 CI runs this file with ``-rs`` and fails the job if any test here is
 skipped — the guarantee must actually be exercised, not waved through.
@@ -17,19 +19,22 @@ import pytest
 
 from repro.apps.minidb import DbError, MiniDB
 from repro.core.campaign import (FaultCase, PrefixFactory, run_campaign)
+from repro.core.exec.engine import _case_runner
 from repro.core.exec.snapshot import SnapshotRunner
+from repro.core.profiler import Profiler
 from repro.core.scenario.generate import error_codes_from_profile
-from repro.kernel import Kernel
+from repro.corpus.libc import libc
+from repro.kernel import Kernel, build_kernel_image
 from repro.obs import Telemetry
-from repro.platform import LINUX_X86
+from repro.platform import LINUX_X86, SOLARIS_SPARC, WINDOWS_X86
 
 _ROWS = 8
 _FUNCTIONS = ["read", "write", "open", "close", "lseek", "fsync"]
 
 
-def _make_factory() -> PrefixFactory:
+def _make_factory(platform=LINUX_X86) -> PrefixFactory:
     def setup(lfi):
-        db = MiniDB(Kernel(os_name=LINUX_X86.os), LINUX_X86,
+        db = MiniDB(Kernel(os_name=platform.os), platform,
                     controller=lfi)
         db.execute("create table t k v")
         for i in range(_ROWS):
@@ -91,6 +96,27 @@ def _event_fingerprint(events):
     return out
 
 
+def _result_row(r):
+    """Everything a case's result carries that a replay could perturb."""
+    return (r.outcome.status, r.outcome.exit_code, r.outcome.detail,
+            r.instructions, r.fired, r.sites, r.calls, r.firings,
+            r.output, r.coverage, _event_fingerprint(r.events), r.metrics)
+
+
+def _row(run, case):
+    """One case's result row; an exception it raises is a row too (a
+    fault in minidb's setup escapes the monitored run)."""
+    try:
+        return _result_row(run(case))
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _fresh_row(factory, platform, profiles, case):
+    return _row(lambda case: _case_runner(factory, platform, profiles, case,
+                                          capture=True, observe=True), case)
+
+
 def _assert_identical(fresh, snap):
     assert len(fresh.results) == len(snap.results)
     for f, s in zip(fresh.results, snap.results):
@@ -140,6 +166,71 @@ class TestDifferentialEquivalence:
         _fresh, serial = _run_pair(campaign_space, "serial", 1)
         _fresh2, process = _run_pair(campaign_space, "process", 2)
         _assert_identical(serial, process)
+
+
+def test_replay_leaves_the_checkpoint_controller_alone(campaign_space):
+    """Each replay runs on a controller of its own: a case that fires
+    and then one that does not, replayed on one checkpoint, leave the
+    controller that ran the prefix as the build left it, and each
+    result equals a fresh run's."""
+    factory, profiles, _cases, prefix = campaign_space
+    code = error_codes_from_profile(
+        profiles["libc.so.6"].functions["write"])[0]
+    firing = FaultCase("write", code, prefix["write"] + 1)
+    dormant = FaultCase("write", code, prefix["write"] + 1000)
+    runner = SnapshotRunner("equiv", factory, LINUX_X86, profiles,
+                            capture=True, observe=True)
+    runner.warm([firing])
+    key = runner._key("write")
+    instance = runner.cache.take(key)
+    runner.cache.release(key, instance)
+    lfi = instance.controller
+    engine, processes = lfi.engine, list(lfi.processes)
+    assert lfi.engine.call_counts == instance.prefix_calls
+    for case, fires in ((firing, True), (dormant, False)):
+        result = runner.run_case(case)
+        assert result.snapshot is not None, case.case_id()
+        assert result.fired is fires, case.case_id()
+        assert runner.cache.stats()["built"] == 1
+        assert lfi.engine is engine
+        assert lfi.engine.call_counts == instance.prefix_calls
+        assert lfi.logbook.records == []
+        assert lfi.injector.injection_count == 0
+        assert lfi.processes == processes
+        assert _result_row(result) == _fresh_row(
+            factory, LINUX_X86, profiles, case), case.case_id()
+
+
+@pytest.mark.parametrize("platform", [WINDOWS_X86, SOLARIS_SPARC],
+                         ids=lambda p: p.name)
+def test_replays_match_fresh_runs_on_other_platforms(platform):
+    """Windows injects its shim late, at the front of symbol resolution,
+    and SPARC passes arguments in registers; a replayed case must
+    still equal a fresh run on both."""
+    image = libc(platform).image
+    profiles = Profiler(platform, {image.soname: image},
+                        build_kernel_image(platform)).profile_all()
+    profile = profiles[image.soname]
+    factory = _make_factory(platform)
+    runner = SnapshotRunner("equiv", factory, platform, profiles,
+                            capture=True, observe=True)
+    results = []
+
+    def replay(case):
+        results.append(runner.run_case(case))
+        return results[-1]
+
+    for function in ("read", "write", "open", "close"):
+        code = error_codes_from_profile(profile.functions[function])[0]
+        probe = runner._build(function, code)
+        calls = probe.prefix_calls.get(function, 0)
+        probe.machine.detach()
+        for ordinal in sorted({1, calls + 1, calls + 2, calls + 1000}):
+            case = FaultCase(function, code, ordinal)
+            assert _row(replay, case) == _fresh_row(
+                factory, platform, profiles, case), case.case_id()
+    replayed = [r for r in results if r.snapshot is not None]
+    assert len(replayed) >= 12 and sum(r.fired for r in replayed) >= 6
 
 
 class TestSnapshotTelemetry:
