@@ -12,9 +12,10 @@ other number in EXPERIMENTS.md.  This benchmark measures it directly:
 Both are measured on the block-compiled fast path and on the exact
 per-instruction path (the one a tracer gets), in alternating rounds of
 one process, and the results land in ``BENCH_interp.json`` next to the
-recorded pre-tentpole baseline.  The full-mode claim is tracked against
-that fixed denominator; the fast-mode tripwire compares the block path
-with the step path measured beside it, so host load moves both.
+recorded pre-tentpole baseline, which the report's speedups still
+divide by.  Both bars, full mode's and the fast-mode tripwire, compare
+the block path with the step path measured beside it, so host load
+moves both.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_interp_throughput.py``)
 or under pytest.  Set ``REPRO_BENCH_FAST=1`` for a CI-sized smoke run.
@@ -57,6 +58,12 @@ _MINIDB_ROUNDS = 1 if FAST else 3
 #: which is 1.52x the step path's recorded 0.92 MIPS; this bar is no
 #: weaker at those speeds.
 FAST_BAR_VS_STEP = 1.55
+
+#: The full-mode bar, against the step path measured in the same run so
+#: that host load slows both sides alike.  It replaced 3.0x the seed
+#: baseline, 2.10 MIPS, which is 2.145x the step path's 0.979 MIPS in
+#: BENCH_interp.json; this bar is no weaker at those speeds.
+FULL_BAR_VS_STEP = 2.15
 
 #: Pre-tentpole numbers, measured on this host with the seed per-
 #: instruction interpreter (commit 15b5d10, dict registers, if/elif
@@ -206,18 +213,13 @@ def _report(results, write_json: bool = True):
 def _assert_speedup(results) -> None:
     if not hasattr(Cpu, "use_blocks"):
         return          # pre-tentpole: baseline recording only
-    # the full-mode bar is the paper claim (3x the seed baseline); the
-    # fast-mode bar a regression tripwire against the step path run
-    # beside it, which host load slows alike
-    if FAST:
-        speedup = results["hot_loop"]["speedup_vs_step"]
-        assert speedup >= FAST_BAR_VS_STEP, \
-            (f"hot-loop block path {speedup:.2f}x the step path, below "
-             f"{FAST_BAR_VS_STEP:.2f}x")
-    else:
-        speedup = results["hot_loop"]["speedup_vs_baseline"]
-        assert speedup >= 3.0, \
-            f"hot-loop speedup {speedup:.2f}x fell below 3.0x baseline"
+    # both bars hold the block path against the step path run beside
+    # it, which host load slows alike; a fixed MIPS figure does not
+    bar = FAST_BAR_VS_STEP if FAST else FULL_BAR_VS_STEP
+    speedup = results["hot_loop"]["speedup_vs_step"]
+    assert speedup >= bar, \
+        (f"hot-loop block path {speedup:.2f}x the step path, below "
+         f"{bar:.2f}x")
     assert results["minidb"]["block_mips"] \
         >= results["minidb"]["step_mips"] * 0.9, \
         "block compiler slower than per-instruction path on minidb"

@@ -5,7 +5,8 @@
 systematic way the fault-tolerance of different applications."  This
 subjects the shipped (buggy) minipidgin and the ticket-8672 fixed build
 to the same battery of random I/O faultloads and prints a scoreboard —
-the workflow a release engineer would use to gate a fix.
+the workflow a release engineer would use to gate a fix.  Each build
+runs the battery as one campaign of plan cases.
 
 Run:  python examples/robustness_compare.py
 """
@@ -13,7 +14,8 @@ Run:  python examples/robustness_compare.py
 from repro import (Controller, Kernel, LINUX_X86, Profiler,
                    build_kernel_image, libc)
 from repro.apps import MiniPidgin
-from repro.core.robustness import compare_robustness, format_scoreboard
+from repro.core.robustness import (compare_robustness, format_scoreboard,
+                                   survival_rate)
 from repro.core.scenario import io_faults
 
 HOSTS = [f"buddy{i}.example.org" for i in range(12)]
@@ -51,10 +53,10 @@ def main() -> None:
     buggy = reports["pidgin-2.5 (buggy)"]
     fixed = reports["pidgin (ticket-8672 fix)"]
     print(f"\nverdict: the fix eliminates "
-          f"{buggy.crashes - fixed.crashes} crash(es) per "
+          f"{len(buggy.crashes()) - len(fixed.crashes())} crash(es) per "
           f"{N_SCENARIOS}-scenario battery "
-          f"({100 * buggy.survival_rate:.0f}% -> "
-          f"{100 * fixed.survival_rate:.0f}% survival)")
+          f"({100 * survival_rate(buggy):.0f}% -> "
+          f"{100 * survival_rate(fixed):.0f}% survival)")
 
 
 if __name__ == "__main__":

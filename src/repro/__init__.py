@@ -73,7 +73,7 @@ from .platform import (ALL_PLATFORMS, LINUX_X86, SOLARIS_SPARC, WINDOWS_X86,
 from .runtime import Process
 from .session import Session
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "Session",

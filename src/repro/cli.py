@@ -662,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="virtual latency per 'delay' injection "
                         "(default: 1ms)")
     p.add_argument("--fail-rate", type=float, default=None,
-                   help="make every case probabilistic at this rate "
-                        "under a recorded seed instead of firing at an "
+                   help="make every case a plan case firing at this "
+                        "rate under a recorded seed instead of at an "
                         "exact call ordinal")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel case workers (0 = one per CPU)")

@@ -13,6 +13,10 @@ function's n-th call.  The result is a fault-tolerance matrix of the
 application ("how does it cope when the k-th close() returns EIO?") and
 a replay script per cell — precisely the artifacts §6.1 suggests folding
 into regression suites.
+
+A :class:`PlanCase` carries any other plan — a fail-rate cell, one
+faultload of §2's robustness battery — through the same engine, journal
+and matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Union)
 
 from ..platform import Platform
 from .controller import (REPORT_SCHEMA, STATUS_HUNG, Controller, TestOutcome)
@@ -74,60 +78,101 @@ class PrefixFactory:
 
 @dataclass(frozen=True)
 class FaultCase:
-    """One cell of the campaign matrix.
+    """One cell of the campaign matrix: ``code`` injected at the
+    ``call_ordinal``-th call of ``function``, one INJECT_NTH trigger.
 
     ``code`` keeps its historical name but accepts any fault action
-    (return, delay, short-read, partial-write).  ``probability > 0``
-    turns the cell probabilistic: its random trigger counts down
-    geometric gaps drawn from the recorded-seed RNG instead of firing
-    at an exact ordinal, which is how fail-rate campaigns stay
-    bit-identical under ``--resume``.
+    (return, delay, short-read, partial-write).  Only cells are derived,
+    replayed and searched: each rests on the run being the golden run's
+    until the one trigger fires.
     """
 
     function: str
     code: Action
     call_ordinal: int = 1
-    probability: float = 0.0
-    seed: Optional[int] = None
 
     def case_id(self) -> str:
-        base = (f"{self.function}@{self.call_ordinal}"
+        return (f"{self.function}@{self.call_ordinal}"
                 f"={self.code.describe()}")
-        if self.probability > 0:
-            base += f"~p{self.probability}"
-        return base
-
-    def effective_seed(self) -> Optional[int]:
-        """The RNG seed a probabilistic case records into its plan."""
-        if self.probability <= 0:
-            return None
-        if self.seed is not None:
-            return self.seed
-        return derive_plan_seed(f"case-{self.case_id()}",
-                                self.probability, (self.function,),
-                                (self.code,))
 
     def plan(self) -> Plan:
-        plan = Plan(name=f"case-{self.case_id()}",
-                    seed=self.effective_seed())
-        if self.probability > 0:
-            plan.add(FunctionTrigger(
-                function=self.function, mode=INJECT_RANDOM,
-                probability=self.probability, actions=(self.code,),
-                calloriginal=False))
-        else:
+        """The case's plan, built on first use and kept, so the case
+        key and the case's controller read the same one."""
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = Plan(name=f"case-{self.case_id()}")
             plan.add(FunctionTrigger(
                 function=self.function, mode=INJECT_NTH,
                 nth=self.call_ordinal, actions=(self.code,),
                 calloriginal=False))
+            object.__setattr__(self, "_plan", plan)
         return plan
+
+    def __reduce__(self):
+        # pickled as its fields: a plan builds faster than it unpickles
+        return (FaultCase, (self.function, self.code, self.call_ordinal))
+
+
+@dataclass(frozen=True)
+class PlanCase:
+    """A campaign case that runs any other plan, under its case id
+    ``name``: a :func:`fail_rate_case`, one faultload of a battery.
+
+    Its matrix row is ``function`` and the fault class of ``code``, if
+    one action names the case.  A plan case always runs fresh: no other
+    run stands in for it.
+    """
+
+    name: str
+    scenario: Plan
+    function: str
+    code: Optional[Action] = None
+
+    def case_id(self) -> str:
+        return self.name
+
+    def plan(self) -> Plan:
+        return self.scenario
+
+
+#: Either kind of campaign case.
+CampaignCase = Union[FaultCase, PlanCase]
+
+
+def fail_rate_case(function: str, code: Action,
+                   probability: float) -> PlanCase:
+    """A fail-rate cell: ``code`` injected into ``function`` at
+    ``probability`` per call.  Its random trigger counts down geometric
+    gaps drawn from a content-derived recorded seed, which is how
+    fail-rate campaigns stay bit-identical under ``--resume``."""
+    case_id = f"{function}@1={code.describe()}~p{probability}"
+    name = f"case-{case_id}"
+    plan = Plan(name=name, seed=derive_plan_seed(
+        name, probability, (function,), (code,)))
+    plan.add(FunctionTrigger(function=function, mode=INJECT_RANDOM,
+                             probability=probability, actions=(code,),
+                             calloriginal=False))
+    return PlanCase(case_id, plan, function, code)
+
+
+def case_row(case) -> Dict[str, Any]:
+    """The fields of a case's journal record and ``case`` event that
+    place it in the matrix (a plan case has no ordinal)."""
+    code = case.code
+    return {"function": case.function,
+            "retval": getattr(code, "retval", None),
+            "errno": getattr(code, "errno", None),
+            **({"action": code.token()}
+               if code is not None and not isinstance(code, ErrorCode)
+               else {}),
+            "ordinal": getattr(case, "call_ordinal", None)}
 
 
 @dataclass
 class CaseResult:
     """Outcome of one fault case."""
 
-    case: FaultCase
+    case: CampaignCase
     outcome: TestOutcome
     fired: bool          # the workload actually reached the injection
     seconds: float = 0.0  # wall time of this case (filled by the engine)
@@ -178,24 +223,20 @@ class CaseResult:
             and self.outcome.status != "hung"
 
     def to_dict(self) -> Dict[str, Any]:
-        code = self.case.code
+        row = case_row(self.case)
         return {
             "case": self.case.case_id(),
-            "function": self.case.function,
-            "retval": getattr(code, "retval", None),
-            "errno": getattr(code, "errno", None),
-            "call_ordinal": self.case.call_ordinal,
+            "function": row.pop("function"),
+            "call_ordinal": row.pop("ordinal"),
+            **row,
             "outcome": self.outcome.status,
             "fired": self.fired,
             "tolerated": self.tolerated,
             "duration": round(self.seconds, 6),
             "worker": self.worker,
             "instructions": self.instructions,
-            **({"action": code.token()}
-               if not isinstance(code, ErrorCode) else {}),
-            **({"probability": self.case.probability,
-                "seed": self.case.effective_seed()}
-               if self.case.probability > 0 else {}),
+            **({"seed": self.case.plan().seed}
+               if isinstance(self.case, PlanCase) else {}),
             **({"snapshot": self.snapshot}
                if self.snapshot is not None else {}),
             **({"class": self.outcome_class}
@@ -261,15 +302,6 @@ class CampaignReport:
             return "hung"
         return "ok"
 
-    def classes(self) -> Dict[str, int]:
-        """Fired-case counts by failure-mode class (only populated when
-        the engine classified — i.e. a result store was attached)."""
-        counts: Dict[str, int] = {}
-        for r in self.results:
-            if r.fired and r.outcome_class:
-                counts[r.outcome_class] = counts.get(r.outcome_class, 0) + 1
-        return counts
-
     @property
     def tolerance_rate(self) -> float:
         fired = self.fired()
@@ -292,7 +324,9 @@ class CampaignReport:
             cells = []
             for result in rows:
                 code = result.case.code
-                if isinstance(code, ErrorCode):
+                if code is None:
+                    errno = result.case.case_id()
+                elif isinstance(code, ErrorCode):
                     errno = code.errno or str(code.retval)
                 else:
                     errno = code.describe()
@@ -344,7 +378,7 @@ def enumerate_cases(profiles: Mapping[str, LibraryProfile],
                     latency_ns: int = 1_000_000,
                     fraction: float = 0.5,
                     fail_rate: Optional[float] = None,
-                    ) -> List[FaultCase]:
+                    ) -> List[CampaignCase]:
     """Expand profiles into the systematic case list.
 
     ``fault_classes`` picks which action families to enumerate (any of
@@ -352,10 +386,10 @@ def enumerate_cases(profiles: Mapping[str, LibraryProfile],
     code; ``delay`` adds one :class:`DelayFault` of ``latency_ns`` per
     function; ``short-read`` / ``partial-write`` add a count-clamping
     fault (keeping ``fraction`` of the transfer) for the functions in
-    :data:`READ_LIKE` / :data:`WRITE_LIKE`.  ``fail_rate`` turns every
-    enumerated case probabilistic: instead of firing at an exact call
-    ordinal, its plan fires at that rate from a content-derived
-    recorded seed — replayable bit-identically under ``--resume``.
+    :data:`READ_LIKE` / :data:`WRITE_LIKE`.  ``fail_rate`` makes every
+    enumerated cell a :func:`fail_rate_case` instead: its plan fires at
+    that rate from a content-derived recorded seed rather than at an
+    exact call ordinal, replayable bit-identically under ``--resume``.
 
     ``fail_rate`` and ``call_ordinals`` are mutually exclusive axes: a
     probabilistic plan may fire on *any* call, so there is no ordinal
@@ -374,9 +408,7 @@ def enumerate_cases(profiles: Mapping[str, LibraryProfile],
             "fail-rate case may fire on any call, so it has no "
             "call ordinal to enumerate")
     wanted = set(functions) if functions is not None else None
-    probability = 0.0 if fail_rate is None else fail_rate
-    ordinals = call_ordinals if fail_rate is None else (1,)
-    cases: List[FaultCase] = []
+    cases: List[CampaignCase] = []
     for soname in sorted(profiles):
         for name in profiles[soname].function_names():
             if wanted is not None and name not in wanted:
@@ -395,9 +427,11 @@ def enumerate_cases(profiles: Mapping[str, LibraryProfile],
             if "partial-write" in fault_classes and name in WRITE_LIKE:
                 actions.append(PartialWriteFault(fraction=fraction))
             for action in actions:
-                for ordinal in ordinals:
-                    cases.append(FaultCase(name, action, ordinal,
-                                           probability=probability))
+                if fail_rate is not None:
+                    cases.append(fail_rate_case(name, action, fail_rate))
+                    continue
+                for ordinal in call_ordinals:
+                    cases.append(FaultCase(name, action, ordinal))
     return cases
 
 
@@ -405,7 +439,7 @@ def run_campaign(app: str,
                  factory: SessionFactory,
                  platform: Platform,
                  profiles: Mapping[str, LibraryProfile],
-                 cases: Iterable[FaultCase],
+                 cases: Iterable[CampaignCase],
                  *, jobs: int = 1,
                  timeout: Optional[float] = None,
                  backend: Optional[str] = None,
@@ -416,7 +450,8 @@ def run_campaign(app: str,
                  resume: bool = False,
                  guided: bool = False,
                  budget_cases: Optional[int] = None) -> CampaignReport:
-    """Run every fault case as its own monitored test.
+    """Run every case, :class:`FaultCase` cell or :class:`PlanCase`, as
+    its own monitored test.
 
     With the defaults (``jobs=1``, no timeout) cases run inline exactly
     as a plain loop would.  ``jobs > 1`` (``0`` = one per CPU) or a
@@ -429,9 +464,9 @@ def run_campaign(app: str,
 
     ``snapshot=True`` with a :class:`PrefixFactory` checkpoints the
     guest once per trigger function at workload-ready and replays only
-    the post-trigger suffix per case; results are bit-identical to
-    fresh runs (cases whose trigger would fire inside the prefix fall
-    back to a fresh execution automatically).
+    the post-trigger suffix per cell; results are bit-identical to
+    fresh runs (cells whose trigger would fire inside the prefix, and
+    every plan case, run fresh).
 
     ``results`` (a :class:`~repro.core.results.ResultStore`) journals
     every finished case durably as the run drains; ``resume=True``
@@ -442,8 +477,8 @@ def run_campaign(app: str,
 
     ``guided=True`` replaces the fixed schedule with the
     coverage-guided :class:`~repro.core.search.GuidedFrontier`:
-    ``cases`` becomes the search space, the scheduler runs the
-    highest-novelty cases first, prunes subsumed ones and expands
+    ``cases``, cells only, become the search space, the scheduler runs
+    the highest-novelty cases first, prunes subsumed ones and expands
     promising call ordinals, and ``budget_cases`` caps how many cases
     actually execute.
     """

@@ -255,11 +255,11 @@ class NotReachedCases:
     one journaled before that field existed cannot, and the next case
     that cannot fire takes the role.
 
-    Soundness rule.  Case B = (f, action_b, ordinal k_b, probability 0)
-    may take the result of an earlier case A of the same campaign and
-    function when all of these hold:
+    Soundness rule.  Cell B = (f, action_b, ordinal k_b) may take the
+    result of an earlier case A of the same campaign and function when
+    all of these hold:
 
-    * A is also non-probabilistic;
+    * A is also a cell;
     * A's run returned a result (it did not raise);
     * A's ``TriggerEngine.firings`` is 0 (firings, not ``fired``:
       ``fired`` counts injections only);
@@ -527,7 +527,7 @@ def execute_campaign(app: str,
                      resume: bool = False,
                      guided: bool = False,
                      budget_cases: Optional[int] = None):
-    """Fan the campaign's fault cases out over a worker pool.
+    """Fan the campaign's cases, cells and plan cases, out over a pool.
 
     Results come back in case order regardless of worker count, so a
     ``jobs=4`` report is ordered identically to a serial one.  A case
@@ -540,9 +540,10 @@ def execute_campaign(app: str,
     ``snapshot=True`` with a two-phase factory
     (:class:`~repro.core.campaign.PrefixFactory`) routes cases through
     the :class:`~repro.core.exec.snapshot.SnapshotRunner`: the workload
-    prefix executes once per trigger function, and each case replays
+    prefix executes once per trigger function, and each cell replays
     only the post-trigger suffix from the checkpoint — results are
-    bit-identical to fresh runs.  Opaque factories silently run fresh.
+    bit-identical to fresh runs.  Plan cases and opaque factories
+    silently run fresh.
 
     With ``telemetry`` attached, every case's injection events are
     re-emitted into the shared event log in case order (tagged with the
@@ -565,8 +566,9 @@ def execute_campaign(app: str,
     :mod:`repro.core.search`): by default an
     :class:`~repro.core.search.ExhaustiveSchedule` runs every case in
     one batch.  ``guided=True`` hands scheduling to the coverage-guided
-    :class:`~repro.core.search.GuidedFrontier`: ``cases`` becomes the
-    search space rather than the execution list, ``budget_cases`` caps
+    :class:`~repro.core.search.GuidedFrontier`: ``cases``, cells only,
+    become the search space rather than the execution list (a plan
+    case is a :class:`ValueError`), ``budget_cases`` caps
     how many cases actually run (without ``guided`` it raises
     :class:`ValueError`), and the frontier is fed every finished case's
     coverage between batches.  Because batch width is fixed and
@@ -592,28 +594,6 @@ def execute_campaign(app: str,
     profiles = dict(profiles)
     capture = tele.enabled
 
-    journal = None
-    finished: Dict[str, Mapping[str, Any]] = {}
-    meta: Mapping[str, Any] = {}
-    if results is not None:
-        identity = dict(results_key or {})
-        identity.setdefault("app", app)
-        identity.setdefault("platform", platform)
-        identity.setdefault("profiles", profiles)
-        journal = results.open_campaign(
-            results.campaign_key(**identity), app=app)
-        meta = journal.meta()
-        if resume:
-            finished = journal.finished()
-            _check_random_rule(journal.key, meta, finished)
-
-    # Classification runs at the parent whenever results are durable or
-    # the frontier needs them: workers ship raw signals (status, output
-    # digest, coverage) and the parent assigns the failure-mode class,
-    # so every backend — and the snapshot path — classifies
-    # identically.
-    observe = journal is not None or guided
-
     # One golden run, in the parent, before any case: its digest anchors
     # classification (a digest already journaled wins, so resumed runs
     # classify against the same anchor), its call counts and coverage
@@ -627,20 +607,12 @@ def execute_campaign(app: str,
     if case_list:
         golden, call_counts, golden_blocks = _golden_run(
             factory, platform, profiles,
-            sorted({case.function for case in case_list}))
-    if "golden" in meta:
-        golden = meta["golden"]
-    if journal is not None:
-        journal.set_meta(golden=golden,
-                         cases_expected=(min(budget_cases, len(case_list))
-                                         if budget_cases is not None
-                                         else len(case_list)),
-                         call_counts=call_counts,
-                         random_rule=RANDOM_RULE,
-                         **({"guided": True} if guided else {}))
+            sorted({function for case in case_list
+                    for function in case.plan().functions()}))
 
     # what the golden counts prove: which cases cannot fire, for the
-    # frontier's pruning and for deriving those cases in this process
+    # frontier's pruning and for deriving those cases in this process.
+    # The frontier refuses plan cases before the journal is touched.
     bound = GoldenBound(call_counts)
     not_reached = NotReachedCases(bound)
     if guided:
@@ -650,6 +622,35 @@ def execute_campaign(app: str,
                                   telemetry=tele)
     else:
         schedule = ExhaustiveSchedule(case_list)
+
+    journal = None
+    finished: Dict[str, Mapping[str, Any]] = {}
+    if results is not None:
+        identity = dict(results_key or {})
+        identity.setdefault("app", app)
+        identity.setdefault("platform", platform)
+        identity.setdefault("profiles", profiles)
+        journal = results.open_campaign(
+            results.campaign_key(**identity), app=app)
+        meta = journal.meta()
+        if resume:
+            finished = journal.finished()
+            _check_random_rule(journal.key, meta, finished)
+        golden = meta.get("golden", golden)
+        journal.set_meta(golden=golden,
+                         cases_expected=(min(budget_cases, len(case_list))
+                                         if budget_cases is not None
+                                         else len(case_list)),
+                         call_counts=call_counts,
+                         random_rule=RANDOM_RULE,
+                         **({"guided": True} if guided else {}))
+
+    # Classification runs at the parent whenever results are durable or
+    # the frontier needs them: workers ship raw signals (status, output
+    # digest, coverage) and the parent assigns the failure-mode class,
+    # so every backend — and the snapshot path — classifies
+    # identically.
+    observe = journal is not None or guided
 
     runner = None
     if snapshot:
@@ -896,6 +897,8 @@ def _replay_case_telemetry(tele: Telemetry, case, result) -> None:
     with the case id and worker); worker-side counters — per-function
     injections, trigger evaluations — merge into the parent registry.
     """
+    from ..campaign import case_row
+
     worker = getattr(result, "worker", "") or "lost"
     for event in getattr(result, "events", ()):
         fields = dict(event.get("fields", {}),
@@ -928,15 +931,8 @@ def _replay_case_telemetry(tele: Telemetry, case, result) -> None:
             group=info.get("group"), dirty_pages=info.get("dirty_pages"),
             bytes=info.get("bytes"),
             seconds=round(info.get("seconds", 0.0), 6), worker=worker)
-    action_fields = ({}
-                     if hasattr(case.code, "retval")
-                     else {"action": case.code.token()})
     tele.events.emit(
-        "case", case=case.case_id(), function=case.function,
-        errno=getattr(case.code, "errno", None),
-        retval=getattr(case.code, "retval", None),
-        ordinal=case.call_ordinal, status=result.outcome.status,
-        fired=result.fired, seconds=round(result.seconds, 6),
-        worker=worker,
-        instructions=getattr(result, "instructions", 0),
-        **action_fields)
+        "case", case=case.case_id(), **case_row(case),
+        status=result.outcome.status, fired=result.fired,
+        seconds=round(result.seconds, 6), worker=worker,
+        instructions=getattr(result, "instructions", 0))

@@ -13,10 +13,10 @@ The differential-equivalence guarantee — replayed cases produce
 bit-identical :class:`~repro.core.campaign.CaseResult` outcomes, event
 streams and instruction counts versus fresh runs — holds because:
 
-* the prefix plan has the same trigger structure as every case plan
-  (one INJECT_NTH trigger on the same function, so interception,
-  call counting and evaluation bookkeeping are identical), with an
-  ordinal no workload reaches;
+* the prefix plan has the same trigger structure as every cell's plan
+  (one INJECT_NTH trigger on the same function, so interception, call
+  counting and evaluation bookkeeping are identical), with an ordinal
+  no workload reaches; plan cases run fresh;
 * cases whose ordinal falls *inside* the prefix (the trigger would have
   fired during setup) are detected from the checkpointed call counts
   and fall back to a fresh execution;
@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterable, List, Mapping
 from ...obs.telemetry import as_telemetry
 from ...platform import Platform
 from ...runtime.snapshot import MachineSnapshot, SnapshotCache, SnapshotKey
+from ..campaign import FaultCase
 from ..controller import Controller
 from ..controller.triggers import NEVER_ORDINAL
 from ..profiles import LibraryProfile
@@ -125,11 +126,9 @@ class SnapshotRunner:
         """
         from .engine import _case_runner
 
-        if getattr(case, "probability", 0.0) > 0:
-            # a probabilistic case counts down on *every* call,
-            # including the prefix's — replaying only the suffix would
-            # fire at other calls than a fresh run, so bit-identical
-            # results require running the whole case
+        if not isinstance(case, FaultCase):
+            # a plan's triggers need not match the prefix's: a fail-rate
+            # plan counts down on every call, the prefix's included
             return _case_runner(self.factory, self.platform, self.profiles,
                                 case, self.capture, self.observe,
                                 self.parked)
@@ -170,9 +169,8 @@ class SnapshotRunner:
         guests instead of re-running every prefix)."""
         seen: Dict[str, Any] = {}
         for case in cases:
-            if getattr(case, "probability", 0.0) > 0:
-                continue        # runs fresh; no checkpoint to warm
-            seen.setdefault(case.function, case)
+            if isinstance(case, FaultCase):     # plan cases run fresh
+                seen.setdefault(case.function, case)
         for function, case in seen.items():
             self.cache.prime(self._key(function),
                              lambda: self._build(function, case.code))

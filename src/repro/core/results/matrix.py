@@ -115,11 +115,14 @@ def classify_record(record: Mapping[str, Any],
 
 
 def fault_class_of(action: Any) -> str:
-    """The fault-class label of an action (``return``, ``delay``, ...).
+    """The fault-class label of an action (``return``, ``delay``, ...),
+    or ``plan`` for a plan case that no one action names (None).
 
     Every scenario action declares its ``kind``; the fallback parses a
     token so foreign/legacy actions still land in a stable row.
     """
+    if action is None:
+        return "plan"
     kind = getattr(action, "kind", None)
     if isinstance(kind, str) and kind:
         return kind

@@ -44,6 +44,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional, Tuple,
 
 from ...errors import ResultsError
 from ...obs.telemetry import as_telemetry
+from ..campaign import case_row
 from ..controller import TestOutcome
 from ..scenario.xml_io import plan_to_xml
 from .matrix import fault_class_of
@@ -99,11 +100,11 @@ def _sha256(text: str) -> str:
 
 
 def case_digest(case) -> str:
-    """Content digest of one fault case: the SHA-256 of its plan XML.
+    """Content digest of one campaign case: the SHA-256 of its plan XML.
 
-    The plan XML is the case's complete injection input (function, mode,
-    ordinal, error code), so an unchanged digest means the stored result
-    is still the result this case would produce.
+    The plan XML is the case's complete injection input (triggers,
+    actions, seed), so an unchanged digest means the stored result is
+    still the result this case would produce.
     """
     return _sha256(plan_to_xml(case.plan()))
 
@@ -146,12 +147,7 @@ def result_record(campaign_key: str, case_key: str, case,
         "campaign": campaign_key,
         "case_key": case_key,
         "case": case.case_id(),
-        "function": case.function,
-        "retval": getattr(case.code, "retval", None),
-        "errno": getattr(case.code, "errno", None),
-        **({} if hasattr(case.code, "retval")
-           else {"action": case.code.token()}),
-        "ordinal": case.call_ordinal,
+        **case_row(case),
         "status": result.outcome.status,
         # classification signals (added by the observatory; readers of
         # older journals tolerate their absence)

@@ -253,18 +253,22 @@ class ArgModification:
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """One stack-trace frame condition: hex address or function name."""
+    """One stack-trace frame condition: hex address or function name,
+    kept as XML reads it back (LF line ends, no surrounding space)."""
 
     value: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", self.value.replace(
+            "\r\n", "\n").replace("\r", "\n").strip())
+
     def matches(self, return_addr: int, function: Optional[str]) -> bool:
-        text = self.value.strip()
-        if text.lower().startswith("0x"):
+        if self.value.lower().startswith("0x"):
             try:
-                return int(text, 16) == return_addr
+                return int(self.value, 16) == return_addr
             except ValueError:
                 return False
-        return function == text
+        return function == self.value
 
 
 @dataclass(frozen=True, init=False)

@@ -267,7 +267,7 @@ def _trigger_from_element(el: ET.Element) -> FunctionTrigger:
     frames: List[FrameSpec] = []
     st = el.find("stacktrace")
     if st is not None:
-        frames = [FrameSpec((frame.text or "").strip())
+        frames = [FrameSpec(frame.text or "")
                   for frame in st.findall("frame")]
 
     mods = [ArgModification(argument=int(m.get("argument", "0")),

@@ -48,6 +48,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional, Set,
                     Tuple, Union)
 
 from ..obs.telemetry import as_telemetry
+from .campaign import FaultCase
 from .results.matrix import NOVELTY_DECAY, novelty_score, record_blocks
 
 #: Cases scheduled per frontier batch.  Fixed — independent of the
@@ -64,8 +65,8 @@ def case_identity(case) -> Tuple[str, str, int]:
     """A case's coordinates in the guided search space.
 
     ``(function, action token, ordinal)`` — the axes the frontier
-    prunes and expands over.  Probability is deliberately absent:
-    guided campaigns are ordinal-deterministic (see
+    prunes and expands over.  Only a
+    :class:`~repro.core.campaign.FaultCase` cell has them (see
     :class:`GuidedFrontier`).
     """
     return (case.function, case.code.token(), case.call_ordinal)
@@ -74,12 +75,12 @@ def case_identity(case) -> Tuple[str, str, int]:
 class GoldenBound:
     """What the golden (fault-free) run proves about which cases can fire.
 
-    A campaign case's plan holds a single trigger on its function, so
-    its run is identical to the golden run until the trigger fires: a
-    non-probabilistic case whose ordinal exceeds c_f, the golden run's
-    calls of f, never fires.  The engine derives such cases instead of
-    running them (``core.exec.engine.NotReachedCases``) and the guided
-    frontier prunes them, both from this one object.
+    A cell's plan holds one INJECT_NTH trigger on its function, so its
+    run is identical to the golden run until the trigger fires: a cell
+    whose ordinal exceeds c_f, the golden run's calls of f, never
+    fires.  The engine derives such cases instead of running them
+    (``core.exec.engine.NotReachedCases``) and the guided frontier
+    prunes them, both from this one object.
 
     ``call_counts`` is None when the golden run raised: its counts are
     unknown, so no case is predicted not to fire.
@@ -99,10 +100,9 @@ class GoldenBound:
         return self.call_counts.get(function)
 
     def cannot_fire(self, case) -> bool:
-        """Whether ``case`` provably never fires: non-probabilistic, with
-        an ordinal past c_f (0 for a function the golden run never
-        called)."""
-        if self.call_counts is None or case.probability > 0:
+        """Whether ``case`` provably never fires: a cell with an ordinal
+        past c_f (0 for a function the golden run never called)."""
+        if self.call_counts is None or not isinstance(case, FaultCase):
             return False
         return case.call_ordinal > self.call_counts.get(case.function, 0)
 
@@ -166,8 +166,7 @@ class GuidedFrontier:
     golden run's coverage), so novelty measures discovery *beyond* the
     fault-free path.  ``budget_cases`` caps the total number of cases
     scheduled.
-    Probabilistic cases are rejected (`ValueError`): their plans count
-    down gaps drawn from the plan's RNG, so they have no ordinal
+    Plan cases are rejected (`ValueError`): only a cell has an ordinal
     coordinate to search over.
     """
 
@@ -207,11 +206,11 @@ class GuidedFrontier:
 
         protected_pairs: Set[Tuple[str, str]] = set()
         for case in cases:
-            if getattr(case, "probability", 0.0) > 0:
+            if not isinstance(case, FaultCase):
                 raise ValueError(
-                    f"guided campaigns cannot schedule probabilistic "
-                    f"case {case.case_id()!r}: fail-rate plans have no "
-                    f"call-ordinal axis to search over")
+                    f"guided campaigns search the call-ordinal axis of "
+                    f"FaultCase cells, not plan case {case.case_id()!r} "
+                    f"(fail-rate cases are plan cases)")
             identity = case_identity(case)
             if identity in self._pending:
                 continue

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .binfmt import SharedObject
-from .core.campaign import (CampaignReport, FaultCase, enumerate_cases,
+from .core.campaign import (CampaignCase, CampaignReport, enumerate_cases,
                             run_campaign)
 from .core.controller import Controller
 from .core.exec.engine import RunSummary
@@ -231,13 +231,13 @@ class Session:
               latency_ns: int = 1_000_000,
               fraction: float = 0.5,
               fail_rate: Optional[float] = None
-              ) -> List[FaultCase]:
+              ) -> List[CampaignCase]:
         """Enumerate the systematic (function, fault action) space.
 
         ``fault_classes`` widens the matrix beyond error returns to
         latency (``delay``) and partial-I/O (``short-read`` /
-        ``partial-write``) actions; ``fail_rate`` turns every case
-        probabilistic under a content-derived recorded seed.
+        ``partial-write``) actions; ``fail_rate`` makes every cell a
+        fail-rate plan case under a content-derived recorded seed.
         """
         return enumerate_cases(self.profiles, functions=functions,
                                call_ordinals=call_ordinals,
@@ -254,7 +254,7 @@ class Session:
                  latency_ns: int = 1_000_000,
                  fraction: float = 0.5,
                  fail_rate: Optional[float] = None,
-                 cases: Optional[Iterable[FaultCase]] = None,
+                 cases: Optional[Iterable[CampaignCase]] = None,
                  snapshot: Optional[bool] = None,
                  resume: Optional[bool] = None,
                  guided: bool = False,
@@ -289,18 +289,14 @@ class Session:
         :class:`~repro.core.search.GuidedFrontier` that runs the
         highest-novelty cases first, prunes subsumed ones, and expands
         promising call ordinals; ``budget_cases`` caps the number of
-        cases executed.  Guided scheduling needs the deterministic
-        call-ordinal axis, so it cannot be combined with ``fail_rate``.
+        cases executed.  Guided scheduling searches the call-ordinal
+        axis of :class:`~repro.core.campaign.FaultCase` cells: a plan
+        case, ``fail_rate``'s included, is a :class:`ValueError`.
         """
         if snapshot is None:
             snapshot = self.snapshot
         if resume is None:
             resume = self.resume
-        if guided and fail_rate is not None:
-            raise ReproError(
-                "Session.campaign: guided scheduling searches the "
-                "call-ordinal axis and cannot be combined with "
-                "fail_rate (probabilistic cases have no ordinal)")
         with self.obs.tracer.trace("session.campaign",
                                    app=app or self.app) as span:
             if cases is None:

@@ -81,8 +81,8 @@ def probabilistic_space(libc_profiles_linux):
                             max_codes_per_function=1,
                             fault_classes=("return", "delay"),
                             latency_ns=200_000, fail_rate=0.3)
-    assert all(c.probability == 0.3 for c in cases)
-    assert all(c.effective_seed() is not None for c in cases)
+    assert all(c.plan().triggers[0].probability == 0.3 for c in cases)
+    assert all(c.plan().seed is not None for c in cases)
     return _make_factory(), cases
 
 
@@ -178,7 +178,7 @@ class TestProbabilisticReplay:
         slower = enumerate_cases(libc_profiles_linux, functions=["read"],
                                  fault_classes=("delay",),
                                  latency_ns=900_000, fail_rate=0.3)[0]
-        assert delay.effective_seed() != slower.effective_seed()
+        assert delay.plan().seed != slower.plan().seed
 
 
 def _journaled_by_6x(store: ResultStore) -> str:

@@ -10,14 +10,17 @@ effects of every new action through the controller.
 
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import pytest
 
-from repro.core.campaign import FAULT_CLASSES, FaultCase, enumerate_cases
+from repro.core.campaign import (FAULT_CLASSES, FaultCase, PlanCase,
+                                 enumerate_cases, fail_rate_case)
 from repro.core.controller import Controller
 from repro.core.controller.replay import build_replay_plan
 from repro.core.controller.triggers import TriggerEngine
+from repro.core.results import case_digest
 from repro.core.scenario import (ACCEPTED_SCHEMAS, INJECT_ORDINALS,
                                  PLAN_SCHEMA, DelayFault, ErrorCode,
                                  FunctionTrigger, PartialWriteFault, Plan,
@@ -28,6 +31,8 @@ from repro.errors import ScenarioError
 from repro.kernel import Kernel, O_CREAT, O_RDWR, errno_number
 from repro.obs import Telemetry
 from repro.platform import LINUX_X86
+
+from .fail_rate_reference import ReferenceFailRateCase
 
 
 def _metric_total(tele, name):
@@ -438,7 +443,7 @@ class TestCaseEnumeration:
                                 functions=["read", "close"])
         assert cases
         assert all(isinstance(c.code, ReturnFault) for c in cases)
-        assert all(c.probability == 0.0 for c in cases)
+        assert all(isinstance(c, FaultCase) for c in cases)
 
     def test_delay_class_adds_one_case_per_function(
             self, libc_profiles_linux):
@@ -469,18 +474,19 @@ class TestCaseEnumeration:
         cases = enumerate_cases(libc_profiles_linux, functions=["read"],
                                 fault_classes=("delay",),
                                 fail_rate=0.2)
-        assert all(c.probability == 0.2 for c in cases)
+        assert all(isinstance(c, PlanCase) for c in cases)
         case = cases[0]
         assert "~p0.2" in case.case_id()
         plan = case.plan()
         assert plan.seed is not None
-        assert plan.seed == case.effective_seed()
-        assert plan.triggers[0].mode == "random"
+        [trigger] = plan.triggers
+        assert (trigger.mode, trigger.probability) == ("random", 0.2)
+        assert (case.function, case.code) == ("read", trigger.actions[0])
         # re-enumeration derives the identical recorded seed
         again = enumerate_cases(libc_profiles_linux, functions=["read"],
                                 fault_classes=("delay",),
                                 fail_rate=0.2)[0]
-        assert again.effective_seed() == case.effective_seed()
+        assert again.plan().seed == plan.seed
 
     def test_deterministic_case_plan_shape_is_legacy(self,
                                                      libc_profiles_linux):
@@ -490,3 +496,43 @@ class TestCaseEnumeration:
         plan = case.plan()
         assert plan.seed is None
         assert plan.triggers[0].mode == "nth"
+
+    def test_fail_rate_cases_keep_the_8_0_ids_seeds_and_keys(
+            self, libc_profiles_linux):
+        """A journal of 8.0 fail-rate cases resumes only while every
+        case keeps its id, recorded seed and case key (the digest of its
+        plan XML)."""
+        cases = enumerate_cases(libc_profiles_linux,
+                                fault_classes=FAULT_CLASSES,
+                                fail_rate=0.3)
+        assert len(cases) > 40
+        for case in cases:
+            old = ReferenceFailRateCase(case.function, case.code, 0.3)
+            assert case.case_id() == old.case_id()
+            assert case.plan().seed == old.effective_seed()
+            assert case_digest(case) == case_digest(old), case.case_id()
+        # as 8.0 computed them, whatever derive_plan_seed does now
+        pinned = {
+            ("read", ErrorCode(-1, "EIO"), 0.3): (
+                "read@1=-1/EIO~p0.3", 2781768024, "74fe1a29d319487e"),
+            ("write", DelayFault(1_000_000), 0.05): (
+                "write@1=delay1000000ns~p0.05", 2163004416,
+                "f82b6f7585828a0a"),
+            ("read", ShortReadFault(fraction=0.5), 0.3): (
+                "read@1=short-read0.5x~p0.3", 2181446205,
+                "942120132b028800"),
+        }
+        for args, (case_id, seed, key) in pinned.items():
+            case = fail_rate_case(*args)
+            assert (case.case_id(), case.plan().seed,
+                    case_digest(case)[:16]) == (case_id, seed, key)
+
+    def test_a_cell_builds_its_plan_once(self):
+        """The case key and the controller read one plan; a cell crosses
+        a worker's pipe as its fields and builds an equal plan there."""
+        case = FaultCase("read", ErrorCode(-1, "EIO"), 2)
+        plan = case.plan()
+        assert case.plan() is plan
+        copy = pickle.loads(pickle.dumps(case))
+        assert copy == case and "_plan" not in vars(copy)
+        assert plan_to_xml(copy.plan()) == plan_to_xml(plan)

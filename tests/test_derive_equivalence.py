@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import _campaign_factory
-from repro.core.campaign import FaultCase
+from repro.core.campaign import FaultCase, fail_rate_case
 from repro.core.exec import engine as engine_mod
 from repro.core.exec.engine import (NotReachedCases, _case_runner,
                                     _golden_run, execute_campaign)
@@ -124,7 +124,7 @@ def _expected_derived(cases, reference, counts):
     flags = []
     for case in cases:
         c = counts.get(case.function, 0)
-        if case.probability > 0 or case.call_ordinal <= c:
+        if not isinstance(case, FaultCase) or case.call_ordinal <= c:
             flags.append(False)
         elif case.function in representative:
             flags.append(representative[case.function])
@@ -345,7 +345,7 @@ class TestWhatIsNeverDerived:
         fires."""
         code = error_codes_from_profile(
             space[1]["libc.so.6"].functions["accept"])[0]
-        rolled = FaultCase("accept", code, 1, probability=0.5)
+        rolled = fail_rate_case("accept", code, 0.5)
         cases = [rolled, rolled, FaultCase("accept", code, 1),
                  FaultCase("accept", code, 2), rolled]
         report = _campaign(space, cases=cases)

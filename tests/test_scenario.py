@@ -1,7 +1,7 @@
 """Fault scenarios: model validation, the XML language, generators."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scenario import (INJECT_EXHAUSTIVE, INJECT_NTH,
@@ -61,6 +61,14 @@ class TestModel:
         assert not FrameSpec("0xb824490").matches(0xB824491, None)
         assert FrameSpec("refresh_files").matches(0, "refresh_files")
         assert not FrameSpec("refresh_files").matches(0, "other")
+
+    def test_frame_spec_is_built_as_xml_reads_it_back(self):
+        """A frame's value is normalized where the frame is built: LF
+        line ends and no surrounding space, as the XML reader gives it
+        back."""
+        assert FrameSpec(" \r\nrefresh_files\r ").value == "refresh_files"
+        assert FrameSpec("a\r\nb\rc").value == "a\nb\nc"
+        assert FrameSpec(" 0x10\n").matches(0x10, None)
 
     def test_plan_functions_dedup_ordered(self):
         plan = Plan()
@@ -262,16 +270,13 @@ def _trigger(draw):
     )
 
 
-def _read_back_frame(frame):
-    """A frame as the reader returns it: XML normalizes a literal CR in
-    text to LF, and the reader strips the text."""
-    text = frame.value.replace("\r\n", "\n").replace("\r", "\n")
-    return FrameSpec(text.strip())
-
-
 @given(triggers=st.lists(_trigger(), max_size=6),
        seed=st.one_of(st.none(), st.integers(0, 1 << 31)),
        name=st.one_of(st.just("scenario"), _TEXT))
+@example(triggers=[FunctionTrigger(
+    "readdir", mode=INJECT_NTH, nth=5, actions=(ErrorCode(0),),
+    stacktrace=(FrameSpec(" "), FrameSpec("a\rb ")))], seed=1,
+    name="scenario")
 @settings(max_examples=200, deadline=None)
 def test_property_plan_language_roundtrip(triggers, seed, name):
     plan = Plan(seed=seed, name=name)
@@ -282,6 +287,9 @@ def test_property_plan_language_roundtrip(triggers, seed, name):
     # what the ElementTree writer gave, byte for byte
     assert text == reference_plan_to_xml(plan)
     again = plan_from_xml(text)
+    # a plan read back from a replay script keeps the case key of the
+    # plan that ran
+    assert plan_to_xml(again) == text
     assert again.seed == plan.seed
     assert again.name == plan.name
     assert len(again.triggers) == len(plan.triggers)
@@ -299,8 +307,7 @@ def test_property_plan_language_roundtrip(triggers, seed, name):
         assert parsed.codes == orig.codes
         assert parsed.calloriginal == orig.calloriginal
         assert parsed.scope == orig.scope
-        assert parsed.stacktrace == tuple(
-            _read_back_frame(frame) for frame in orig.stacktrace)
+        assert parsed.stacktrace == orig.stacktrace
         assert parsed.modifications == orig.modifications
         assert parsed.argconds == orig.argconds
 

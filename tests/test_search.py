@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.campaign import FaultCase
+from repro.core.campaign import FaultCase, fail_rate_case
 from repro.core.results.matrix import NOVELTY_DECAY, novelty_score
 from repro.core.scenario import ErrorCode
 from repro.core.search import DRY_AFTER, GUIDED_BATCH, GuidedFrontier, \
@@ -39,9 +39,12 @@ def _ids(batch):
 
 class TestFrontierBasics:
     def test_rejects_probabilistic_cases(self):
-        bad = FaultCase("open", ErrorCode(-1, "EIO"), probability=0.5)
-        with pytest.raises(ValueError, match="probabilistic"):
-            GuidedFrontier([bad])
+        """A fail-rate case is a plan case: it has no call-ordinal axis
+        to search over."""
+        bad = fail_rate_case("open", ErrorCode(-1, "EIO"), 0.5)
+        with pytest.raises(ValueError, match="not plan case "
+                                             "'open@1=-1/EIO~p0.5'"):
+            GuidedFrontier([FaultCase("open", ErrorCode(-1, "EIO")), bad])
 
     def test_duplicate_identities_collapse(self):
         cases = _cases("open", (1,)) + _cases("open", (1,))

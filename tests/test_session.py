@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro import Session
-from repro.core.campaign import enumerate_cases, run_campaign
+from repro.core.campaign import FaultCase, enumerate_cases, run_campaign
 from repro.core.exec.engine import RunSummary, execute_campaign
 from repro.core.exec.pool import TaskResult, WorkerPool, resolve_jobs
 from repro.core.profiler import Profiler, profile_application
@@ -195,8 +195,8 @@ def _named(path):
         return getattr(_named(module), name)
 
 
-#: Spellings that 2.0, 3.0, 4.0, 5.0, 6.0, 7.0 and 8.0 removed, each with
-#: the error that must name it.
+#: Spellings that 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0 and 9.0 removed, each
+#: with the error that must name it.
 _REMOVED_SPELLINGS = {
     "Profiler-libraries": (
         TypeError, "libraries",
@@ -379,6 +379,29 @@ _REMOVED_SPELLINGS.update({
         lambda images, tmp: RunSummary(kind="profile", app="", outcome="ok",
                                        duration=0.0, cache_memory_hits=0)),
 })
+# 9.0: a campaign case is its plan.  A fail-rate cell is a PlanCase,
+# and the robustness battery is a campaign of them
+_REMOVED_SPELLINGS.update({
+    f"{where[len('repro.'):]}.{name}": (
+        AttributeError, name,
+        lambda images, tmp, where=where, name=name: getattr(
+            _named(where), name))
+    for where, name in (
+        ("repro.core.robustness", "run_battery"),
+        ("repro.core.robustness", "RobustnessReport"),
+        ("repro.core.robustness", "AppFactory"),
+        ("repro.core.robustness", "ScenarioSource"),
+        ("repro.core.campaign.CampaignReport", "classes"))})
+_REMOVED_SPELLINGS.update({
+    f"FaultCase-{name}": (
+        TypeError, name,
+        lambda images, tmp, name=name: FaultCase(
+            "close", ReturnFault(-1, "EIO"), 1, **{name: 0.5}))
+    for name in ("probability", "seed")})
+_REMOVED_SPELLINGS["FaultCase.effective_seed"] = (
+    AttributeError, "effective_seed",
+    lambda images, tmp: FaultCase("close", ReturnFault(-1, "EIO"))
+    .effective_seed())
 
 
 class TestDeprecationShims:
@@ -386,9 +409,10 @@ class TestDeprecationShims:
     the thread backend, 5.0 the buffered telemetry copies and the
     pool's metrics, 6.0 the task status, the journal index, the
     controller's campaign loop and unused helpers, 7.0 the separate
-    dormancy bookkeeping, 7.1 the three-call bypass and 8.0 the
-    snapshot transplant and the in-memory profile cache: old spellings
-    fail by name, new ones are silent."""
+    dormancy bookkeeping, 7.1 the three-call bypass, 8.0 the
+    snapshot transplant and the in-memory profile cache and 9.0 the
+    probabilistic FaultCase and the battery loop: old spellings fail by
+    name, new ones are silent."""
 
     @pytest.mark.parametrize("spelling", sorted(_REMOVED_SPELLINGS))
     def test_removed_spelling_fails_by_name(self, spelling, tmp_path,
